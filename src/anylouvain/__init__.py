@@ -26,6 +26,7 @@ from .criteria import (
     relational_total,
 )
 from .errors import (
+    ConfigError,
     LouvainError,
     NegativeWeight,
     NodeAlreadyPlaced,
@@ -48,7 +49,6 @@ from .graph import (
     compact_labels,
     neighbor_community_weights,
     singleton_labels,
-    weighted_degree,
 )
 from .io import (
     RunSummary,

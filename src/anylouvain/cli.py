@@ -113,6 +113,8 @@ def _cmd_optimum(args):
 
 
 def _cmd_bench(args):
+    if args.runs < 1:
+        raise LouvainError(f"--runs must be at least 1, got {args.runs}")
     wanted = []
     for tok in args.criteria.split(","):
         tok = tok.strip()

@@ -13,7 +13,10 @@ is written against:
     ``gain_scale * (gain(i, C_new) - gain(i, C_old))`` for a fixed
     positive per-criterion ``gain_scale``, so the argmax over candidates
     is the argmax of the true quality change while the hot loop skips
-    candidate-independent terms and global factors.
+    candidate-independent terms and global factors.  Each criterion has
+    exactly one gain formula, :meth:`Criterion.gain_fn`: a scalar
+    function ``gain(i, c, dw)`` built over a state's accumulators.
+    :meth:`CriterionState.gain` and the optimizer's pass both call it.
 ``total``
     The exact (unscaled) quality of the current partition, computed from
     the accumulators.
@@ -43,6 +46,8 @@ weights.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .errors import (
@@ -64,7 +69,10 @@ class CriterionState:
     """Per-community accumulators plus the node-to-community map.
 
     Single-writer: one optimization run mutates one state.  ``remove``
-    and ``insert`` are exact inverses with the same arguments.
+    and ``insert`` are exact inverses with the same arguments.  The
+    accumulators are numpy arrays, or Python lists in the copy that
+    :meth:`as_lists` makes for one optimizer pass; ``remove``, ``insert``
+    and ``gain`` only index them, so they work on either.
     """
 
     __slots__ = ("crit", "g", "part", "in_w", "tot", "sz", "aux", "kappa")
@@ -107,15 +115,39 @@ class CriterionState:
 
     def gain(self, i, c, dw):
         """Scaled gain of inserting node ``i`` into community ``c``."""
-        if not 0 <= c < self.sz.size:
+        if not 0 <= c < len(self.sz):
             raise UnknownCommunity(f"community {c} out of range")
-        out = self.crit.gain_many(
-            self, i, np.asarray([c], dtype=np.int64),
-            np.asarray([dw], dtype=np.float64))
-        return float(out[0])
+        return float(self.crit.gain_fn(self)(i, c, dw))
 
-    def gain_many(self, i, cands, dws):
-        return self.crit.gain_many(self, i, cands, dws)
+    def as_lists(self):
+        """Copy of this state on Python lists, node constants included.
+
+        The optimizer runs a pass on this copy: indexing and updating a
+        list element costs far less than a numpy scalar access.  The
+        copy's ``g`` holds ``consts`` and the node arrays ``degrees``,
+        ``loop``, ``size`` and ``aux`` as lists, so ``remove``,
+        ``insert`` and ``gain`` work on it unchanged.  :meth:`assign`
+        writes it back.
+        """
+        g = self.g
+        nodes = SimpleNamespace(consts=g.consts, degrees=g.degrees.tolist(),
+                                loop=g.loop.tolist(), size=g.size.tolist(),
+                                aux=g.aux.tolist())
+        return CriterionState(self.crit, nodes, self.part.tolist(),
+                              self.in_w.tolist(), self.tot.tolist(),
+                              self.sz.tolist(), self.aux.tolist(),
+                              self.kappa)
+
+    def assign(self, other):
+        """Overwrite the partition and accumulators with ``other``'s
+        (e.g. the list copy of :meth:`as_lists`), in place; ``kappa`` is
+        recounted from the sizes."""
+        self.part[:] = other.part
+        self.in_w[:] = other.in_w
+        self.tot[:] = other.tot
+        self.sz[:] = other.sz
+        self.aux[:] = other.aux
+        self.kappa = int(np.count_nonzero(self.sz))
 
     def total(self):
         """Exact quality of the partition held by this state."""
@@ -182,7 +214,17 @@ class Criterion:
                               sz.astype(np.int64), aux,
                               kappa=int(np.count_nonzero(sz)))
 
-    def gain_many(self, st, i, cands, dws):
+    def gain_fn(self, st):
+        """The criterion's scalar gain over the accumulators of ``st``.
+
+        Returns ``gain(i, c, dw)``: the scaled gain of inserting the
+        removed node ``i`` into community ``c``, with ``dw = d_w(i, c)``.
+        The function holds the state's sequences, not their values, so
+        it is built once per pass and sees every later ``remove`` /
+        ``insert``.  It only indexes them, so numpy arrays and the list
+        copy of :meth:`CriterionState.as_lists` give bit-identical
+        results.  No range check: :meth:`CriterionState.gain` does that.
+        """
         raise NotImplementedError
 
     def total(self, st):
@@ -232,9 +274,12 @@ class NewmanGirvan(Criterion):
         if g.consts.two_m <= 0:
             raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        return dws - g.degrees[i] * st.tot[cands] / g.consts.two_m
+    def gain_fn(self, st):
+        deg, tot, m2 = st.g.degrees, st.tot, st.g.consts.two_m
+
+        def gain(i, c, dw):
+            return dw - deg[i] * tot[c] / m2
+        return gain
 
     def total(self, st):
         live = st.live()
@@ -264,9 +309,12 @@ class ZahnCondorcet(Criterion):
     id = "zc"
     label = "Zahn-Condorcet"
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        return 2.0 * dws - g.consts.w_max * g.size[i] * st.sz[cands]
+    def gain_fn(self, st):
+        size, sz, w_max = st.g.size, st.sz, st.g.consts.w_max
+
+        def gain(i, c, dw):
+            return 2.0 * dw - w_max * size[i] * sz[c]
+        return gain
 
     def total(self, st):
         c = st.g.consts
@@ -299,9 +347,13 @@ class OwsinskiZadrozny(Criterion):
             raise LouvainError(f"oz: alpha must be in (0, 1), got {alpha}")
         self.alpha = float(alpha)
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        return dws - self.alpha * g.consts.w_max * g.size[i] * st.sz[cands]
+    def gain_fn(self, st):
+        size, sz = st.g.size, st.sz
+        a_w = self.alpha * st.g.consts.w_max
+
+        def gain(i, c, dw):
+            return dw - a_w * size[i] * sz[c]
+        return gain
 
     def total(self, st):
         c = st.g.consts
@@ -360,10 +412,12 @@ class Marcotorchino(Criterion):
         return g.replace_weights(wgt, loop_t, aux=loop_t.copy(),
                                  consts=consts)
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        return 2.0 * dws - 0.5 * (g.aux[i] * st.sz[cands]
-                                  + st.aux[cands] * g.size[i])
+    def gain_fn(self, st):
+        naux, size, sz, aux = st.g.aux, st.g.size, st.sz, st.aux
+
+        def gain(i, c, dw):
+            return 2.0 * dw - 0.5 * (naux[i] * sz[c] + aux[c] * size[i])
+        return gain
 
     def total(self, st):
         c = st.g.consts
@@ -404,17 +458,18 @@ class BalancedModularity(Criterion):
         if c.w_max * c.n0 ** 2 - c.two_m <= 0:
             raise ZeroEdgeMass(f"{self.id}: graph has no absent-link mass")
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        c = g.consts
+    def gain_fn(self, st):
+        deg, size, sz, tot = st.g.degrees, st.g.size, st.sz, st.tot
+        c = st.g.consts
+        m2, w_max = c.two_m, c.w_max
+        w_n = c.w_max * c.n0
         mbar = c.w_max * c.n0 ** 2 - c.two_m
-        di = g.degrees[i]
-        si = g.size[i]
-        sz = st.sz[cands]
-        tot = st.tot[cands]
-        return (2.0 * dws - di * tot / c.two_m - c.w_max * si * sz
-                + (c.w_max * c.n0 * si - di)
-                * (c.w_max * c.n0 * sz - tot) / mbar)
+
+        def gain(i, k, dw):
+            di, si, sk, tk = deg[i], size[i], sz[k], tot[k]
+            return (2.0 * dw - di * tk / m2 - w_max * si * sk
+                    + (w_n * si - di) * (w_n * sk - tk) / mbar)
+        return gain
 
     def total(self, st):
         c = st.g.consts
@@ -451,12 +506,15 @@ class DeviationToIndetermination(Criterion):
         if g.consts.two_m <= 0:
             raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        c = g.consts
-        si = g.size[i]
-        return (dws - (g.degrees[i] * st.sz[cands] + st.tot[cands] * si)
-                / c.n0 + (c.two_m / c.n0 ** 2) * si * st.sz[cands])
+    def gain_fn(self, st):
+        deg, size, sz, tot = st.g.degrees, st.g.size, st.sz, st.tot
+        n0 = st.g.consts.n0
+        rho = st.g.consts.two_m / n0 ** 2
+
+        def gain(i, c, dw):
+            si, sc = size[i], sz[c]
+            return dw - (deg[i] * sc + tot[c] * si) / n0 + rho * si * sc
+        return gain
 
     def total(self, st):
         c = st.g.consts
@@ -488,10 +546,13 @@ class DeviationToUniformity(Criterion):
         if g.consts.two_m <= 0:
             raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        c = g.consts
-        return dws - (c.two_m / c.n0 ** 2) * g.size[i] * st.sz[cands]
+    def gain_fn(self, st):
+        size, sz = st.g.size, st.sz
+        rho = st.g.consts.two_m / st.g.consts.n0 ** 2
+
+        def gain(i, c, dw):
+            return dw - rho * size[i] * sz[c]
+        return gain
 
     def total(self, st):
         c = st.g.consts
@@ -522,13 +583,8 @@ class GoldbergDensity(Criterion):
     label = "Goldberg density"
     gain_scale = 1.0
 
-    def gain_many(self, st, i, cands, dws):
-        g = st.g
-        ins = st.in_w[cands]
-        szs = st.sz[cands].astype(np.float64)
-        d2 = 2.0 * dws + g.loop[i]
-        base = np.divide(ins, szs, out=np.zeros_like(ins), where=szs > 0)
-        return (ins + d2) / (szs + g.size[i]) - base
+    def gain_fn(self, st):
+        return _density_gain(st, empty_base=0.0)
 
     def total(self, st):
         live = st.live()
@@ -581,16 +637,9 @@ class ProfileDifference(Criterion):
             extra={"pretreated": self.id, "sq_sum": sq_sum})
         return g.replace_weights(wgt, loop_t, consts=consts)
 
-    def gain_many(self, st, i, cands, dws):
-        # Insertion mass embeds the factor 2 and the loop term:
-        # d'_w(i,C) = 2 d_w(i,C) + w_ii on the transformed weights.
-        g = st.g
-        ins = st.in_w[cands]
-        szs = st.sz[cands].astype(np.float64)
-        d2 = 2.0 * dws + g.loop[i]
-        base = np.divide(ins, szs, out=np.full_like(ins, 0.5),
-                         where=szs > 0)
-        return (ins + d2) / (szs + g.size[i]) - base
+    def gain_fn(self, st):
+        # The empty target's base of 1/2 is the -1/2 kappa penalty.
+        return _density_gain(st, empty_base=0.5)
 
     def total(self, st):
         live = st.live()
@@ -608,6 +657,20 @@ class ProfileDifference(Criterion):
             f += np.sum(w * x * scale[lo:hi, None])
             sq += np.sum(w ** 2)
         return float(2.0 * f - kappa - sq)
+
+
+def _density_gain(st, empty_base):
+    """Gain shared by the density criteria ``g`` and ``pd``: the
+    candidate's density after insertion minus its density before, the
+    latter taken as ``empty_base`` for an empty candidate.  The insertion
+    mass ``2 d_w(i,C) + w_ii`` carries the factor 2 and the loop term."""
+    loop, size, in_w, sz = st.g.loop, st.g.size, st.in_w, st.sz
+
+    def gain(i, c, dw):
+        ins, sc = in_w[c], sz[c]
+        base = ins / sc if sc > 0 else empty_base
+        return (ins + (2.0 * dw + loop[i])) / (sc + size[i]) - base
+    return gain
 
 
 CRITERIA = {

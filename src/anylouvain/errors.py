@@ -41,6 +41,10 @@ class SweepCapExceeded(LouvainError):
     """
 
 
+class ConfigError(LouvainError, ValueError):
+    """A run setting is out of range (e.g. a non-positive precision)."""
+
+
 class TooLarge(LouvainError):
     """Exhaustive enumeration was requested for a graph above the size cap."""
 

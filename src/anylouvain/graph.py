@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NegativeWeight
+from .errors import LouvainError, NegativeWeight
 
 #: Community id of a node that is currently removed from the partition.
 SENTINEL = -1
@@ -102,7 +102,8 @@ class Graph:
 
         Duplicate pairs are summed, ``i == j`` goes to the self-loop
         weight, and zero-weight entries are dropped.  Raises
-        :class:`NegativeWeight` on a negative weight.
+        :class:`NegativeWeight` on a negative weight and
+        :class:`LouvainError` on a NaN or infinite one.
         """
         srcs, dsts, ws = [], [], []
         loop = np.zeros(n, dtype=np.float64)
@@ -116,8 +117,11 @@ class Graph:
                 srcs.append(i)
                 dsts.append(j)
                 ws.append(w)
+        ws = np.asarray(ws, dtype=np.float64)
+        if not (np.isfinite(ws).all() and np.isfinite(loop).all()):
+            raise LouvainError("edge weights must be finite")
         a = sp.coo_matrix(
-            (np.asarray(ws + ws, dtype=np.float64),
+            (np.concatenate([ws, ws]),
              (np.asarray(srcs + dsts, dtype=np.int64),
               np.asarray(dsts + srcs, dtype=np.int64))),
             shape=(n, n),
@@ -197,11 +201,6 @@ def compact_labels(labels):
         raise ValueError("partition contains removed nodes")
     uniq, inv = np.unique(labels, return_inverse=True)
     return inv.astype(np.int64), int(uniq.size)
-
-
-def weighted_degree(g, i):
-    """Row sum of the weight matrix at ``i`` (loop counted once)."""
-    return g.degree(i)
 
 
 def neighbor_community_weights(g, i, labels):

@@ -11,6 +11,7 @@ ids never appear in files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -33,7 +34,8 @@ def read_edge_list(source):
     ``source`` is a path or a file-like object.  ``labels[i]`` is the
     original token of dense node id ``i``, assigned by first appearance.
     Raises :class:`ParseError` (with the line number) on malformed lines
-    and :class:`NegativeWeight` on a negative weight.
+    and NaN or infinite weights, and :class:`NegativeWeight` on a
+    negative weight.
     """
     ids: dict[str, int] = {}
     edges = []
@@ -52,6 +54,9 @@ def read_edge_list(source):
             except ValueError:
                 raise ParseError(line_no,
                                  f"bad weight token {parts[2]!r}") from None
+            if not math.isfinite(w):
+                raise ParseError(line_no,
+                                 f"weight {parts[2]!r} is not finite")
         else:
             w = 1.0
         if w < 0:

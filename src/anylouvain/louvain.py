@@ -7,10 +7,18 @@ the communities of its neighbors, its own community, and one empty
 community (so communities can split).  ``run`` alternates passes with
 graph coarsening until a level stops improving the quality by more than
 the configured precision.
+
+A pass works on Python-list copies of the criterion state and the node
+constants, made at its start and written back at its end, and scores
+candidates with the criterion's scalar gain (:meth:`Criterion.gain_fn`).
+A visit to a row of at most :data:`LONG_ROW` neighbours therefore makes
+no numpy call; longer rows sum their neighbour communities with numpy,
+where a fixed handful of calls beats a Python loop over the row.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -18,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .criteria import as_criterion
-from .errors import SweepCapExceeded
+from .errors import ConfigError, SweepCapExceeded
 from .graph import Graph, aggregate, compact_labels
 
 __all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "run", "detect",
@@ -44,8 +52,12 @@ class RunConfig:
     max_sweeps_per_pass: int | None = None  # default: 10 * n
 
     def __post_init__(self):
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
+        if not (math.isfinite(self.precision) and self.precision > 0):
+            raise ConfigError(
+                f"precision must be positive and finite, got {self.precision}")
+        if self.max_levels is not None and self.max_levels < 1:
+            raise ConfigError(
+                f"max_levels must be at least 1, got {self.max_levels}")
 
 
 @dataclass
@@ -82,18 +94,68 @@ class PassResult(NamedTuple):
     moves: int
 
 
+#: Rows longer than this sum their neighbour communities with numpy
+#: (:func:`_long_row_sums`) instead of a Python dict.  The dict costs a
+#: fixed amount per neighbour, the numpy calls a fixed amount per row;
+#: measured through ``one_pass`` on planted graphs the two break even
+#: near degree 96 (see BENCH_2.json).
+LONG_ROW = 96
+
+
+def _short_rows(g):
+    """Per node, ``(neighbours, weights)`` as Python lists for rows of at
+    most ``LONG_ROW`` entries, ``None`` for longer rows."""
+    row_len = np.diff(g.indptr)
+    short = row_len <= LONG_ROW
+    keep = np.repeat(short, row_len)
+    nbr, wgt = g.nbr[keep].tolist(), g.wgt[keep].tolist()
+    rows = []
+    lo = 0
+    for length, is_short in zip(row_len.tolist(), short.tolist()):
+        if is_short:
+            hi = lo + length
+            rows.append((nbr[lo:hi], wgt[lo:hi]))
+            lo = hi
+        else:
+            rows.append(None)
+    return rows
+
+
+def _long_row_sums(comms, weights):
+    """``{community: summed weight}`` of one row, in ascending community
+    order.  A stable sort keeps each community's weights in row order, so
+    ``np.bincount`` adds them in the order the dict path of
+    :func:`one_pass` does and the sums agree to the bit."""
+    perm = comms.argsort(kind="stable")
+    comms = comms[perm]
+    first = np.empty(comms.size, dtype=bool)
+    first[0] = True
+    np.not_equal(comms[1:], comms[:-1], out=first[1:])
+    sums = np.bincount(first.cumsum() - 1, weights=weights[perm])
+    return dict(zip(comms[first].tolist(), sums.tolist()))
+
+
 def one_pass(g, cfg, st, rng=None):
     """Greedy local optimization on one graph level.
 
     ``st`` must be a freshly initialized state (all-singleton partition).
     Nodes are visited in (re-)shuffled order; each visit removes the node
-    and re-inserts it into the candidate community of highest gain, the
-    node's previous community winning ties.  Sweeps repeat until one full
-    sweep moves nothing.  Returns a :class:`PassResult`.
+    and re-inserts it into the candidate community of highest gain.
+    Candidates are scored in a fixed order, and a later one wins only with
+    a strictly higher gain: the node's own community first (so ties keep
+    it in place), then neighbouring communities by ascending id, then one
+    empty community unless the node just vacated its own.  Sweeps repeat
+    until one full sweep moves nothing.  Returns a :class:`PassResult`.
+
+    The pass runs on Python-list copies of the state and the node
+    constants (:meth:`CriterionState.as_lists`), written back into ``st``
+    when the pass ends (also when it raises), and scores candidates with
+    the criterion's scalar gain.  A row of at most :data:`LONG_ROW`
+    neighbours sums its neighbour communities in a dict, a longer one
+    with numpy; both add a row's weights in row order, so the result is
+    bit-identical whichever path a row takes.
     """
     n = g.n
-    part = st.part
-    free = [n]  # stack of empty community ids; slot n starts unused
     order = np.arange(n)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -101,66 +163,66 @@ def one_pass(g, cfg, st, rng=None):
     if cap is None:
         cap = 10 * max(n, 1)
 
+    ls = st.as_lists()
+    part, sz = ls.part, ls.sz
+    gain = st.crit.gain_fn(ls)
+    rows = _short_rows(g)
+    part_np = st.part  # kept current for the long rows' numpy lookups
+    indptr, nbr, wgt = g.indptr.tolist(), g.nbr, g.wgt
+    free = [n]  # stack of empty community ids; slot n starts unused
+
     sweeps = 0
     total_moves = 0
     improved = n > 0
-    while improved:
-        if sweeps >= cap:
-            raise SweepCapExceeded(
-                f"no convergence after {sweeps} sweeps; gain "
-                f"implementation for {st.crit.id!r} is suspect")
-        improved = False
-        if cfg.shuffle_nodes:
-            rng.shuffle(order)
-        for i in order:
-            c_old = int(part[i])
-            lo, hi = g.indptr[i], g.indptr[i + 1]
-            comms = part[g.nbr[lo:hi]]
-            uniq, inv = np.unique(comms, return_inverse=True)
-            sums = np.bincount(inv, weights=g.wgt[lo:hi],
-                               minlength=uniq.size)
-            k = np.searchsorted(uniq, c_old)
-            if k < uniq.size and uniq[k] == c_old:
-                dw_old = float(sums[k])
-                keep = uniq != c_old
-                uniq, sums = uniq[keep], sums[keep]
-            else:
-                dw_old = 0.0
+    try:
+        while improved:
+            if sweeps >= cap:
+                raise SweepCapExceeded(
+                    f"no convergence after {sweeps} sweeps; gain "
+                    f"implementation for {st.crit.id!r} is suspect")
+            improved = False
+            if cfg.shuffle_nodes:
+                rng.shuffle(order)
+            for i in order.tolist():
+                c_old = part[i]
+                row = rows[i]
+                if row is None:
+                    lo, hi = indptr[i], indptr[i + 1]
+                    sums = _long_row_sums(part_np[nbr[lo:hi]], wgt[lo:hi])
+                else:
+                    sums = {}
+                    for j, w in zip(*row):
+                        c = part[j]
+                        sums[c] = sums.get(c, 0.0) + w
+                dw_old = sums.pop(c_old, 0.0)
 
-            st.remove(i, c_old, dw_old)
+                ls.remove(i, c_old, dw_old)
 
-            # Candidates: own community first (so ties keep the node in
-            # place), neighboring communities, then one empty community
-            # unless the node just vacated its own.
-            if st.sz[c_old] > 0:
-                spare = free[-1]
-                cands = np.empty(uniq.size + 2, dtype=np.int64)
-                dws = np.empty(uniq.size + 2)
-                cands[-1] = spare
-                dws[-1] = 0.0
-            else:
-                spare = -1
-                cands = np.empty(uniq.size + 1, dtype=np.int64)
-                dws = np.empty(uniq.size + 1)
-            cands[0] = c_old
-            dws[0] = dw_old
-            cands[1:uniq.size + 1] = uniq
-            dws[1:uniq.size + 1] = sums
+                best, best_dw = c_old, dw_old
+                top = gain(i, c_old, dw_old)
+                for c, dw in sums.items():
+                    x = gain(i, c, dw)
+                    # Ties go to the lower id, never away from c_old.
+                    if x > top or (x == top and c < best != c_old):
+                        best, best_dw, top = c, dw, x
+                spare = free[-1] if sz[c_old] > 0 else -1
+                if spare >= 0 and gain(i, spare, 0.0) > top:
+                    best, best_dw = spare, 0.0
 
-            gains = st.gain_many(i, cands, dws)
-            b = int(np.argmax(gains))
-            best = int(cands[b])
-            st.insert(i, best, float(dws[b]))
+                ls.insert(i, best, best_dw)
 
-            if best != c_old:
-                improved = True
-                total_moves += 1
-                if best == spare:
-                    free.pop()
-                if st.sz[c_old] == 0:
-                    free.append(c_old)
-        sweeps += 1
-    return PassResult(part.copy(), sweeps, total_moves)
+                if best != c_old:
+                    part_np[i] = best
+                    improved = True
+                    total_moves += 1
+                    if best == spare:
+                        free.pop()
+                    if sz[c_old] == 0:
+                        free.append(c_old)
+            sweeps += 1
+    finally:
+        st.assign(ls)
+    return PassResult(st.part.copy(), sweeps, total_moves)
 
 
 def run(g0, cfg):

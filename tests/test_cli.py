@@ -129,6 +129,30 @@ def test_optimum_refuses_large_graphs(karate_file, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_detect_non_finite_weight_fails(tmp_path, capsys):
+    graph = tmp_path / "nan.edges"
+    graph.write_text("a b nan\n")
+    assert main(["detect", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--precision", "0"),
+                                        ("--precision", "nan"),
+                                        ("--max-levels", "0")])
+def test_detect_bad_config_fails_cleanly(karate_file, capsys, flag, value):
+    assert main(["detect", karate_file, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_bench_zero_runs_rejected(karate_file, capsys):
+    assert main(["bench", karate_file, "--runs", "0"]) == 1
+    assert "--runs" in capsys.readouterr().err
+
+
 def test_bench_deterministic_table(karate_file, capsys):
     args = ["bench", karate_file, "--criteria", "ng,du", "--runs", "2",
             "--seed", "5"]

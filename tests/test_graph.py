@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from anylouvain import (Graph, aggregate, compact_labels, datasets,
-                        neighbor_community_weights, singleton_labels,
-                        weighted_degree)
-from anylouvain.errors import NegativeWeight
+                        neighbor_community_weights, singleton_labels)
+from anylouvain.errors import LouvainError, NegativeWeight
 from anylouvain import synth
 
 from conftest import path3, triangle
@@ -14,7 +13,7 @@ from conftest import path3, triangle
 
 def test_isolated_node_degree_zero():
     g = Graph.from_edges(2, [])
-    assert weighted_degree(g, 0) == 0.0
+    assert g.degree(0) == 0.0
 
 
 def test_triangle_degrees():
@@ -48,6 +47,13 @@ def test_duplicate_edges_merge():
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         Graph.from_edges(2, [(0, 1, -1.0)])
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf")])
+@pytest.mark.parametrize("loop", [False, True])
+def test_non_finite_weight_rejected(w, loop):
+    with pytest.raises(LouvainError, match="finite"):
+        Graph.from_edges(2, [(0, 0 if loop else 1, w)])
 
 
 def test_adjacency_symmetric():

@@ -48,6 +48,13 @@ def test_parse_errors_carry_line_numbers():
         parse("a b -2\n")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_weight_is_parse_error(token):
+    with pytest.raises(ParseError) as err:
+        parse(f"a b 1\nb c {token}\n")
+    assert "line 2" in str(err.value)
+
+
 def test_karate_file_shape():
     g, labels = datasets.karate_club()
     assert (g.n, g.edge_count) == (34, 78)

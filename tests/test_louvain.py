@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from anylouvain import (Graph, RunConfig, compose_flat, datasets, detect,
-                        exact_optimum, make_criterion, one_pass,
-                        relational_total, run)
+from anylouvain import (Graph, LouvainError, RunConfig, compose_flat,
+                        datasets, detect, exact_optimum, make_criterion,
+                        one_pass, relational_total, run)
 
 from conftest import compatible_graph, two_triangles
 
@@ -15,6 +15,15 @@ def test_config_validation():
         RunConfig(precision=0.0)
     with pytest.raises(ValueError):
         RunConfig(precision=-1e-6)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"precision": 0.0}, {"precision": float("nan")},
+    {"precision": float("inf")},
+    {"max_levels": 0}, {"max_levels": -1}])
+def test_config_errors_are_louvain_errors(kwargs):
+    with pytest.raises(LouvainError):
+        RunConfig(**kwargs)
 
 
 def test_edgeless_graph_stays_singleton():
