@@ -200,7 +200,7 @@ def build_parser():
     p.add_argument("--criterion", default="ng")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--max-nodes", type=int, default=DEFAULT_CAP,
-                   help="enumeration size cap")
+                   help="enumeration size cap (at most 10)")
     p.add_argument("--output", help="partition file (default: stdout)")
     p.set_defaults(func=_cmd_optimum)
 

@@ -235,14 +235,20 @@ class Criterion:
 
         Independent of the accumulator path: the quality is summed over
         ordered node pairs in row blocks of the dense weight matrix.
+        ``labels`` is one partition, shape ``(n,)``, which gives a float,
+        or a stack of ``P`` partitions, shape ``(P, n)``, which gives a
+        length-``P`` array scored in one batched pass.
         """
         if not g0.is_level0():
             raise ValueError("pairwise evaluation needs a level-0 graph")
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (g0.n,) or (labels.size and labels.min() < 0):
+        if (labels.ndim not in (1, 2) or labels.shape[-1] != g0.n
+                or (labels.size and labels.min() < 0)):
             raise ValueError("labels must assign every node a community")
         self.check(g0)
-        return self._relational(g0, labels)
+        f = self._relational(g0, labels)
+        # With no nodes there is no row block and f is the scalar 0.
+        return float(f) if labels.ndim == 1 else np.full(len(labels), f)
 
     def _relational(self, g0, labels):
         raise NotImplementedError
@@ -251,11 +257,26 @@ class Criterion:
         return f"<criterion {self.id}>"
 
 
-def _blocks(g):
+def _blocks(g, labels):
+    """Row blocks ``lo, hi, w, x``: the dense weights ``w[lo:hi]`` and
+    the pair indicator ``x`` of those rows, with ``labels``'s leading
+    batch axis if it has one."""
     a = g.to_scipy()
     for lo in range(0, g.n, _BLOCK):
         hi = min(lo + _BLOCK, g.n)
-        yield lo, hi, a[lo:hi].toarray()
+        x = labels[..., lo:hi, None] == labels[..., None, :]
+        yield lo, hi, a[lo:hi].toarray(), x
+
+
+def _pair_sum(a):
+    """Sum over the two node axes, keeping any leading batch axis."""
+    return np.sum(a, axis=(-2, -1))
+
+
+def _inv_size(x):
+    """``1 / |C_i|`` for each row node ``i`` of the pair indicator block
+    ``x``, shaped to broadcast over its columns."""
+    return 1.0 / x.sum(axis=-1, keepdims=True)
 
 
 class NewmanGirvan(Criterion):
@@ -289,11 +310,8 @@ class NewmanGirvan(Criterion):
     def _relational(self, g0, labels):
         d = g0.degrees
         m2 = g0.consts.two_m
-        f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            f += np.sum((w - np.outer(d[lo:hi], d) / m2) * x)
-        return float(f)
+        return sum(_pair_sum((w - np.outer(d[lo:hi], d) / m2) * x)
+                   for lo, hi, w, x in _blocks(g0, labels))
 
 
 class ZahnCondorcet(Criterion):
@@ -324,11 +342,8 @@ class ZahnCondorcet(Criterion):
 
     def _relational(self, g0, labels):
         wmax = g0.consts.w_max
-        f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            f += np.sum(w * x) + np.sum((wmax - w) * ~x)
-        return float(f)
+        return sum(_pair_sum(w * x) + _pair_sum((wmax - w) * ~x)
+                   for _, _, w, x in _blocks(g0, labels))
 
 
 class OwsinskiZadrozny(Criterion):
@@ -365,11 +380,9 @@ class OwsinskiZadrozny(Criterion):
     def _relational(self, g0, labels):
         wmax = g0.consts.w_max
         a = self.alpha
-        f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            f += (1.0 - a) * np.sum(w * x) + a * np.sum((wmax - w) * ~x)
-        return float(f)
+        return sum((1.0 - a) * _pair_sum(w * x)
+                   + a * _pair_sum((wmax - w) * ~x)
+                   for _, _, w, x in _blocks(g0, labels))
 
 
 class Marcotorchino(Criterion):
@@ -427,12 +440,9 @@ class Marcotorchino(Criterion):
 
     def _relational(self, g0, labels):
         diag = g0.loop
-        f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            comp = 0.5 * (diag[lo:hi, None] + diag[None, :]) - w
-            f += np.sum(w * x) + np.sum(comp * ~x)
-        return float(f)
+        return sum(_pair_sum(w * x) + _pair_sum(
+            (0.5 * (diag[lo:hi, None] + diag[None, :]) - w) * ~x)
+            for lo, hi, w, x in _blocks(g0, labels))
 
 
 class BalancedModularity(Criterion):
@@ -486,12 +496,11 @@ class BalancedModularity(Criterion):
         dbar = c.w_max * c.n0 - d
         mbar = c.w_max * c.n0 ** 2 - c.two_m
         f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            f += np.sum((w - np.outer(d[lo:hi], d) / c.two_m) * x)
-            f += np.sum(((c.w_max - w)
-                         - np.outer(dbar[lo:hi], dbar) / mbar) * ~x)
-        return float(f)
+        for lo, hi, w, x in _blocks(g0, labels):
+            f += _pair_sum((w - np.outer(d[lo:hi], d) / c.two_m) * x)
+            f += _pair_sum(((c.w_max - w)
+                            - np.outer(dbar[lo:hi], dbar) / mbar) * ~x)
+        return f
 
 
 class DeviationToIndetermination(Criterion):
@@ -526,13 +535,9 @@ class DeviationToIndetermination(Criterion):
     def _relational(self, g0, labels):
         c = g0.consts
         d = g0.degrees
-        f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            b = (w - d[lo:hi, None] / c.n0 - d[None, :] / c.n0
-                 + c.two_m / c.n0 ** 2)
-            f += np.sum(b * x)
-        return float(f)
+        return sum(_pair_sum((w - d[lo:hi, None] / c.n0 - d[None, :] / c.n0
+                              + c.two_m / c.n0 ** 2) * x)
+                   for lo, hi, w, x in _blocks(g0, labels))
 
 
 class DeviationToUniformity(Criterion):
@@ -562,11 +567,8 @@ class DeviationToUniformity(Criterion):
 
     def _relational(self, g0, labels):
         c = g0.consts
-        f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            f += np.sum((w - c.two_m / c.n0 ** 2) * x)
-        return float(f)
+        return sum(_pair_sum((w - c.two_m / c.n0 ** 2) * x)
+                   for _, _, w, x in _blocks(g0, labels))
 
 
 class GoldbergDensity(Criterion):
@@ -591,13 +593,8 @@ class GoldbergDensity(Criterion):
         return float(np.sum(st.in_w[live] / st.sz[live]))
 
     def _relational(self, g0, labels):
-        csize = np.bincount(labels)
-        scale = 1.0 / csize[labels]
-        f = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            f += np.sum(w * x * scale[lo:hi, None])
-        return float(f)
+        return sum(_pair_sum(w * x * _inv_size(x))
+                   for _, _, w, x in _blocks(g0, labels))
 
 
 class ProfileDifference(Criterion):
@@ -647,16 +644,13 @@ class ProfileDifference(Criterion):
         return float(2.0 * per - st.kappa - st.g.consts.extra["sq_sum"])
 
     def _relational(self, g0, labels):
-        csize = np.bincount(labels)
-        kappa = int(np.count_nonzero(csize))
-        scale = 1.0 / csize[labels]
-        f = 0.0
-        sq = 0.0
-        for lo, hi, w in _blocks(g0):
-            x = labels[lo:hi, None] == labels[None, :]
-            f += np.sum(w * x * scale[lo:hi, None])
+        f = kappa = sq = 0.0
+        for lo, _, w, x in _blocks(g0, labels):
+            f += _pair_sum(w * x * _inv_size(x))
+            # A node opens its community if no earlier node shares it.
+            kappa += np.sum(~np.tril(x, lo - 1).any(axis=-1), axis=-1)
             sq += np.sum(w ** 2)
-        return float(2.0 * f - kappa - sq)
+        return 2.0 * f - kappa - sq
 
 
 def _density_gain(st, empty_base):

@@ -2,6 +2,8 @@
 the true optimum of a criterion, and re-evaluate single moves from
 scratch.  Everything here goes through the pairwise evaluation path, so
 it stays independent of the incremental bookkeeping it is used to check.
+All Bell(n) partitions are built at once as a table of growth strings
+and scored ``_BLOCK`` rows per batched ``relational`` call, up to n = 10.
 """
 
 from __future__ import annotations
@@ -17,6 +19,28 @@ BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 
 DEFAULT_CAP = 10
 
+_BLOCK = 1024  # partitions scored per batched pairwise call
+
+
+def _growth_table(n, cap):
+    """Every restricted-growth string of length ``n``, one per row, in
+    lexicographic order: each step repeats every prefix once per label it
+    admits next (0 up to one past its largest) and appends them.  Raises
+    :class:`TooLarge` unless ``n <= cap <= 10``."""
+    top = len(BELL_NUMBERS) - 1
+    if not n <= cap <= top:
+        raise TooLarge(f"partition enumeration capped at n={min(cap, top)}, "
+                       f"got n={n} with cap {cap}")
+    table = np.zeros((1, min(n, 1)), dtype=np.int8)
+    peak = np.zeros(1, dtype=np.int64)  # largest label of each prefix
+    for _ in range(1, n):
+        reps = peak + 2
+        col = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        table = np.column_stack([np.repeat(table, reps, axis=0),
+                                 col.astype(np.int8)])
+        peak = np.maximum(np.repeat(peak, reps), col)
+    return table
+
 
 def enumerate_partitions(n, cap=DEFAULT_CAP):
     """Yield every set partition of ``n`` nodes exactly once.
@@ -24,48 +48,30 @@ def enumerate_partitions(n, cap=DEFAULT_CAP):
     Partitions come out as restricted-growth label arrays: node 0 always
     gets community 0 and each new community id is one past the largest id
     seen so far, which makes the labeling canonical.  There are Bell(n)
-    of them, so ``n`` is capped (default 10).
+    of them, so ``n`` is capped (default and maximum 10); the cap is
+    checked by this call, before any partition is built.
     """
-    if n > cap:
-        raise TooLarge(f"partition enumeration capped at n={cap}, got {n}")
-    if n == 0:
-        yield np.zeros(0, dtype=np.int64)
-        return
-    a = np.zeros(n, dtype=np.int64)   # growth string
-    b = np.zeros(n, dtype=np.int64)   # b[k] = 1 + max(a[:k]); b[0] stays 0
-    b[1:] = 1
-    while True:
-        yield a.copy()
-        j = n - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        top = max(b[j], a[j] + 1)
-        a[j + 1:] = 0
-        b[j + 1:] = top
+    return (row.astype(np.int64) for row in _growth_table(n, cap))
 
 
 def exact_optimum(criterion, g0, *, alpha=None, cap=DEFAULT_CAP):
     """Best partition of ``g0`` by exhaustive enumeration.
 
     Returns ``(labels, quality)``; ties go to the first partition in
-    enumeration order.  ``g0`` must be level 0 and pretreated if the
-    criterion needs it.
+    enumeration order, and ``quality`` is the single-partition
+    ``relational`` value of the winner.  ``g0`` must be level 0 and
+    pretreated if the criterion needs it.
     """
     crit = as_criterion(criterion, alpha)
-    if g0.n > cap:
-        raise TooLarge(
-            f"exact optimum capped at n={cap}, got {g0.n} nodes")
-    best_labels = None
-    best_q = -np.inf
-    for labels in enumerate_partitions(g0.n, cap=cap):
-        q = crit.relational(g0, labels)
-        if q > best_q:
-            best_q = q
-            best_labels = labels
-    return best_labels, float(best_q)
+    table = _growth_table(g0.n, cap)
+    best, best_q = 0, -np.inf
+    for lo in range(0, len(table), _BLOCK):
+        q = crit.relational(g0, table[lo:lo + _BLOCK])
+        k = int(np.argmax(q))
+        if q[k] > best_q:
+            best, best_q = lo + k, q[k]
+    labels = table[best].astype(np.int64)
+    return labels, crit.relational(g0, labels)
 
 
 def delta_oracle(criterion, g0, labels, i, c_new, *, alpha=None):
@@ -77,4 +83,5 @@ def delta_oracle(criterion, g0, labels, i, c_new, *, alpha=None):
         raise ValueError("node must belong to a community before the move")
     after = labels.copy()
     after[i] = c_new
-    return crit.relational(g0, after) - crit.relational(g0, labels)
+    before_q, after_q = crit.relational(g0, np.stack([labels, after]))
+    return float(after_q - before_q)

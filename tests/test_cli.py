@@ -129,6 +129,16 @@ def test_optimum_refuses_large_graphs(karate_file, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_optimum_cap_above_ten_refused(tmp_path, capsys):
+    graph = tmp_path / "tri.edges"
+    graph.write_text("a b\nb c\nc a\n")
+    rc = main(["optimum", str(graph), "--max-nodes", "34"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "capped" in captured.err
+    assert captured.out == ""
+
+
 def test_detect_non_finite_weight_fails(tmp_path, capsys):
     graph = tmp_path / "nan.edges"
     graph.write_text("a b nan\n")

@@ -12,7 +12,7 @@ from anylouvain.errors import (LouvainError, NodeAlreadyPlaced,
                                ZeroDegreeNode, ZeroEdgeMass)
 from anylouvain.graph import neighbor_community_weights
 
-from conftest import compatible_graph, triangle
+from conftest import compatible_graph, triangle, two_triangles
 
 
 # -- init ---------------------------------------------------------------
@@ -328,6 +328,30 @@ def test_relational_requires_level0(criterion):
     if meta.n < g.n:  # folded nodes exist
         with pytest.raises(ValueError):
             criterion.relational(meta, singleton_labels(meta.n))
+
+
+@pytest.mark.parametrize("shape,fill", [
+    ((2, 2, 6), 0),   # more than one batch axis
+    ((), 0),          # no node axis
+    ((6, 1), 0),      # node axis not last
+    ((5,), 0),        # too few nodes
+    ((3, 7), 0),      # batch with too many nodes
+    ((6,), -1),       # negative id
+    ((3, 6), -1),     # negative id in a batch
+])
+def test_relational_rejects_bad_label_arrays(shape, fill):
+    g = two_triangles()
+    with pytest.raises(ValueError):
+        make_criterion("ng").relational(g, np.full(shape, fill))
+
+
+def test_relational_batch_returns_one_value_per_row():
+    g = two_triangles()
+    batch = np.array([[0, 0, 0, 1, 1, 1], [0, 1, 2, 3, 4, 5]])
+    q = make_criterion("ng").relational(g, batch)
+    assert q.shape == (2,)
+    assert q[0] == make_criterion("ng").relational(g, batch[0])
+    assert isinstance(make_criterion("ng").relational(g, batch[1]), float)
 
 
 def test_oz_half_alpha_is_half_zc():

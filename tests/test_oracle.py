@@ -7,7 +7,7 @@ from anylouvain import (BELL_NUMBERS, Graph, delta_oracle,
                         enumerate_partitions, exact_optimum, synth)
 from anylouvain.errors import TooLarge
 
-from conftest import triangle, two_triangles
+from conftest import compatible_graph, triangle, two_triangles
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -41,6 +41,37 @@ def test_enumeration_cap():
         exact_optimum("ng", synth.random_graph(12, 0.5, seed=0))
 
 
+def test_cap_above_last_bell_number_refused_before_enumerating():
+    # Raised by the call itself: no partition is ever produced.
+    with pytest.raises(TooLarge):
+        enumerate_partitions(3, cap=11)
+    with pytest.raises(TooLarge):
+        enumerate_partitions(34, cap=34)
+    with pytest.raises(TooLarge):
+        exact_optimum("ng", triangle(), cap=34)
+    assert len(list(enumerate_partitions(10, cap=10))) == BELL_NUMBERS[10]
+
+
+def test_batched_scoring_matches_reference_loop(criterion):
+    """The batched optimum equals a strict-``>`` loop over single
+    ``relational`` calls, so the first best partition in enumeration
+    order wins; batched ``relational`` equals the stacked single calls."""
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        g = criterion.pretreat(compatible_graph(criterion, rng, n_max=7))
+        parts = list(enumerate_partitions(g.n))
+        single = np.array([criterion.relational(g, p) for p in parts])
+        assert np.array_equal(criterion.relational(g, np.stack(parts)),
+                              single)
+        ref_labels, ref_q = None, -np.inf
+        for p, q in zip(parts, single):
+            if q > ref_q:
+                ref_labels, ref_q = p, q
+        labels, q = exact_optimum(criterion, g)
+        assert np.array_equal(labels, ref_labels)
+        assert q == pytest.approx(ref_q, rel=1e-12, abs=1e-12)
+
+
 def test_k3_zc_optimum_is_one_community():
     labels, q = exact_optimum("zc", triangle())
     assert list(labels) == [0, 0, 0]
@@ -58,6 +89,11 @@ def test_edgeless_zc_optimum_is_singletons():
     labels, q = exact_optimum("zc", g)
     assert list(labels) == [0, 1, 2]
     assert q == pytest.approx(6.0)
+
+
+def test_empty_graph_optimum_is_the_empty_partition():
+    labels, q = exact_optimum("zc", Graph.from_edges(0, []))
+    assert labels.shape == (0,) and q == 0.0
 
 
 def test_delta_oracle_null_move_is_zero(criterion):
