@@ -51,11 +51,9 @@ from .graph import (
     singleton_labels,
 )
 from .io import (
-    RunSummary,
     read_edge_list,
     read_partition,
     write_partition,
-    write_summary,
 )
 from .louvain import (
     Hierarchy,

@@ -7,7 +7,7 @@ alpha are validated before any file is touched.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import statistics
 import sys
 import time
@@ -15,9 +15,8 @@ import time
 from .criteria import EXPERIMENT_CRITERIA, as_criterion
 from .errors import LouvainError
 from .graph import compact_labels
-from .io import (read_edge_list, read_partition, write_partition,
-                 write_summary)
-from .louvain import RunConfig, run
+from .io import read_edge_list, read_partition, write_partition
+from .louvain import RunConfig, detect
 from .oracle import DEFAULT_CAP, exact_optimum
 
 _AGREE_TOL = 1e-9
@@ -41,46 +40,24 @@ def _config(args):
 
 
 def _cmd_detect(args):
-    crit = as_criterion(args.criterion, args.alpha)  # validate before I/O
+    as_criterion(args.criterion, args.alpha)  # validate before I/O
     cfg = _config(args)
     g, labels = _read_graph(args.graph)
     if g.n == 0:
         raise LouvainError(f"graph {args.graph!r} has no nodes")
-    h = run(crit.pretreat(g), cfg)
-    summary = write_summary(h, cfg)
+    h = detect(g, cfg)
     if args.output:
         write_partition(args.output, h.flat, labels)
     else:
         write_partition(sys.stdout, h.flat, labels)
     if args.levels_out:
-        _write_levels(args.levels_out, h)
+        with open(args.levels_out, "w", encoding="utf-8") as fh:
+            fh.write(h.levels_json() + "\n")
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as fh:
-            fh.write(summary.to_json() + "\n")
-    print(summary.to_text(), file=sys.stderr)
+            fh.write(h.to_json() + "\n")
+    print(h.to_text(), file=sys.stderr)
     return 0
-
-
-def _write_levels(path, h):
-    # Per level: sizes plus the membership of every original node at
-    # that depth of the hierarchy.
-    flat = h.levels[0].labels
-    records = []
-    for idx, lv in enumerate(h.levels):
-        if idx > 0:
-            flat = lv.labels[flat]
-        records.append({
-            "level": idx,
-            "n": lv.graph.n,
-            "m": lv.graph.edge_count,
-            "kappa": lv.kappa,
-            "sweeps": lv.sweeps,
-            "quality": lv.quality,
-            "membership": flat.tolist(),
-        })
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"levels": records}, fh, indent=2)
-        fh.write("\n")
 
 
 def _cmd_eval(args):
@@ -92,6 +69,9 @@ def _cmd_eval(args):
     aggregated = crit.state_from_labels(g, flat).total()
     print(f"quality[pairwise]   = {pairwise:.12g}")
     print(f"quality[aggregated] = {aggregated:.12g}")
+    if not (math.isfinite(pairwise) and math.isfinite(aggregated)):
+        raise LouvainError("quality is not finite: the edge weights "
+                           "overflow float64 arithmetic")
     if abs(pairwise - aggregated) > _AGREE_TOL * max(1.0, abs(pairwise)):
         raise LouvainError("evaluation paths disagree; partition or "
                            "graph state is inconsistent")
@@ -138,9 +118,8 @@ def _cmd_bench(args):
                             precision=args.precision, seed=args.seed + r,
                             shuffle_nodes=not args.no_shuffle)
             try:
-                crit = as_criterion(crit_id, args.alpha)
                 t0 = time.perf_counter()
-                h = run(crit.pretreat(g), cfg)
+                h = detect(g, cfg)
                 times.append(time.perf_counter() - t0)
                 kappas.append(h.kappa_final)
                 quals.append(h.quality)

@@ -177,19 +177,7 @@ class Criterion:
 
     def init(self, g):
         """State for the all-singleton partition of ``g``."""
-        self.check(g)
-        n = g.n
-        slots = n + 1  # one spare slot so an empty community always exists
-        in_w = np.zeros(slots)
-        tot = np.zeros(slots)
-        sz = np.zeros(slots, dtype=np.int64)
-        aux = np.zeros(slots)
-        in_w[:n] = g.loop
-        tot[:n] = g.degrees
-        sz[:n] = g.size
-        aux[:n] = g.aux
-        return CriterionState(self, g, singleton_labels(n),
-                              in_w, tot, sz, aux, kappa=n)
+        return self.state_from_labels(g, singleton_labels(g.n))
 
     def state_from_labels(self, g, labels):
         """State rebuilt from scratch for an arbitrary partition.
@@ -199,10 +187,12 @@ class Criterion:
         """
         self.check(g)
         labels = np.asarray(labels, dtype=np.int64)
+        # At least one spare slot, so an empty community always exists.
         slots = max(g.n + 1, int(labels.max(initial=0)) + 2)
-        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-        same = labels[rows] == labels[g.nbr]
-        in_w = np.bincount(labels[rows[same]], weights=g.wgt[same],
+        # Community of each adjacency entry's row, without a row-id array.
+        own = np.repeat(labels, np.diff(g.indptr))
+        same = own == labels[g.nbr]
+        in_w = np.bincount(own[same], weights=g.wgt[same],
                            minlength=slots).astype(np.float64)
         in_w += np.bincount(labels, weights=g.loop, minlength=slots)
         tot = np.bincount(labels, weights=g.degrees,

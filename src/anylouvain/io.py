@@ -1,4 +1,4 @@
-"""Reading edge lists, writing partitions, and run summaries.
+"""Reading edge lists and writing partitions.
 
 Edge list format: one edge per line, ``src dst [weight]``, whitespace
 delimited; node labels are arbitrary non-whitespace tokens; ``#`` starts
@@ -10,9 +10,9 @@ ids never appear in files.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -21,11 +21,22 @@ from .graph import Graph, compact_labels
 
 
 def _lines(source):
-    if hasattr(source, "read"):
-        yield from source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
+    """Yield ``(line_no, line)`` from a path (read as UTF-8) or a text
+    file object; bytes that do not decode raise :class:`ParseError`."""
+    with (nullcontext(source) if hasattr(source, "read")
+          else open(source, "r", encoding="utf-8")) as fh:
+        count = itertools.count(1)
+        try:
+            yield from zip(count, fh)
+        except UnicodeDecodeError as exc:
+            # ``zip`` drew the failing line's number before ``fh`` raised.
+            # The decoder fails on a whole chunk, which starts on that
+            # line; the chunk's newlines before the bad byte give the
+            # exact line.
+            line_no = (next(count) - 1
+                       + exc.object.count(b"\n", 0, exc.start))
+            raise ParseError(line_no,
+                             f"not UTF-8 text ({exc.reason})") from None
 
 
 def read_edge_list(source):
@@ -39,7 +50,7 @@ def read_edge_list(source):
     """
     ids: dict[str, int] = {}
     edges = []
-    for line_no, line in enumerate(_lines(source), start=1):
+    for line_no, line in _lines(source):
         if line.lstrip().startswith("#"):
             continue
         parts = line.split()
@@ -85,11 +96,12 @@ def read_partition(source, labels):
     """Read a partition file back against a graph's ``labels``.
 
     Every node must appear exactly once; unknown labels raise
-    :class:`UnknownLabel`.  Community ids are compacted to ``0..kappa-1``.
+    :class:`UnknownLabel`, negative community ids :class:`ParseError`.
+    Community ids are compacted to ``0..kappa-1``.
     """
     ids = {name: i for i, name in enumerate(labels)}
     flat = np.full(len(labels), -1, dtype=np.int64)
-    for line_no, line in enumerate(_lines(source), start=1):
+    for line_no, line in _lines(source):
         if line.lstrip().startswith("#"):
             continue
         parts = line.split()
@@ -105,74 +117,16 @@ def read_partition(source, labels):
         if flat[ids[name]] != -1:
             raise UnknownLabel(f"line {line_no}: node {name!r} listed twice")
         try:
-            flat[ids[name]] = int(comm)
+            c = int(comm)
         except ValueError:
             raise ParseError(line_no,
                              f"bad community id {comm!r}") from None
+        if c < 0:  # -1 marks an unset node above
+            raise ParseError(line_no, f"community id {comm!r} is negative")
+        flat[ids[name]] = c
     if np.any(flat == -1):
         missing = [labels[i] for i in np.flatnonzero(flat == -1)[:5]]
         raise UnknownLabel(f"partition does not cover the graph; missing "
                            f"e.g. {missing}")
     flat, _ = compact_labels(flat)
     return flat
-
-
-@dataclass
-class LevelStats:
-    n: int
-    m: int
-    quality: float
-    kappa: int
-    sweeps: int
-
-
-@dataclass
-class RunSummary:
-    """Structured record of one detection run.
-
-    Serialized to JSON by :meth:`to_json` (stable field order) and to a
-    small human-readable block by :meth:`to_text`.
-    """
-
-    criterion: str
-    alpha: float | None
-    seed: int
-    precision: float
-    levels: list[LevelStats] = field(default_factory=list)
-    kappa_final: int = 0
-    quality: float = 0.0
-    elapsed: float = 0.0
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2)
-
-    def to_text(self):
-        lines = [
-            f"criterion: {self.criterion}"
-            + (f" (alpha={self.alpha})" if self.alpha is not None else ""),
-            f"seed: {self.seed}   precision: {self.precision:g}",
-            "level      n        m     kappa  sweeps  quality",
-        ]
-        for idx, lv in enumerate(self.levels):
-            lines.append(f"{idx:>5}  {lv.n:>7}  {lv.m:>7}  {lv.kappa:>6}"
-                         f"  {lv.sweeps:>6}  {lv.quality:.6f}")
-        lines.append(f"communities: {self.kappa_final}   "
-                     f"quality: {self.quality:.6f}   "
-                     f"elapsed: {self.elapsed:.3f}s")
-        return "\n".join(lines)
-
-
-def write_summary(h, cfg):
-    """Condense a :class:`~anylouvain.louvain.Hierarchy` into a
-    :class:`RunSummary`."""
-    return RunSummary(
-        criterion=cfg.criterion,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
-        precision=cfg.precision,
-        levels=[LevelStats(lv.graph.n, lv.graph.edge_count, lv.quality,
-                           lv.kappa, lv.sweeps) for lv in h.levels],
-        kappa_final=h.kappa_final,
-        quality=h.quality,
-        elapsed=h.elapsed,
-    )

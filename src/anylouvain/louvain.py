@@ -18,6 +18,7 @@ where a fixed handful of calls beats a Python loop over the row.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .criteria import as_criterion
-from .errors import ConfigError, SweepCapExceeded
+from .errors import ConfigError, LouvainError, SweepCapExceeded
 from .graph import Graph, aggregate, compact_labels
 
 __all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "run", "detect",
@@ -58,6 +59,12 @@ class RunConfig:
         if self.max_levels is not None and self.max_levels < 1:
             raise ConfigError(
                 f"max_levels must be at least 1, got {self.max_levels}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if (self.max_sweeps_per_pass is not None
+                and self.max_sweeps_per_pass < 1):
+            raise ConfigError("max_sweeps_per_pass must be at least 1, got "
+                              f"{self.max_sweeps_per_pass}")
 
 
 @dataclass
@@ -75,17 +82,79 @@ class Level:
 
 @dataclass
 class Hierarchy:
-    """Result of a full run: every level plus the composed flat partition
-    of the original nodes."""
+    """Result of a full run: every level, the composed flat partition of
+    the original nodes and the :class:`RunConfig` the run used.
+
+    This is the run's only record.  :meth:`to_json` and :meth:`to_text`
+    render the summary (``detect --summary-out`` and its stderr block),
+    :meth:`levels_json` the ``detect --levels-out`` dump; the first two
+    need ``config``, which :func:`run` sets.
+    """
 
     levels: list[Level] = field(default_factory=list)
     flat: np.ndarray | None = None
     kappa_final: int = 0
     elapsed: float = 0.0
+    config: RunConfig | None = None
 
     @property
     def quality(self):
         return self.levels[-1].quality
+
+    def to_json(self):
+        """The summary as JSON, keys in the README's documented order."""
+        cfg = self.config
+        return json.dumps({
+            "criterion": cfg.criterion,
+            "alpha": cfg.alpha,
+            "seed": cfg.seed,
+            "precision": cfg.precision,
+            "levels": [{"n": lv.graph.n, "m": lv.graph.edge_count,
+                        "quality": lv.quality, "kappa": lv.kappa,
+                        "sweeps": lv.sweeps} for lv in self.levels],
+            "kappa_final": self.kappa_final,
+            "quality": self.quality,
+            "elapsed": self.elapsed,
+        }, indent=2)
+
+    def to_text(self):
+        """The summary as a small human-readable block."""
+        cfg = self.config
+        lines = [
+            f"criterion: {cfg.criterion}"
+            + (f" (alpha={cfg.alpha})" if cfg.alpha is not None else ""),
+            f"seed: {cfg.seed}   precision: {cfg.precision:g}",
+            "level      n        m     kappa  sweeps  quality",
+        ]
+        for idx, lv in enumerate(self.levels):
+            lines.append(f"{idx:>5}  {lv.graph.n:>7}  "
+                         f"{lv.graph.edge_count:>7}  {lv.kappa:>6}"
+                         f"  {lv.sweeps:>6}  {lv.quality:.6f}")
+        lines.append(f"communities: {self.kappa_final}   "
+                     f"quality: {self.quality:.6f}   "
+                     f"elapsed: {self.elapsed:.3f}s")
+        return "\n".join(lines)
+
+    def memberships(self):
+        """Yield, level by level, the community of every original node
+        at that depth of the hierarchy (per-level partitions composed)."""
+        if not self.levels:
+            raise ValueError("hierarchy has no levels")
+        flat = self.levels[0].labels
+        yield flat
+        for level in self.levels[1:]:
+            flat = level.labels[flat]
+            yield flat
+
+    def levels_json(self):
+        """Per level as JSON: sizes, sweeps, quality and the membership
+        of every original node at that depth (:meth:`memberships`)."""
+        pairs = enumerate(zip(self.levels, self.memberships()))
+        return json.dumps({"levels": [
+            {"level": idx, "n": lv.graph.n, "m": lv.graph.edge_count,
+             "kappa": lv.kappa, "sweeps": lv.sweeps, "quality": lv.quality,
+             "membership": membership.tolist()}
+            for idx, (lv, membership) in pairs]}, indent=2)
 
 
 class PassResult(NamedTuple):
@@ -231,18 +300,23 @@ def run(g0, cfg):
     The graph must already be pretreated when the criterion requires it
     (see :func:`detect` for the turnkey version).  Levels are recorded
     until a pass moves nothing or the level's quality improvement drops
-    to ``cfg.precision`` or below.
+    to ``cfg.precision`` or below.  A level whose quality is NaN or
+    infinite raises :class:`LouvainError`.
     """
     crit = as_criterion(cfg.criterion, cfg.alpha)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    h = Hierarchy()
+    h = Hierarchy(config=cfg)
     g = g0
     prev_q = None
     while True:
         st = crit.init(g)
         res = one_pass(g, cfg, st, rng)
         quality = st.total()
+        if not math.isfinite(quality):
+            raise LouvainError(
+                f"level {len(h.levels)} quality is {quality}: the edge "
+                "weights overflow float64 arithmetic")
         labels, kappa = compact_labels(res.labels)
         h.levels.append(Level(g, labels, quality, kappa,
                               res.sweeps, res.moves))
@@ -273,10 +347,7 @@ def detect(g0, cfg):
 
 
 def compose_flat(h):
-    """Compose per-level partitions into original-node communities."""
-    if not h.levels:
-        raise ValueError("hierarchy has no levels")
-    flat = h.levels[0].labels
-    for level in h.levels[1:]:
-        flat = level.labels[flat]
+    """Compose per-level partitions into original-node communities: the
+    last of :meth:`Hierarchy.memberships`."""
+    *_, flat = h.memberships()
     return flat.copy()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from anylouvain import datasets, read_partition
+from anylouvain import compact_labels, datasets, read_partition
 from anylouvain.cli import main
 
 
@@ -41,6 +41,23 @@ def test_detect_levels_out(karate_file, tmp_path):
     blob = json.loads(lev.read_text())
     assert blob["levels"][0]["n"] == 34
     assert len(blob["levels"][-1]["membership"]) == 34
+
+
+def test_levels_out_and_summary_out_match_partition(karate_file, tmp_path):
+    out, lev, summ = (tmp_path / name for name in ("p.tsv", "l.json",
+                                                    "s.json"))
+    assert main(["detect", karate_file, "--seed", "1", "--output", str(out),
+                 "--levels-out", str(lev), "--summary-out", str(summ)]) == 0
+    _, labels = datasets.karate_club()
+    levels = json.loads(lev.read_text())["levels"]
+    last = compact_labels(levels[-1]["membership"])[0]
+    assert np.array_equal(last, read_partition(out, labels))
+    # The key list the README documents under "Summary JSON".
+    blob = json.loads(summ.read_text())
+    assert list(blob) == ["criterion", "alpha", "seed", "precision",
+                          "levels", "kappa_final", "quality", "elapsed"]
+    assert [list(lv) for lv in blob["levels"]] == (
+        [["n", "m", "quality", "kappa", "sweeps"]] * len(levels))
 
 
 def test_detect_eval_fixed_point(karate_file, tmp_path, capsys):
@@ -149,13 +166,57 @@ def test_detect_non_finite_weight_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--precision", "0"),
                                         ("--precision", "nan"),
-                                        ("--max-levels", "0")])
+                                        ("--max-levels", "0"),
+                                        ("--seed", "-1")])
 def test_detect_bad_config_fails_cleanly(karate_file, capsys, flag, value):
     assert main(["detect", karate_file, flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# Finite weights whose sums overflow float64 (2m is infinite, or the
+# squared degrees are); the runs used to print a nan or -inf quality and
+# exit 0.
+OVERFLOW_INPUTS = {
+    "1e308": ("a b 1e308\nb c 1e308\nc a 1e308\n", "a\t0\nb\t0\nc\t0\n"),
+    "1e160": ("a b 1e160\nb c 1e160\nc a 1e160\nc d 1\n",
+              "a\t0\nb\t0\nc\t0\nd\t1\n"),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(OVERFLOW_INPUTS))
+@pytest.mark.parametrize("command", ["detect", "eval"])
+@pytest.mark.parametrize("cid", ["ng", "bm"])
+def test_overflowing_quality_fails(tmp_path, capsys, weights, command, cid):
+    edges, partition = OVERFLOW_INPUTS[weights]
+    graph = tmp_path / "big.edges"
+    graph.write_text(edges)
+    part = tmp_path / "big.tsv"
+    part.write_text(partition)
+    args = [command, str(graph)] + ([str(part)] if command == "eval" else [])
+    assert main(args + ["--criterion", cid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
+
+
+def test_non_utf8_edge_list_fails(tmp_path, capsys):
+    graph = tmp_path / "bad.edges"
+    graph.write_bytes(b"\xffa b\n")
+    assert main(["detect", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1" in err
+
+
+def test_eval_negative_community_id_fails(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text("a b\nb c\n")
+    part = tmp_path / "p.tsv"
+    part.write_text("a\t-1\na\t0\nb\t0\nc\t0\n")
+    assert main(["eval", str(graph), str(part)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "negative" in err
 
 
 def test_bench_zero_runs_rejected(karate_file, capsys):

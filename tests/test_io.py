@@ -1,4 +1,4 @@
-"""Edge-list parsing, partition round trips, run summaries."""
+"""Edge-list parsing, partition round trips, the run summary record."""
 
 import io
 import json
@@ -9,7 +9,6 @@ import pytest
 from anylouvain import (RunConfig, datasets, detect, read_edge_list,
                         read_partition, relational_total, write_partition)
 from anylouvain.errors import NegativeWeight, ParseError, UnknownLabel
-from anylouvain.io import write_summary
 
 
 def parse(text):
@@ -106,20 +105,46 @@ def test_read_partition_errors():
         read_partition(io.StringIO("a 0 9\nb 1\n"), labels)
 
 
+def test_read_partition_rejects_negative_ids():
+    labels = ["a", "b"]
+    # -1 would collide with the reader's "unset" marker: the duplicate
+    # "a" went unnoticed, and a lone -1 was reported as missing.
+    for text in ("a\t-1\na\t0\nb\t0\n", "a\t-1\nb\t0\n", "a 0\nb -3\n"):
+        with pytest.raises(ParseError) as err:
+            read_partition(io.StringIO(text), labels)
+        assert "negative" in str(err.value)
+
+
+def test_non_utf8_input_is_parse_error(tmp_path):
+    edges = tmp_path / "bad.edges"
+    edges.write_bytes(b"\xffa b\n")
+    with pytest.raises(ParseError) as err:
+        read_edge_list(edges)
+    assert "line 1" in str(err.value)
+    # Far past the decoder's first chunk, the line is still exact.
+    edges.write_bytes(b"a b\n" * 2999 + b"a \xfe\n" + b"a b\n" * 100)
+    with pytest.raises(ParseError) as err:
+        read_edge_list(edges)
+    assert "line 3000" in str(err.value)
+    part = tmp_path / "bad.tsv"
+    part.write_bytes(b"a\t0\nb\t\xff\n")
+    with pytest.raises(ParseError) as err:
+        read_partition(part, ["a", "b"])
+    assert "line 2" in str(err.value)
+
+
 def test_summary_fields_and_json():
     g, _ = datasets.karate_club()
     cfg = RunConfig(criterion="du", seed=7, precision=5e-3)
     h = detect(g, cfg)
-    s = write_summary(h, cfg)
-    assert s.criterion == "du"
-    assert s.kappa_final == h.kappa_final
-    assert s.quality == h.quality
-    assert [lv.kappa for lv in s.levels] == [lv.kappa for lv in h.levels]
-    assert s.levels[0].n == 34
-    assert s.levels[0].m == 78
-    qs = [lv.quality for lv in s.levels]
+    assert h.config is cfg
+    s = json.loads(h.to_json())
+    assert s["criterion"] == "du"
+    assert s["kappa_final"] == h.kappa_final
+    assert s["quality"] == h.quality
+    assert [lv["kappa"] for lv in s["levels"]] == [lv.kappa for lv in h.levels]
+    assert s["levels"][0]["n"] == 34
+    assert s["levels"][0]["m"] == 78
+    qs = [lv["quality"] for lv in s["levels"]]
     assert all(b >= a for a, b in zip(qs, qs[1:]))
-    blob = json.loads(s.to_json())
-    assert blob["criterion"] == "du"
-    assert blob["levels"][0]["n"] == 34
-    assert "communities" in s.to_text()
+    assert "communities" in h.to_text()

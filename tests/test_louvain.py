@@ -20,7 +20,8 @@ def test_config_validation():
 @pytest.mark.parametrize("kwargs", [
     {"precision": 0.0}, {"precision": float("nan")},
     {"precision": float("inf")},
-    {"max_levels": 0}, {"max_levels": -1}])
+    {"max_levels": 0}, {"max_levels": -1},
+    {"seed": -1}, {"max_sweeps_per_pass": 0}, {"max_sweeps_per_pass": -5}])
 def test_config_errors_are_louvain_errors(kwargs):
     with pytest.raises(LouvainError):
         RunConfig(**kwargs)
@@ -149,7 +150,7 @@ def test_sweep_cap_guard():
     from anylouvain.errors import SweepCapExceeded
     g, _ = datasets.karate_club()
     crit = make_criterion("ng")
-    cfg = RunConfig(criterion="ng", max_sweeps_per_pass=0)
+    cfg = RunConfig(criterion="ng", max_sweeps_per_pass=1)
     with pytest.raises(SweepCapExceeded):
         one_pass(g, cfg, crit.init(g))
 
@@ -162,3 +163,11 @@ def test_runs_stay_under_sweep_cap(criterion):
                                 alpha=getattr(criterion, "alpha", None),
                                 seed=int(rng.integers(100))))
         assert all(lv.sweeps < 10 * max(lv.graph.n, 1) for lv in h.levels)
+
+
+@pytest.mark.parametrize("cid", ["ng", "bm", "zc", "pd", "g"])
+def test_non_finite_quality_raises(cid):
+    # Finite weights whose sums overflow float64: 2m is infinite.
+    g = Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (2, 0, 1e308)])
+    with pytest.raises(LouvainError, match="overflow"):
+        detect(g, RunConfig(criterion=cid))
