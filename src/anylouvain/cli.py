@@ -12,6 +12,8 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 from .criteria import EXPERIMENT_CRITERIA, as_criterion
 from .errors import LouvainError
 from .graph import compact_labels
@@ -65,8 +67,9 @@ def _cmd_eval(args):
     g, labels = _read_graph(args.graph)
     flat = read_partition(args.partition, labels)
     g = crit.pretreat(g)
-    pairwise = crit.relational(g, flat)
-    aggregated = crit.state_from_labels(g, flat).total()
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairwise = crit.relational(g, flat)
+        aggregated = crit.state_from_labels(g, flat).total()
     print(f"quality[pairwise]   = {pairwise:.12g}")
     print(f"quality[aggregated] = {aggregated:.12g}")
     if not (math.isfinite(pairwise) and math.isfinite(aggregated)):

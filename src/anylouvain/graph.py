@@ -88,7 +88,10 @@ class Graph:
                           minlength=self.n).astype(np.float64)
         self.degrees = deg + self.loop
         if consts is None:
-            two_m = float(self.wgt.sum() + self.loop.sum())
+            # A mass that overflows is left infinite: the quality check
+            # of ``run`` and ``eval`` reports it.
+            with np.errstate(over="ignore"):
+                two_m = float(self.wgt.sum() + self.loop.sum())
             w_all = np.concatenate([self.wgt, self.loop[self.loop > 0]])
             w_max = float(w_all.max()) if w_all.size else 1.0
             consts = Level0Constants(n0=self.n, two_m=two_m, w_max=w_max)
@@ -98,32 +101,40 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges, *, size=None, aux=None, consts=None):
-        """Build a graph from an iterable of ``(i, j, weight)`` triples.
+        """Build a graph from an iterable of ``(i, j, weight)`` triples;
+        see :meth:`from_arrays`."""
+        edges = list(edges)
+        src, dst, w = zip(*edges) if edges else ((), (), ())
+        return cls.from_arrays(n, src, dst, w, size=size, aux=aux,
+                               consts=consts)
 
-        Duplicate pairs are summed, ``i == j`` goes to the self-loop
+    @classmethod
+    def from_arrays(cls, n, src, dst, w, *, size=None, aux=None,
+                    consts=None):
+        """Build a graph from parallel edge arrays ``src``, ``dst``, ``w``.
+
+        Duplicate pairs are summed, ``src == dst`` goes to the self-loop
         weight, and zero-weight entries are dropped.  Raises
-        :class:`NegativeWeight` on a negative weight and
+        :class:`NegativeWeight` on a negative weight (the first one) and
         :class:`LouvainError` on a NaN or infinite one.
         """
-        srcs, dsts, ws = [], [], []
-        loop = np.zeros(n, dtype=np.float64)
-        for i, j, w in edges:
-            w = float(w)
-            if w < 0:
-                raise NegativeWeight(f"edge ({i}, {j}) has weight {w}")
-            if i == j:
-                loop[i] += w
-            else:
-                srcs.append(i)
-                dsts.append(j)
-                ws.append(w)
-        ws = np.asarray(ws, dtype=np.float64)
-        if not (np.isfinite(ws).all() and np.isfinite(loop).all()):
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        neg = np.flatnonzero(w < 0)
+        if neg.size:
+            k = neg[0]
+            raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has weight "
+                                 f"{w[k]}")
+        off = src != dst
+        # bincount adds the loop weights in edge order, one at a time.
+        loop = np.bincount(src[~off], weights=w[~off], minlength=n)
+        if not (np.isfinite(w).all() and np.isfinite(loop).all()):
             raise LouvainError("edge weights must be finite")
+        src, dst, w = src[off], dst[off], w[off]
         a = sp.coo_matrix(
-            (np.concatenate([ws, ws]),
-             (np.asarray(srcs + dsts, dtype=np.int64),
-              np.asarray(dsts + srcs, dtype=np.int64))),
+            (np.concatenate([w, w]),
+             (np.concatenate([src, dst]), np.concatenate([dst, src]))),
             shape=(n, n),
         ).tocsr()
         a.sum_duplicates()

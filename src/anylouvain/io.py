@@ -6,77 +6,216 @@ a comment line; duplicate pairs are summed; ``src == dst`` is a
 self-loop.  Partition format: ``label<TAB>community`` with community ids
 dense from 0.  Labels survive round trips untouched; internal dense node
 ids never appear in files.
+
+Edge lists are read in blocks of whole lines.  Each block is split into
+tokens once, and a numpy scan of its code points counts the tokens of
+each line, so no Python loop runs per line or per edge.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
-from contextlib import nullcontext
 
 import numpy as np
 
 from .errors import NegativeWeight, ParseError, UnknownLabel
 from .graph import Graph, compact_labels
 
+#: Bytes per block read from a path; a text file object is read
+#: ``_BLOCK // 16 + 1`` lines at a time.
+_BLOCK = 1 << 20
+
+#: The code points ``str.isspace`` (and so ``str.split``) treats as
+#: whitespace, written out so that import scans no Unicode table.
+_SPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, 8192,
+          8193, 8194, 8195, 8196, 8197, 8198, 8199, 8200, 8201, 8202, 8232,
+          8233, 8239, 8287, 12288)
+_ASCII_SPACE = np.zeros(128, dtype=bool)
+_ASCII_SPACE[[c for c in _SPACE if c < 128]] = True
+
+
+def _newlines(text):
+    r"""Universal newlines: ``\r\n`` and ``\r`` become ``\n``."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _path_blocks(path):
+    """Yield ``(line_no, text)`` blocks of whole lines of a UTF-8 file.
+
+    ``line_no`` is the number of the block's first line.  Bytes that do
+    not decode raise :class:`ParseError` naming their line, after the
+    lines before them have been yielded.
+    """
+    with open(path, "rb") as fh:
+        line_no, rest = 1, b""
+        while True:
+            data = fh.read(_BLOCK)
+            buf = rest + data
+            if not buf:
+                return
+            # Cut after the last line end; a trailing \r may be half of
+            # a \r\n, so it waits for the next read.
+            cut = (max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1))
+                   + 1 if data else len(buf))
+            buf, rest = buf[:cut], buf[cut:]
+            try:
+                text = _newlines(buf.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                head = _newlines(buf[:exc.start].decode("utf-8"))
+                yield line_no, head[:head.rfind("\n") + 1]
+                raise ParseError(line_no + head.count("\n"),
+                                 f"not UTF-8 text ({exc.reason})") from None
+            yield line_no, text
+            line_no += text.count("\n")
+
+
+def _file_blocks(fh):
+    """Yield ``(line_no, text)`` blocks of whole lines of a text file
+    object; a decode error raises :class:`ParseError` as in
+    :func:`_path_blocks`.  The file object decodes a chunk before it
+    hands out the chunk's lines, so the lines that share a chunk with a
+    bad byte are never seen."""
+    line_no = 1
+    while True:
+        lines = []  # extend() keeps the lines read before an error
+        try:
+            lines.extend(itertools.islice(fh, _BLOCK // 16 + 1))
+        except UnicodeDecodeError as exc:
+            yield line_no, "".join(lines)
+            # The decoder fails on a whole chunk, which starts on the
+            # line being read; the chunk's newlines before the bad byte
+            # give the exact line.
+            raise ParseError(line_no + len(lines)
+                             + exc.object.count(b"\n", 0, exc.start),
+                             f"not UTF-8 text ({exc.reason})") from None
+        if not lines:
+            return
+        yield line_no, "".join(lines)
+        line_no += len(lines)
+
+
+def _blocks(source):
+    r"""Blocks of a path (read as UTF-8, universal newlines) or of a text
+    file object.  Lines end at ``\n``."""
+    if hasattr(source, "read"):
+        return _file_blocks(source)
+    return _path_blocks(source)
+
 
 def _lines(source):
-    """Yield ``(line_no, line)`` from a path (read as UTF-8) or a text
-    file object; bytes that do not decode raise :class:`ParseError`."""
-    with (nullcontext(source) if hasattr(source, "read")
-          else open(source, "r", encoding="utf-8")) as fh:
-        count = itertools.count(1)
-        try:
-            yield from zip(count, fh)
-        except UnicodeDecodeError as exc:
-            # ``zip`` drew the failing line's number before ``fh`` raised.
-            # The decoder fails on a whole chunk, which starts on that
-            # line; the chunk's newlines before the bad byte give the
-            # exact line.
-            line_no = (next(count) - 1
-                       + exc.object.count(b"\n", 0, exc.start))
-            raise ParseError(line_no,
-                             f"not UTF-8 text ({exc.reason})") from None
+    """Yield ``(line_no, line)`` from a path or a text file object."""
+    for line_no, text in _blocks(source):
+        yield from zip(itertools.count(line_no), io.StringIO(text))
+
+
+class _Ids(dict):
+    """Label -> dense node id; a label gets the next id when first
+    looked up, so ids follow first appearance."""
+
+    def __missing__(self, label):
+        self[label] = i = len(self)
+        return i
+
+
+def _parse_block(text, line_no, ids):
+    """The edges of one block as ``(pairs, w)``: ``pairs`` holds the
+    ids of ``src, dst`` of each edge in turn, ``w`` the weights.
+
+    The block's first faulty line raises, as :func:`read_edge_list`
+    describes.  ``line_no`` is the number of the block's first line.
+    """
+    tokens = text.split()
+    if text.isascii():
+        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        space = _ASCII_SPACE.take(cp)
+    else:
+        cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                           dtype=np.uint32)
+        space = np.isin(cp, _SPACE)
+    start = ~space
+    start[1:] &= space[:-1]
+    starts = np.flatnonzero(start)  # where each token begins
+    ends = np.flatnonzero(cp == 10)  # line k ends at ends[k]
+    n_ends = ends.size
+    cols = starts.size // n_ends if n_ends and "#" not in text else 0
+    if (cols in (2, 3) and starts.size == cols * n_ends
+            and (starts[cols - 1::cols] < ends).all()
+            and (starts[cols::cols] > ends[:-1]).all()):
+        # Every line is "src dst" (or every line "src dst weight"):
+        # line k holds tokens cols*k ... cols*k + cols-1.
+        lines = np.arange(n_ends)
+        w_lines, w_tok = lines[:0], []
+        if cols == 3:
+            w_lines, w_tok = lines, tokens[2::3]
+            del tokens[2::3]
+        seq, bad_line = tokens, None
+    else:
+        counts = np.bincount(np.searchsorted(ends, starts),
+                             minlength=n_ends + 1)
+        lead = np.cumsum(counts) - counts  # a line's first token
+        lines = np.flatnonzero(counts)
+        lines = lines[cp[starts[lead[lines]]] != 35]  # drop "#" lines
+        bad = np.flatnonzero((counts[lines] < 2) | (counts[lines] > 3))
+        bad_line = lines[bad[0]] if bad.size else None
+        lines = lines[:bad[0]] if bad.size else lines
+        seq = list(map(tokens.__getitem__,
+                       (lead[lines, None] + (0, 1)).ravel().tolist()))
+        w_lines = lines[counts[lines] == 3]
+        w_tok = list(map(tokens.__getitem__, (lead[w_lines] + 2).tolist()))
+
+    # Weights, then the earliest faulty line of any kind.
+    vals = []
+    try:
+        vals.extend(map(float, w_tok))  # extend() keeps the good prefix
+    except ValueError:
+        pass
+    w = np.array(vals, dtype=np.float64)
+    odd = np.flatnonzero(~np.isfinite(w) | (w < 0))
+    k = odd[0] if odd.size else len(vals)
+    if k < len(w_tok):
+        at = line_no + int(w_lines[k])
+        if k == len(vals):
+            raise ParseError(at, f"bad weight token {w_tok[k]!r}")
+        if not math.isfinite(vals[k]):
+            raise ParseError(at, f"weight {w_tok[k]!r} is not finite")
+        raise NegativeWeight(f"line {at}: weight {vals[k]} is negative")
+    if bad_line is not None:
+        lo = ends[bad_line - 1] + 1 if bad_line else 0
+        hi = ends[bad_line] + 1 if bad_line < n_ends else len(text)
+        raise ParseError(line_no + int(bad_line),
+                         f"expected 'src dst [weight]', got {text[lo:hi]!r}")
+
+    wgt = np.ones(lines.size)
+    wgt[np.searchsorted(lines, w_lines)] = w
+    return np.fromiter(map(ids.__getitem__, seq), dtype=np.int64,
+                       count=len(seq)), wgt
 
 
 def read_edge_list(source):
     """Parse an edge list into ``(Graph, labels)``.
 
-    ``source`` is a path or a file-like object.  ``labels[i]`` is the
-    original token of dense node id ``i``, assigned by first appearance.
-    Raises :class:`ParseError` (with the line number) on malformed lines
-    and NaN or infinite weights, and :class:`NegativeWeight` on a
-    negative weight.
+    ``source`` is a path (read as UTF-8 with universal newlines) or a
+    text file object.  ``labels[i]`` is the original token of dense node
+    id ``i``, assigned by first appearance.  Raises :class:`ParseError`
+    (with the line number) on malformed lines, NaN or infinite weights
+    and bytes that are not UTF-8, and :class:`NegativeWeight` on a
+    negative weight; the first faulty line in the file is the one
+    reported.
     """
-    ids: dict[str, int] = {}
-    edges = []
-    for line_no, line in _lines(source):
-        if line.lstrip().startswith("#"):
-            continue
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) not in (2, 3):
-            raise ParseError(line_no,
-                             f"expected 'src dst [weight]', got {line!r}")
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(line_no,
-                                 f"bad weight token {parts[2]!r}") from None
-            if not math.isfinite(w):
-                raise ParseError(line_no,
-                                 f"weight {parts[2]!r} is not finite")
-        else:
-            w = 1.0
-        if w < 0:
-            raise NegativeWeight(f"line {line_no}: weight {w} is negative")
-        u = ids.setdefault(parts[0], len(ids))
-        v = ids.setdefault(parts[1], len(ids))
-        edges.append((u, v, w))
+    ids = _Ids()
+    pairs, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for line_no, text in _blocks(source):
+        p, w = _parse_block(text, line_no, ids)
+        pairs.append(p)
+        weights.append(w)
+    pairs = np.concatenate(pairs)
     labels = list(ids)
-    return Graph.from_edges(len(labels), edges), labels
+    return Graph.from_arrays(len(labels), pairs[0::2], pairs[1::2],
+                             np.concatenate(weights)), labels
 
 
 def write_partition(target, flat, labels):
@@ -123,7 +262,11 @@ def read_partition(source, labels):
                              f"bad community id {comm!r}") from None
         if c < 0:  # -1 marks an unset node above
             raise ParseError(line_no, f"community id {comm!r} is negative")
-        flat[ids[name]] = c
+        try:
+            flat[ids[name]] = c
+        except OverflowError:
+            raise ParseError(line_no, f"community id {comm!r} does not "
+                             "fit in 64 bits") from None
     if np.any(flat == -1):
         missing = [labels[i] for i in np.flatnonzero(flat == -1)[:5]]
         raise UnknownLabel(f"partition does not cover the graph; missing "

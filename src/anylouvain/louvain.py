@@ -312,7 +312,8 @@ def run(g0, cfg):
     while True:
         st = crit.init(g)
         res = one_pass(g, cfg, st, rng)
-        quality = st.total()
+        with np.errstate(over="ignore", invalid="ignore"):
+            quality = st.total()
         if not math.isfinite(quality):
             raise LouvainError(
                 f"level {len(h.levels)} quality is {quality}: the edge "

@@ -24,13 +24,12 @@ def random_graph(n, p, *, weighted=False, w_max=5.0, loops=False,
         ws[ws == 0.0] = w_max  # keep weights strictly positive
     else:
         ws = np.ones(iu.size)
-    edges = list(zip(iu.tolist(), ju.tolist(), ws.tolist()))
     if loops:
-        for i in np.flatnonzero(rng.random(n) < p):
-            edges.append((int(i), int(i),
-                          float(rng.uniform(0.0, w_max)) if weighted
-                          else 1.0))
-    return Graph.from_edges(n, edges)
+        li = np.flatnonzero(rng.random(n) < p)
+        iu, ju = np.concatenate([iu, li]), np.concatenate([ju, li])
+        ws = np.concatenate([ws, rng.uniform(0.0, w_max, li.size)
+                             if weighted else np.ones(li.size)])
+    return Graph.from_arrays(n, iu, ju, ws)
 
 
 def random_labels(n, *, max_kappa=None, seed=None, rng=None):
@@ -75,10 +74,8 @@ def planted_partition_graph(n, groups, p_in, p_out, *, seed=None):
             dsts.append(flat % size + gb * size)
 
     src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    g = Graph.from_edges(n, zip(src.tolist(), dst.tolist(),
-                                np.ones(src.size).tolist()))
-    return g, truth
+    return Graph.from_arrays(n, src, np.concatenate(dsts),
+                             np.ones(src.size)), truth
 
 
 def recovered_groups(truth, flat):

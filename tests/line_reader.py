@@ -1,0 +1,96 @@
+"""Reference edge-list reader: the line-by-line parse and graph build
+that ``io.read_edge_list`` and ``Graph.from_arrays`` replaced.
+
+Kept as the oracle of ``test_reader.py``: the block reader must return
+the same labels and bit-identical ``Graph`` arrays, and fail with the
+same exception on the same line.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from contextlib import nullcontext
+
+import numpy as np
+import scipy.sparse as sp
+
+from anylouvain import Graph
+from anylouvain.errors import LouvainError, NegativeWeight, ParseError
+
+
+def lines(source):
+    """Yield ``(line_no, line)`` from a path (read as UTF-8) or a text
+    file object; bytes that do not decode raise :class:`ParseError`."""
+    with (nullcontext(source) if hasattr(source, "read")
+          else open(source, "r", encoding="utf-8")) as fh:
+        count = itertools.count(1)
+        try:
+            yield from zip(count, fh)
+        except UnicodeDecodeError as exc:
+            line_no = (next(count) - 1
+                       + exc.object.count(b"\n", 0, exc.start))
+            raise ParseError(line_no,
+                             f"not UTF-8 text ({exc.reason})") from None
+
+
+def graph_from_edges(n, edges):
+    """One Python pass over ``(i, j, w)`` triples, then scipy COO -> CSR."""
+    srcs, dsts, ws = [], [], []
+    loop = np.zeros(n, dtype=np.float64)
+    for i, j, w in edges:
+        w = float(w)
+        if w < 0:
+            raise NegativeWeight(f"edge ({i}, {j}) has weight {w}")
+        if i == j:
+            loop[i] += w
+        else:
+            srcs.append(i)
+            dsts.append(j)
+            ws.append(w)
+    ws = np.asarray(ws, dtype=np.float64)
+    if not (np.isfinite(ws).all() and np.isfinite(loop).all()):
+        raise LouvainError("edge weights must be finite")
+    a = sp.coo_matrix(
+        (np.concatenate([ws, ws]),
+         (np.asarray(srcs + dsts, dtype=np.int64),
+          np.asarray(dsts + srcs, dtype=np.int64))),
+        shape=(n, n),
+    ).tocsr()
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return Graph(n, a.indptr, a.indices, a.data, loop,
+                 np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.float64))
+
+
+def read_edge_list(source):
+    """``(Graph, labels)``, one line at a time."""
+    ids: dict[str, int] = {}
+    edges = []
+    for line_no, line in lines(source):
+        if line.lstrip().startswith("#"):
+            continue
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) not in (2, 3):
+            raise ParseError(line_no,
+                             f"expected 'src dst [weight]', got {line!r}")
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise ParseError(line_no,
+                                 f"bad weight token {parts[2]!r}") from None
+            if not math.isfinite(w):
+                raise ParseError(line_no,
+                                 f"weight {parts[2]!r} is not finite")
+        else:
+            w = 1.0
+        if w < 0:
+            raise NegativeWeight(f"line {line_no}: weight {w} is negative")
+        u = ids.setdefault(parts[0], len(ids))
+        v = ids.setdefault(parts[1], len(ids))
+        edges.append((u, v, w))
+    labels = list(ids)
+    return graph_from_edges(len(labels), edges), labels

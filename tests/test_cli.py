@@ -1,6 +1,7 @@
 """End-to-end command-line behavior."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_detect_bad_config_fails_cleanly(karate_file, capsys, flag, value):
 
 # Finite weights whose sums overflow float64 (2m is infinite, or the
 # squared degrees are); the runs used to print a nan or -inf quality and
-# exit 0.
+# exit 0, and then numpy's overflow warnings before the error line.
 OVERFLOW_INPUTS = {
     "1e308": ("a b 1e308\nb c 1e308\nc a 1e308\n", "a\t0\nb\t0\nc\t0\n"),
     "1e160": ("a b 1e160\nb c 1e160\nc a 1e160\nc d 1\n",
@@ -196,7 +197,9 @@ def test_overflowing_quality_fails(tmp_path, capsys, weights, command, cid):
     part = tmp_path / "big.tsv"
     part.write_text(partition)
     args = [command, str(graph)] + ([str(part)] if command == "eval" else [])
-    assert main(args + ["--criterion", cid]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--criterion", cid]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err
 
@@ -217,6 +220,16 @@ def test_eval_negative_community_id_fails(tmp_path, capsys):
     assert main(["eval", str(graph), str(part)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "negative" in err
+
+
+def test_eval_community_id_beyond_int64_fails(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text("a b\nb c\n")
+    part = tmp_path / "p.tsv"
+    part.write_text("a\t0\nb\t99999999999999999999\nc\t0\n")
+    assert main(["eval", str(graph), str(part)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2" in err
 
 
 def test_bench_zero_runs_rejected(karate_file, capsys):

@@ -115,6 +115,13 @@ def test_read_partition_rejects_negative_ids():
         assert "negative" in str(err.value)
 
 
+def test_read_partition_rejects_ids_beyond_int64():
+    text = "a\t0\nb\t99999999999999999999\n"
+    with pytest.raises(ParseError) as err:
+        read_partition(io.StringIO(text), ["a", "b"])
+    assert err.value.line_no == 2
+
+
 def test_non_utf8_input_is_parse_error(tmp_path):
     edges = tmp_path / "bad.edges"
     edges.write_bytes(b"\xffa b\n")
