@@ -74,8 +74,8 @@ def _path_blocks(path):
 
 
 def _file_blocks(fh):
-    """Yield ``(line_no, text)`` blocks of whole lines of a text file
-    object; a decode error raises :class:`ParseError` as in
+    """Yield ``(line_no, text)`` blocks of the lines a text file object
+    hands out; a decode error raises :class:`ParseError` as in
     :func:`_path_blocks`.  The file object decodes a chunk before it
     hands out the chunk's lines, so the lines that share a chunk with a
     bad byte are never seen."""
@@ -85,7 +85,7 @@ def _file_blocks(fh):
         try:
             lines.extend(itertools.islice(fh, _BLOCK // 16 + 1))
         except UnicodeDecodeError as exc:
-            yield line_no, "".join(lines)
+            yield line_no, _joined(lines)
             # The decoder fails on a whole chunk, which starts on the
             # line being read; the chunk's newlines before the bad byte
             # give the exact line.
@@ -94,8 +94,25 @@ def _file_blocks(fh):
                              f"not UTF-8 text ({exc.reason})") from None
         if not lines:
             return
-        yield line_no, "".join(lines)
+        yield line_no, _joined(lines)
         line_no += len(lines)
+
+
+def _joined(lines):
+    r"""The text of ``lines``, in which each line ends at a ``\n``.
+
+    A file object opened with ``newline=''`` hands out lines that may end
+    in a lone ``\r``, and with ``newline='\r'`` or ``'\r\n'`` lines that
+    may hold a ``\n``.  Only then, one Python step per line, does a
+    ``\n`` follow each line and a ``\n`` inside a line become a space
+    (both are whitespace to ``str.split``).  Other lines keep their text.
+    """
+    text = "".join(lines)
+    if "\r" in text or text.count("\n") != len(lines) - (
+            not text.endswith("\n")):
+        text = "\n".join(line.removesuffix("\n").replace("\n", " ")
+                         for line in lines) + "\n" * text.endswith("\n")
+    return text
 
 
 def _blocks(source):
@@ -141,31 +158,24 @@ def _parse_block(text, line_no, ids):
     starts = np.flatnonzero(start)  # where each token begins
     ends = np.flatnonzero(cp == 10)  # line k ends at ends[k]
     n_ends = ends.size
-    cols = starts.size // n_ends if n_ends and "#" not in text else 0
-    if (cols in (2, 3) and starts.size == cols * n_ends
-            and (starts[cols - 1::cols] < ends).all()
-            and (starts[cols::cols] > ends[:-1]).all()):
-        # Every line is "src dst" (or every line "src dst weight"):
-        # line k holds tokens cols*k ... cols*k + cols-1.
-        lines = np.arange(n_ends)
-        w_lines, w_tok = lines[:0], []
-        if cols == 3:
-            w_lines, w_tok = lines, tokens[2::3]
-            del tokens[2::3]
-        seq, bad_line = tokens, None
-    else:
-        counts = np.bincount(np.searchsorted(ends, starts),
-                             minlength=n_ends + 1)
-        lead = np.cumsum(counts) - counts  # a line's first token
-        lines = np.flatnonzero(counts)
-        lines = lines[cp[starts[lead[lines]]] != 35]  # drop "#" lines
-        bad = np.flatnonzero((counts[lines] < 2) | (counts[lines] > 3))
-        bad_line = lines[bad[0]] if bad.size else None
-        lines = lines[:bad[0]] if bad.size else lines
-        seq = list(map(tokens.__getitem__,
-                       (lead[lines, None] + (0, 1)).ravel().tolist()))
-        w_lines = lines[counts[lines] == 3]
-        w_tok = list(map(tokens.__getitem__, (lead[w_lines] + 2).tolist()))
+    if (starts.size == 2 * n_ends and "#" not in text
+            and (starts[1::2] < ends).all()
+            and (starts[2::2] > ends[:-1]).all()):
+        # Every line is "src dst": line k holds tokens 2k and 2k + 1.
+        return (np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64,
+                            count=len(tokens)), np.ones(n_ends))
+    counts = np.bincount(np.searchsorted(ends, starts),
+                         minlength=n_ends + 1)
+    lead = np.cumsum(counts) - counts  # a line's first token
+    lines = np.flatnonzero(counts)
+    lines = lines[cp[starts[lead[lines]]] != 35]  # drop "#" lines
+    bad = np.flatnonzero((counts[lines] < 2) | (counts[lines] > 3))
+    bad_line = lines[bad[0]] if bad.size else None
+    lines = lines[:bad[0]] if bad.size else lines
+    seq = list(map(tokens.__getitem__,
+                   (lead[lines, None] + (0, 1)).ravel().tolist()))
+    w_lines = lines[counts[lines] == 3]
+    w_tok = list(map(tokens.__getitem__, (lead[w_lines] + 2).tolist()))
 
     # Weights, then the earliest faulty line of any kind.
     vals = []
