@@ -22,7 +22,6 @@ from .criteria import (
     CriterionState,
     as_criterion,
     make_criterion,
-    pretreat,
     relational_total,
 )
 from .errors import (

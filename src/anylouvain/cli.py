@@ -19,7 +19,7 @@ from .errors import LouvainError
 from .graph import compact_labels
 from .io import read_edge_list, read_partition, write_partition
 from .louvain import RunConfig, detect
-from .oracle import DEFAULT_CAP, exact_optimum
+from .oracle import exact_optimum
 
 _AGREE_TOL = 1e-9
 
@@ -84,8 +84,7 @@ def _cmd_eval(args):
 def _cmd_optimum(args):
     crit = as_criterion(args.criterion, args.alpha)
     g, labels = _read_graph(args.graph)
-    best, quality = exact_optimum(crit, crit.pretreat(g),
-                                  cap=args.max_nodes)
+    best, quality = exact_optimum(crit, crit.pretreat(g))
     best, kappa = compact_labels(best)
     print(f"optimum quality = {quality:.12g}   communities = {kappa}")
     if args.output:
@@ -177,12 +176,10 @@ def build_parser():
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("optimum",
-                       help="exact optimum by enumeration (small graphs)")
+                       help="exact optimum by enumeration (at most 10 nodes)")
     p.add_argument("graph")
     p.add_argument("--criterion", default="ng")
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_CAP,
-                   help="enumeration size cap (at most 10)")
     p.add_argument("--output", help="partition file (default: stdout)")
     p.set_defaults(func=_cmd_optimum)
 

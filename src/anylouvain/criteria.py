@@ -258,6 +258,13 @@ def _blocks(g, labels):
         yield lo, hi, a[lo:hi].toarray(), x
 
 
+def _rescaled(g, d, loop):
+    """Weights ``h_ij = 2 w_ij / (d_i + d_j)`` of the edges of ``g`` and
+    ``h_ii = loop_i / d_i`` of its loops, for the degrees ``d``."""
+    d_row = np.repeat(d, np.diff(g.indptr))  # d_i of each entry's row i
+    return 2.0 * g.wgt / (d_row + d[g.nbr]), loop / d
+
+
 def _pair_sum(a):
     """Sum over the two node axes, keeping any leading batch axis."""
     return np.sum(a, axis=(-2, -1))
@@ -401,19 +408,10 @@ class Marcotorchino(Criterion):
                 and np.all((g.loop == 0.0) | (g.loop == 1.0))):
             raise WeightedInputNotSupported(
                 "wc is limited to unweighted graphs")
-        loop = g.loop + 1.0  # mandatory unit self-loops
-        d = g.degrees + 1.0
-        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-        wgt = 2.0 * g.wgt / (d[rows] + d[g.nbr])
-        loop_t = loop / d
-        two_m = float(wgt.sum() + loop_t.sum())
-        w_all = np.concatenate([wgt, loop_t])
-        consts = type(g.consts)(
-            n0=g.n, two_m=two_m,
-            w_max=float(w_all.max()) if w_all.size else 1.0,
-            extra={"pretreated": self.id})
-        return g.replace_weights(wgt, loop_t, aux=loop_t.copy(),
-                                 consts=consts)
+        # Mandatory unit self-loops, which also raise every degree by 1.
+        wgt, loop = _rescaled(g, g.degrees + 1.0, g.loop + 1.0)
+        return g.replace_weights(wgt, loop, aux=loop.copy(),
+                                 extra={"pretreated": self.id})
 
     def gain_fn(self, st):
         naux, size, sz, aux = st.g.aux, st.g.size, st.sz, st.aux
@@ -612,17 +610,10 @@ class ProfileDifference(Criterion):
         if np.any(d == 0.0):
             raise ZeroDegreeNode(
                 "pd: degree-rescaled weights undefined for isolated nodes")
-        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-        wgt = 2.0 * g.wgt / (d[rows] + d[g.nbr])
-        loop_t = g.loop / d
-        sq_sum = float(np.sum(wgt ** 2) + np.sum(loop_t ** 2))
-        two_m = float(wgt.sum() + loop_t.sum())
-        w_all = np.concatenate([wgt, loop_t[loop_t > 0]])
-        consts = type(g.consts)(
-            n0=g.n, two_m=two_m,
-            w_max=float(w_all.max()) if w_all.size else 1.0,
-            extra={"pretreated": self.id, "sq_sum": sq_sum})
-        return g.replace_weights(wgt, loop_t, consts=consts)
+        wgt, loop = _rescaled(g, d, g.loop)
+        sq_sum = float(np.sum(wgt ** 2) + np.sum(loop ** 2))
+        return g.replace_weights(
+            wgt, loop, extra={"pretreated": self.id, "sq_sum": sq_sum})
 
     def gain_fn(self, st):
         # The empty target's base of 1/2 is the -1/2 kappa penalty.
@@ -723,8 +714,3 @@ def relational_total(criterion, g0, labels, *, alpha=None):
     graph must already be pretreated.
     """
     return as_criterion(criterion, alpha).relational(g0, labels)
-
-
-def pretreat(criterion, g0, *, alpha=None):
-    """Apply a criterion's weight transform to a level-0 graph."""
-    return as_criterion(criterion, alpha).pretreat(g0)

@@ -34,7 +34,7 @@ class UnknownCommunity(LouvainError):
 
 
 class SweepCapExceeded(LouvainError):
-    """A local-move pass failed to converge within the sweep cap.
+    """A local-move pass failed to converge within ``10 * n`` sweeps.
 
     This guards against non-terminating sweeps, which indicate a broken
     gain implementation (an accepted move must strictly improve quality).
@@ -46,7 +46,7 @@ class ConfigError(LouvainError, ValueError):
 
 
 class TooLarge(LouvainError):
-    """Exhaustive enumeration was requested for a graph above the size cap."""
+    """Exhaustive enumeration was requested for more than 10 nodes."""
 
 
 class ParseError(LouvainError):

@@ -13,7 +13,7 @@ id; :data:`SENTINEL` marks a node temporarily removed during a sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,27 +100,33 @@ class Graph:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n, edges, *, size=None, aux=None, consts=None):
-        """Build a graph from an iterable of ``(i, j, weight)`` triples;
-        see :meth:`from_arrays`."""
+    def from_edges(cls, n, edges):
+        """Build a level-0 graph from an iterable of ``(i, j, weight)``
+        triples; see :meth:`from_arrays`."""
         edges = list(edges)
         src, dst, w = zip(*edges) if edges else ((), (), ())
-        return cls.from_arrays(n, src, dst, w, size=size, aux=aux,
-                               consts=consts)
+        return cls.from_arrays(n, src, dst, w)
 
     @classmethod
-    def from_arrays(cls, n, src, dst, w, *, size=None, aux=None,
-                    consts=None):
-        """Build a graph from parallel edge arrays ``src``, ``dst``, ``w``.
+    def from_arrays(cls, n, src, dst, w):
+        """Build a level-0 graph from parallel edge arrays ``src``,
+        ``dst``, ``w`` over node ids ``0..n-1``.
 
         Duplicate pairs are summed, ``src == dst`` goes to the self-loop
         weight, and zero-weight entries are dropped.  Raises
         :class:`NegativeWeight` on a negative weight (the first one) and
-        :class:`LouvainError` on a NaN or infinite one.
+        :class:`LouvainError` on a node id outside ``0..n-1`` or a NaN
+        or infinite weight.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
+        out = np.flatnonzero((np.minimum(src, dst) < 0)
+                             | (np.maximum(src, dst) >= n))
+        if out.size:
+            k = out[0]
+            raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
+                               f"outside 0..{n - 1}")
         neg = np.flatnonzero(w < 0)
         if neg.size:
             k = neg[0]
@@ -139,17 +145,17 @@ class Graph:
         ).tocsr()
         a.sum_duplicates()
         a.eliminate_zeros()
-        return cls(
-            n, a.indptr, a.indices, a.data, loop,
-            np.ones(n, dtype=np.int64) if size is None else size,
-            np.zeros(n, dtype=np.float64) if aux is None else aux,
-            consts,
-        )
+        return cls(n, a.indptr, a.indices, a.data, loop,
+                   np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.float64))
 
-    def replace_weights(self, wgt, loop, *, aux=None, consts=None):
-        """Same topology with new edge weights (used by pretreatments)."""
-        return Graph(self.n, self.indptr, self.nbr, wgt, loop, self.size,
-                     self.aux if aux is None else aux, consts)
+    def replace_weights(self, wgt, loop, *, aux=None, extra=None):
+        """Same topology with new edge weights, for pretreatments: a
+        level-0 graph whose constants are computed from the new weights,
+        with ``extra`` as their criterion-specific part."""
+        g = Graph(self.n, self.indptr, self.nbr, wgt, loop, self.size,
+                  self.aux if aux is None else aux)
+        g.consts = replace(g.consts, extra=extra or {})
+        return g
 
     # -- basic accessors ----------------------------------------------
 

@@ -65,12 +65,22 @@ def _path_blocks(path):
             try:
                 text = _newlines(buf.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                head = _newlines(buf[:exc.start].decode("utf-8"))
-                yield line_no, head[:head.rfind("\n") + 1]
-                raise ParseError(line_no + head.count("\n"),
-                                 f"not UTF-8 text ({exc.reason})") from None
+                head, error = _undecodable(line_no, exc)
+                yield line_no, head
+                raise error from None
             yield line_no, text
             line_no += text.count("\n")
+
+
+def _undecodable(line_no, exc):
+    r"""``(head, error)`` for the decode error ``exc`` in bytes whose
+    first line is number ``line_no``: ``head`` is the text of the whole
+    lines before the bad byte, and ``error`` the :class:`ParseError`
+    naming the bad byte's line.  Line ends are counted after universal
+    newline translation, so a lone ``\r`` ends a line."""
+    head = _newlines(exc.object[:exc.start].decode("utf-8"))
+    return head[:head.rfind("\n") + 1], ParseError(
+        line_no + head.count("\n"), f"not UTF-8 text ({exc.reason})")
 
 
 def _file_blocks(fh):
@@ -87,11 +97,8 @@ def _file_blocks(fh):
         except UnicodeDecodeError as exc:
             yield line_no, _joined(lines)
             # The decoder fails on a whole chunk, which starts on the
-            # line being read; the chunk's newlines before the bad byte
-            # give the exact line.
-            raise ParseError(line_no + len(lines)
-                             + exc.object.count(b"\n", 0, exc.start),
-                             f"not UTF-8 text ({exc.reason})") from None
+            # line being read.
+            raise _undecodable(line_no + len(lines), exc)[1] from None
         if not lines:
             return
         yield line_no, _joined(lines)
@@ -244,17 +251,17 @@ def write_partition(target, flat, labels):
 def read_partition(source, labels):
     """Read a partition file back against a graph's ``labels``.
 
-    Every node must appear exactly once; unknown labels raise
-    :class:`UnknownLabel`, negative community ids :class:`ParseError`.
-    Community ids are compacted to ``0..kappa-1``.
+    A line whose first token starts with ``#`` is a comment unless that
+    token is one of ``labels``.  Every node must appear exactly once;
+    unknown labels raise :class:`UnknownLabel`, negative community ids
+    :class:`ParseError`.  Community ids are compacted to ``0..kappa-1``.
     """
     ids = {name: i for i, name in enumerate(labels)}
     flat = np.full(len(labels), -1, dtype=np.int64)
     for line_no, line in _lines(source):
-        if line.lstrip().startswith("#"):
-            continue
         parts = line.split()
-        if not parts:
+        # An edge list's labels may start with "#" too.
+        if not parts or (parts[0].startswith("#") and parts[0] not in ids):
             continue
         if len(parts) != 2:
             raise ParseError(line_no,

@@ -50,7 +50,6 @@ class RunConfig:
     seed: int = 0
     shuffle_nodes: bool = True
     max_levels: int | None = None
-    max_sweeps_per_pass: int | None = None  # default: 10 * n
 
     def __post_init__(self):
         if not (math.isfinite(self.precision) and self.precision > 0):
@@ -61,10 +60,6 @@ class RunConfig:
                 f"max_levels must be at least 1, got {self.max_levels}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if (self.max_sweeps_per_pass is not None
-                and self.max_sweeps_per_pass < 1):
-            raise ConfigError("max_sweeps_per_pass must be at least 1, got "
-                              f"{self.max_sweeps_per_pass}")
 
 
 @dataclass
@@ -214,7 +209,9 @@ def one_pass(g, cfg, st, rng=None):
     a strictly higher gain: the node's own community first (so ties keep
     it in place), then neighbouring communities by ascending id, then one
     empty community unless the node just vacated its own.  Sweeps repeat
-    until one full sweep moves nothing.  Returns a :class:`PassResult`.
+    until one full sweep moves nothing; a pass still moving after
+    ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
+    :class:`PassResult`.
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
@@ -228,9 +225,6 @@ def one_pass(g, cfg, st, rng=None):
     order = np.arange(n)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    cap = cfg.max_sweeps_per_pass
-    if cap is None:
-        cap = 10 * max(n, 1)
 
     ls = st.as_lists()
     part, sz = ls.part, ls.sz
@@ -245,7 +239,7 @@ def one_pass(g, cfg, st, rng=None):
     improved = n > 0
     try:
         while improved:
-            if sweeps >= cap:
+            if sweeps >= 10 * max(n, 1):
                 raise SweepCapExceeded(
                     f"no convergence after {sweeps} sweeps; gain "
                     f"implementation for {st.crit.id!r} is suspect")

@@ -17,20 +17,17 @@ from .graph import SENTINEL
 #: Bell numbers B(0)..B(10): number of set partitions of n elements.
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 
-DEFAULT_CAP = 10
-
 _BLOCK = 1024  # partitions scored per batched pairwise call
 
 
-def _growth_table(n, cap):
+def _growth_table(n):
     """Every restricted-growth string of length ``n``, one per row, in
     lexicographic order: each step repeats every prefix once per label it
     admits next (0 up to one past its largest) and appends them.  Raises
-    :class:`TooLarge` unless ``n <= cap <= 10``."""
+    :class:`TooLarge` unless ``n <= 10``."""
     top = len(BELL_NUMBERS) - 1
-    if not n <= cap <= top:
-        raise TooLarge(f"partition enumeration capped at n={min(cap, top)}, "
-                       f"got n={n} with cap {cap}")
+    if n > top:
+        raise TooLarge(f"partition enumeration capped at n={top}, got n={n}")
     table = np.zeros((1, min(n, 1)), dtype=np.int8)
     peak = np.zeros(1, dtype=np.int64)  # largest label of each prefix
     for _ in range(1, n):
@@ -42,28 +39,29 @@ def _growth_table(n, cap):
     return table
 
 
-def enumerate_partitions(n, cap=DEFAULT_CAP):
+def enumerate_partitions(n):
     """Yield every set partition of ``n`` nodes exactly once.
 
     Partitions come out as restricted-growth label arrays: node 0 always
     gets community 0 and each new community id is one past the largest id
     seen so far, which makes the labeling canonical.  There are Bell(n)
-    of them, so ``n`` is capped (default and maximum 10); the cap is
-    checked by this call, before any partition is built.
+    of them, so ``n`` is capped at 10; the cap is checked by this call,
+    before any partition is built.
     """
-    return (row.astype(np.int64) for row in _growth_table(n, cap))
+    return (row.astype(np.int64) for row in _growth_table(n))
 
 
-def exact_optimum(criterion, g0, *, alpha=None, cap=DEFAULT_CAP):
+def exact_optimum(criterion, g0, *, alpha=None):
     """Best partition of ``g0`` by exhaustive enumeration.
 
     Returns ``(labels, quality)``; ties go to the first partition in
     enumeration order, and ``quality`` is the single-partition
     ``relational`` value of the winner.  ``g0`` must be level 0 and
-    pretreated if the criterion needs it.
+    pretreated if the criterion needs it; above 10 nodes it raises
+    :class:`TooLarge`.
     """
     crit = as_criterion(criterion, alpha)
-    table = _growth_table(g0.n, cap)
+    table = _growth_table(g0.n)
     best, best_q = 0, -np.inf
     for lo in range(0, len(table), _BLOCK):
         q = crit.relational(g0, table[lo:lo + _BLOCK])

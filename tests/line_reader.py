@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -28,8 +29,9 @@ def lines(source):
         try:
             yield from zip(count, fh)
         except UnicodeDecodeError as exc:
-            line_no = (next(count) - 1
-                       + exc.object.count(b"\n", 0, exc.start))
+            # Universal newlines: \r\n, a lone \r and \n end a line.
+            head = exc.object[:exc.start].decode("utf-8")
+            line_no = next(count) - 1 + len(re.findall(r"\r\n?|\n", head))
             raise ParseError(line_no,
                              f"not UTF-8 text ({exc.reason})") from None
 

@@ -147,14 +147,14 @@ def test_optimum_refuses_large_graphs(karate_file, capsys):
     assert "capped" in capsys.readouterr().err
 
 
-def test_optimum_cap_above_ten_refused(tmp_path, capsys):
-    graph = tmp_path / "tri.edges"
-    graph.write_text("a b\nb c\nc a\n")
-    rc = main(["optimum", str(graph), "--max-nodes", "34"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "capped" in captured.err
-    assert captured.out == ""
+def test_labels_starting_with_hash_round_trip(tmp_path, capsys):
+    # "#b" is a label where it is not a line's first token.
+    graph = tmp_path / "hash.edges"
+    graph.write_text("a #b\n#b c\nc a\nd e\n")
+    part = tmp_path / "p.tsv"
+    assert main(["detect", str(graph), "--output", str(part)]) == 0
+    assert "#b\t" in part.read_text()
+    assert main(["eval", str(graph), str(part)]) == 0
 
 
 def test_detect_non_finite_weight_fails(tmp_path, capsys):

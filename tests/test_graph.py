@@ -56,6 +56,13 @@ def test_non_finite_weight_rejected(w, loop):
         Graph.from_edges(2, [(0, 0 if loop else 1, w)])
 
 
+@pytest.mark.parametrize("edges", [[(0, 2, 1.0)], [(2, 1, 1.0)],
+                                   [(0, -1, 1.0)], [(-1, -1, 1.0)]])
+def test_node_id_out_of_range_rejected(edges):
+    with pytest.raises(LouvainError, match="outside 0..1"):
+        Graph.from_edges(2, edges)
+
+
 def test_adjacency_symmetric():
     rng = np.random.default_rng(0)
     g = synth.random_graph(25, 0.3, weighted=True, loops=True, rng=rng)

@@ -105,6 +105,12 @@ def test_read_partition_errors():
         read_partition(io.StringIO("a 0 9\nb 1\n"), labels)
 
 
+def test_read_partition_hash_line_is_a_comment_unless_a_label():
+    labels = ["a", "#b"]
+    text = "# a comment\na\t0\n#b\t1\n#c 2\n"
+    assert read_partition(io.StringIO(text), labels).tolist() == [0, 1]
+
+
 def test_read_partition_rejects_negative_ids():
     labels = ["a", "b"]
     # -1 would collide with the reader's "unset" marker: the duplicate

@@ -21,7 +21,7 @@ def test_config_validation():
     {"precision": 0.0}, {"precision": float("nan")},
     {"precision": float("inf")},
     {"max_levels": 0}, {"max_levels": -1},
-    {"seed": -1}, {"max_sweeps_per_pass": 0}, {"max_sweeps_per_pass": -5}])
+    {"seed": -1}])
 def test_config_errors_are_louvain_errors(kwargs):
     with pytest.raises(LouvainError):
         RunConfig(**kwargs)
@@ -147,12 +147,20 @@ def test_max_levels_cap():
 
 
 def test_sweep_cap_guard():
+    from anylouvain.criteria import NewmanGirvan
     from anylouvain.errors import SweepCapExceeded
+
+    class Noisy(NewmanGirvan):
+        """A broken gain: seeded noise, so every sweep keeps moving."""
+
+        def gain_fn(self, st):
+            rng = np.random.default_rng(0)
+            return lambda i, c, dw: rng.random()
+
     g, _ = datasets.karate_club()
-    crit = make_criterion("ng")
-    cfg = RunConfig(criterion="ng", max_sweeps_per_pass=1)
-    with pytest.raises(SweepCapExceeded):
-        one_pass(g, cfg, crit.init(g))
+    with pytest.raises(SweepCapExceeded,
+                       match="no convergence after 340 sweeps"):
+        one_pass(g, RunConfig(criterion="ng"), Noisy().init(g))
 
 
 def test_runs_stay_under_sweep_cap(criterion):

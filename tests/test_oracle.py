@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anylouvain import (BELL_NUMBERS, Graph, delta_oracle,
+from anylouvain import (BELL_NUMBERS, Graph, datasets, delta_oracle,
                         enumerate_partitions, exact_optimum, synth)
 from anylouvain.errors import TooLarge
 
@@ -44,12 +44,10 @@ def test_enumeration_cap():
 def test_cap_above_last_bell_number_refused_before_enumerating():
     # Raised by the call itself: no partition is ever produced.
     with pytest.raises(TooLarge):
-        enumerate_partitions(3, cap=11)
+        enumerate_partitions(34)
     with pytest.raises(TooLarge):
-        enumerate_partitions(34, cap=34)
-    with pytest.raises(TooLarge):
-        exact_optimum("ng", triangle(), cap=34)
-    assert len(list(enumerate_partitions(10, cap=10))) == BELL_NUMBERS[10]
+        exact_optimum("ng", datasets.karate_club()[0])
+    assert len(list(enumerate_partitions(10))) == BELL_NUMBERS[10]
 
 
 def test_batched_scoring_matches_reference_loop(criterion):
