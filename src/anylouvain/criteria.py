@@ -251,18 +251,21 @@ def _blocks(g, labels):
     """Row blocks ``lo, hi, w, x``: the dense weights ``w[lo:hi]`` and
     the pair indicator ``x`` of those rows, with ``labels``'s leading
     batch axis if it has one."""
-    a = g.to_scipy()
     for lo in range(0, g.n, _BLOCK):
         hi = min(lo + _BLOCK, g.n)
         x = labels[..., lo:hi, None] == labels[..., None, :]
-        yield lo, hi, a[lo:hi].toarray(), x
+        yield lo, hi, g.dense(lo, hi), x
 
 
 def _rescaled(g, d, loop):
     """Weights ``h_ij = 2 w_ij / (d_i + d_j)`` of the edges of ``g`` and
-    ``h_ii = loop_i / d_i`` of its loops, for the degrees ``d``."""
+    ``h_ii = loop_i / d_i`` of its loops, for the degrees ``d``.
+
+    Degrees that overflow give non-finite weights, which the quality
+    check of ``run`` and ``eval`` reports."""
     d_row = np.repeat(d, np.diff(g.indptr))  # d_i of each entry's row i
-    return 2.0 * g.wgt / (d_row + d[g.nbr]), loop / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * g.wgt / (d_row + d[g.nbr]), loop / d
 
 
 def _pair_sum(a):

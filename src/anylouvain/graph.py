@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LouvainError, NegativeWeight
 
@@ -70,12 +69,16 @@ class Graph:
     consts : Level0Constants, optional
         Frozen level-0 record.  Computed from this graph when omitted,
         which declares the graph to be level 0.
+    rows : ndarray of int, optional
+        Row id of each CSR entry, when the caller has it; used to sum
+        the degrees and not kept.
     """
 
     __slots__ = ("n", "indptr", "nbr", "wgt", "loop", "size", "aux",
                  "consts", "degrees")
 
-    def __init__(self, n, indptr, nbr, wgt, loop, size, aux, consts=None):
+    def __init__(self, n, indptr, nbr, wgt, loop, size, aux, consts=None, *,
+                 rows=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.nbr = np.asarray(nbr, dtype=np.int64)
@@ -83,7 +86,8 @@ class Graph:
         self.loop = np.asarray(loop, dtype=np.float64)
         self.size = np.asarray(size, dtype=np.int64)
         self.aux = np.asarray(aux, dtype=np.float64)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        if rows is None:
+            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         deg = np.bincount(rows, weights=self.wgt,
                           minlength=self.n).astype(np.float64)
         self.degrees = deg + self.loop
@@ -112,7 +116,9 @@ class Graph:
         """Build a level-0 graph from parallel edge arrays ``src``,
         ``dst``, ``w`` over node ids ``0..n-1``.
 
-        Duplicate pairs are summed, ``src == dst`` goes to the self-loop
+        Duplicate pairs are summed in input order: entry ``(i, j)`` adds
+        the weights of the edges given as ``i, j`` in array order, then
+        those given as ``j, i``.  ``src == dst`` goes to the self-loop
         weight, and zero-weight entries are dropped.  Raises
         :class:`NegativeWeight` on a negative weight (the first one) and
         :class:`LouvainError` on a node id outside ``0..n-1`` or a NaN
@@ -137,16 +143,15 @@ class Graph:
         loop = np.bincount(src[~off], weights=w[~off], minlength=n)
         if not (np.isfinite(w).all() and np.isfinite(loop).all()):
             raise LouvainError("edge weights must be finite")
-        src, dst, w = src[off], dst[off], w[off]
-        a = sp.coo_matrix(
-            (np.concatenate([w, w]),
-             (np.concatenate([src, dst]), np.concatenate([dst, src]))),
-            shape=(n, n),
-        ).tocsr()
-        a.sum_duplicates()
-        a.eliminate_zeros()
-        return cls(n, a.indptr, a.indices, a.data, loop,
-                   np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.float64))
+        src, dst = src[off], dst[off]
+        keys = np.concatenate([src * n + dst, dst * n + src])
+        del src, dst  # freed before the sort
+        keys, wgt = _key_sums(keys, np.concatenate([w[off], w[off]]), n * n)
+        rows = keys // n
+        nbr = np.remainder(keys, n, out=keys)
+        return cls(n, _indptr(rows, n), nbr, wgt, loop,
+                   np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.float64),
+                   rows=rows)
 
     def replace_weights(self, wgt, loop, *, aux=None, extra=None):
         """Same topology with new edge weights, for pretreatments: a
@@ -181,18 +186,17 @@ class Graph:
     def is_level0(self):
         return bool(np.all(self.size == 1))
 
-    def to_scipy(self):
-        """Symmetric adjacency as ``scipy.sparse.csr_matrix`` with the
-        self-loops on the diagonal."""
-        a = sp.csr_matrix((self.wgt, self.nbr, self.indptr),
-                          shape=(self.n, self.n))
-        if np.any(self.loop):
-            a = (a + sp.diags(self.loop)).tocsr()
-        return a
-
-    def dense(self):
-        """Dense weight matrix (small graphs; oracle evaluation path)."""
-        return self.to_scipy().toarray()
+    def dense(self, lo=0, hi=None):
+        """Dense weight matrix rows ``lo:hi`` (all rows by default), the
+        self-loops on the diagonal (small graphs; pairwise path)."""
+        hi = self.n if hi is None else hi
+        a, b = self.indptr[lo], self.indptr[hi]
+        out = np.zeros((hi - lo, self.n))
+        rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
+        out[rows, self.nbr[a:b]] = self.wgt[a:b]
+        ids = np.arange(lo, hi)
+        out[ids - lo, ids] = self.loop[lo:hi]
+        return out
 
     def __repr__(self):
         return (f"Graph(n={self.n}, edges={self.edge_count}, "
@@ -258,18 +262,79 @@ def aggregate(g, labels, kappa=None):
     labels = np.asarray(labels, dtype=np.int64)
     if kappa is None:
         kappa = int(labels.max()) + 1 if labels.size else 0
-    proj = sp.csr_matrix(
-        (np.ones(g.n), labels, np.arange(g.n + 1)), shape=(g.n, kappa)
-    )
-    meta = (proj.T @ g.to_scipy() @ proj).tocoo()
-    on_diag = meta.row == meta.col
+    n = g.n
+    # The adjacency with each loop at the end of its row: the entry
+    # order of scipy's ``proj.T @ A @ proj``, whose sums this repeats
+    # bit for bit, as meta[C, D] = sum_{j in D} sum_{k in C} A[k, j]
+    # with j and k ascending.
+    has = g.loop != 0
+    at = g.indptr[1:][has]
+    cols = np.insert(g.nbr, at, np.flatnonzero(has))
+    w = np.insert(g.wgt, at, g.loop[has])
+    keys = np.repeat(labels * n, np.diff(g.indptr) + has)
+    keys += cols
+    keys, w = _key_sums(keys, w, kappa * n)  # per (C, j), k ascending
+    c, j = np.divmod(keys, n)
+    keys, w = _key_sums(c * kappa + labels[j], w, kappa * kappa)
+    c, d = np.divmod(keys, kappa)
+    on_diag = c == d
     loop = np.zeros(kappa, dtype=np.float64)
-    loop[meta.row[on_diag]] = meta.data[on_diag]
-    off = sp.csr_matrix(
-        (meta.data[~on_diag], (meta.row[~on_diag], meta.col[~on_diag])),
-        shape=(kappa, kappa),
-    )
+    loop[c[on_diag]] = w[on_diag]
+    rows, cols, w = c[~on_diag], d[~on_diag], w[~on_diag]
     size = np.bincount(labels, weights=g.size, minlength=kappa)
     aux = np.bincount(labels, weights=g.aux, minlength=kappa)
-    return Graph(kappa, off.indptr, off.indices, off.data, loop,
-                 size.astype(np.int64), aux, g.consts)
+    return Graph(kappa, _indptr(rows, kappa), cols, w, loop,
+                 size.astype(np.int64), aux, g.consts, rows=rows)
+
+
+def _indptr(rows, n):
+    """CSR row pointers of the ascending row ids ``rows``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _key_sums(keys, weights, size):
+    """The distinct ``keys`` (each in ``0..size-1``) in ascending order,
+    and for each the sum of its ``weights`` added in input order; keys
+    whose sum is zero are dropped.
+
+    One ``bincount`` over ``0..size-1`` when that range is no longer
+    than ``keys``, otherwise a stable sort of ``keys``, which may be
+    overwritten.
+    """
+    if size <= keys.size:
+        sums = np.bincount(keys, weights, minlength=size)
+        keys = np.flatnonzero(sums)
+        return keys, sums[keys]
+    keys, order = _stable_sort(keys, size)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if first.all():
+        sums = weights[order]
+    else:
+        sums = np.bincount(np.cumsum(first) - 1, weights[order])
+        keys = keys[first]
+    keep = sums != 0
+    if not keep.all():
+        keys, sums = keys[keep], sums[keep]
+    return keys, sums
+
+
+def _stable_sort(keys, size):
+    """``(keys[order], order)`` for the stable sort ``order`` of the
+    non-negative ``keys``, each below ``size``.  ``keys`` may be
+    overwritten."""
+    bits = int(keys.size).bit_length()
+    if (size - 1) >> (63 - bits) == 0:
+        # Each key with its position in the low bits: the values are
+        # distinct, so any sort of them is stable in the keys.
+        keys <<= bits
+        keys |= np.arange(keys.size)
+        keys.sort()
+        order = keys & ((1 << bits) - 1)
+        keys >>= bits
+        return keys, order
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order

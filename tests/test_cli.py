@@ -1,11 +1,16 @@
 """End-to-end command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anylouvain
 from anylouvain import compact_labels, datasets, read_partition
 from anylouvain.cli import main
 
@@ -185,12 +190,17 @@ OVERFLOW_INPUTS = {
     "1e160": ("a b 1e160\nb c 1e160\nc a 1e160\nc d 1\n",
               "a\t0\nb\t0\nc\t0\nd\t1\n"),
 }
+# pd divides each weight by its end degrees, so only degrees that
+# overflow (1e308) overflow its quality.
+OVERFLOW_CASES = [(cid, command, weights)
+                  for cid in ("ng", "bm")
+                  for command in ("detect", "eval")
+                  for weights in sorted(OVERFLOW_INPUTS)]
+OVERFLOW_CASES += [("pd", command, "1e308") for command in ("detect", "eval")]
 
 
-@pytest.mark.parametrize("weights", sorted(OVERFLOW_INPUTS))
-@pytest.mark.parametrize("command", ["detect", "eval"])
-@pytest.mark.parametrize("cid", ["ng", "bm"])
-def test_overflowing_quality_fails(tmp_path, capsys, weights, command, cid):
+@pytest.mark.parametrize("cid,command,weights", OVERFLOW_CASES)
+def test_overflowing_quality_fails(tmp_path, capsys, cid, command, weights):
     edges, partition = OVERFLOW_INPUTS[weights]
     graph = tmp_path / "big.edges"
     graph.write_text(edges)
@@ -288,3 +298,14 @@ def test_stdin_input(karate_file, capsys, monkeypatch):
     assert rc == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 34  # partition on stdout
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only reference; the package needs numpy alone.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(anylouvain.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, anylouvain; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anylouvain import (Graph, aggregate, compact_labels, datasets,
                         neighbor_community_weights, singleton_labels)
 from anylouvain.errors import LouvainError, NegativeWeight
-from anylouvain import synth
+from anylouvain import graph, synth
 
 from conftest import path3, triangle
 
@@ -44,6 +45,47 @@ def test_duplicate_edges_merge():
     assert list(ws) == [5.0]
 
 
+def test_duplicate_edges_add_in_input_order():
+    # Rows of 20 and more entries, where scipy's index sort reorders
+    # duplicates; 0.1 + 0.2 + 0.3 depends on the order of the terms.
+    rng = np.random.default_rng(5)
+    edges = [(0, j, w) for j in range(1, 21) for w in (0.1, 0.2, 0.3) * 2]
+    edges += [(j, j % 20 + 1, w) for j in range(1, 21) for w in (0.3, 0.1)]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    edges = [(j, i, w) if rng.random() < 0.3 else (i, j, w)
+             for i, j, w in edges]
+    # Entry (i, j): the edges given as i, j, then those given as j, i.
+    ref = {}
+    for i, j, w in edges:
+        ref[i, j] = ref.get((i, j), 0.0) + w
+    for i, j, w in edges:
+        ref[j, i] = ref.get((j, i), 0.0) + w
+    g = Graph.from_edges(21, edges)
+    got = {(i, int(j)): float(w) for i in range(21)
+           for j, w in zip(*g.neighbors(i))}
+    assert got == ref
+    in_sorted_order = {key: sum(sorted(w for i, j, w in edges
+                                       if {i, j} == set(key)))
+                       for key in ref}
+    assert in_sorted_order != ref  # the check above sees the order
+
+
+@pytest.mark.parametrize("size", [50, 1000, 2 ** 62],
+                         ids=["bincount", "packed-sort", "argsort"])
+def test_key_sums_add_in_input_order(size):
+    rng = np.random.default_rng(6)
+    keys = rng.integers(0, 50, 300)
+    weights = rng.choice([0.0, 0.1, 0.2, 0.3], 300)
+    weights[keys == 7] = 0.0
+    ref = {}
+    for k, w in zip(keys.tolist(), weights.tolist()):
+        ref[k] = ref.get(k, 0.0) + w
+    ref = {k: w for k, w in sorted(ref.items()) if w != 0}
+    got_keys, got = graph._key_sums(keys.copy(), weights, size)
+    assert dict(zip(got_keys.tolist(), got.tolist())) == ref
+    assert list(got_keys) == sorted(ref)
+
+
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         Graph.from_edges(2, [(0, 1, -1.0)])
@@ -68,6 +110,17 @@ def test_adjacency_symmetric():
     g = synth.random_graph(25, 0.3, weighted=True, loops=True, rng=rng)
     dense = g.dense()
     assert np.allclose(dense, dense.T)
+
+
+def test_dense_matches_loop_built_matrix():
+    g = synth.random_graph(30, 0.3, weighted=True, loops=True, seed=2)
+    ref = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        for j, w in zip(*g.neighbors(i)):
+            ref[i, j] = w
+        ref[i, i] = g.loop[i]
+    assert g.dense().tobytes() == ref.tobytes()
+    assert g.dense(7, 19).tobytes() == ref[7:19].tobytes()
 
 
 def test_neighbor_weights_single_community():
@@ -130,6 +183,34 @@ def test_aggregate_idempotent_after_singletons():
     again = aggregate(meta, singleton_labels(meta.n), meta.n)
     assert np.allclose(again.dense(), meta.dense())
     assert np.array_equal(again.size, meta.size)
+
+
+def scipy_meta(g, labels, kappa):
+    """scipy's ``proj.T @ A @ proj``, the loops on the diagonal of A."""
+    a = sp.csr_matrix((g.wgt, g.nbr, g.indptr), shape=(g.n, g.n))
+    a = (a + sp.diags(g.loop)).tocsr()
+    proj = sp.csr_matrix((np.ones(g.n), labels, np.arange(g.n + 1)),
+                         shape=(g.n, kappa))
+    return (proj.T @ a @ proj).toarray()
+
+
+@pytest.mark.parametrize("loops,weighted", [(True, True), (False, True),
+                                            (False, False)])
+@pytest.mark.parametrize("n,p,kappa,path", [(40, 0.5, 3, "bincount"),
+                                            (60, 0.1, 30, "sort")])
+def test_aggregate_matches_scipy_bit_for_bit(n, p, kappa, path, loops,
+                                             weighted):
+    g = synth.random_graph(n, p, weighted=weighted, loops=loops, seed=n)
+    labels = np.arange(n) % kappa
+    np.random.default_rng(kappa).shuffle(labels)
+    entries = g.nbr.size + np.count_nonzero(g.loop)
+    assert (kappa * n <= entries) == (path == "bincount")
+    meta = aggregate(g, labels, kappa)
+    assert meta.dense().tobytes() == scipy_meta(g, labels, kappa).tobytes()
+    # A second level folds the loops of the first.
+    top = aggregate(meta, np.arange(kappa) % 2, 2)
+    assert top.dense().tobytes() == scipy_meta(meta, np.arange(kappa) % 2,
+                                               2).tobytes()
 
 
 def test_compact_labels():
