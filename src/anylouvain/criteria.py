@@ -14,8 +14,9 @@ is written against:
     positive per-criterion ``gain_scale``, so the argmax over candidates
     is the argmax of the true quality change while the hot loop skips
     candidate-independent terms and global factors.  Each criterion has
-    exactly one gain formula, :meth:`Criterion.gain_fn`: a scalar
-    function ``gain(i, c, dw)`` built over a state's accumulators.
+    exactly one gain formula, :meth:`Criterion.gain_fn`: a function
+    ``gain(i, c, dw)`` built over a state's accumulators, which also
+    scores an index array ``c`` of non-empty communities at once.
     :meth:`CriterionState.gain` and the optimizer's pass both call it.
 ``total``
     The exact (unscaled) quality of the current partition, computed from
@@ -205,7 +206,7 @@ class Criterion:
                               kappa=int(np.count_nonzero(sz)))
 
     def gain_fn(self, st):
-        """The criterion's scalar gain over the accumulators of ``st``.
+        """The criterion's gain over the accumulators of ``st``.
 
         Returns ``gain(i, c, dw)``: the scaled gain of inserting the
         removed node ``i`` into community ``c``, with ``dw = d_w(i, c)``.
@@ -213,7 +214,11 @@ class Criterion:
         it is built once per pass and sees every later ``remove`` /
         ``insert``.  It only indexes them, so numpy arrays and the list
         copy of :meth:`CriterionState.as_lists` give bit-identical
-        results.  No range check: :meth:`CriterionState.gain` does that.
+        results.  Over numpy accumulators ``c`` may also be an index
+        array of non-empty communities and ``dw`` the matching array;
+        the gains come back as an array, each bit-identical to the
+        scalar call.  No range check: :meth:`CriterionState.gain` does
+        that.
         """
         raise NotImplementedError
 
@@ -646,7 +651,11 @@ def _density_gain(st, empty_base):
 
     def gain(i, c, dw):
         ins, sc = in_w[c], sz[c]
-        base = ins / sc if sc > 0 else empty_base
+        try:
+            base = ins / sc if sc > 0 else empty_base
+        except ValueError:
+            # An index array, whose communities are all non-empty.
+            base = ins / sc
         return (ins + (2.0 * dw + loop[i])) / (sc + size[i]) - base
     return gain
 

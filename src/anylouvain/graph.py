@@ -116,13 +116,14 @@ class Graph:
         """Build a level-0 graph from parallel edge arrays ``src``,
         ``dst``, ``w`` over node ids ``0..n-1``.
 
-        Duplicate pairs are summed in input order: entry ``(i, j)`` adds
-        the weights of the edges given as ``i, j`` in array order, then
-        those given as ``j, i``.  ``src == dst`` goes to the self-loop
-        weight, and zero-weight entries are dropped.  Raises
-        :class:`NegativeWeight` on a negative weight (the first one) and
-        :class:`LouvainError` on a node id outside ``0..n-1`` or a NaN
-        or infinite weight.
+        Duplicate pairs are summed in input order: entries ``(i, j)``
+        and ``(j, i)`` both add the weights of the edges between ``i``
+        and ``j`` in array order, whichever way round each edge is
+        given, so the adjacency is symmetric to the bit.  ``src == dst``
+        goes to the self-loop weight, and zero-weight entries are
+        dropped.  Raises :class:`NegativeWeight` on a negative weight
+        (the first one) and :class:`LouvainError` on a node id outside
+        ``0..n-1`` or a NaN or infinite weight.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -144,9 +145,12 @@ class Graph:
         if not (np.isfinite(w).all() and np.isfinite(loop).all()):
             raise LouvainError("edge weights must be finite")
         src, dst = src[off], dst[off]
-        keys = np.concatenate([src * n + dst, dst * n + src])
+        # Each edge's two keys side by side: both rows see the edges of
+        # a pair in array order.
+        keys = np.stack([src * n + dst, dst * n + src], axis=1).ravel()
         del src, dst  # freed before the sort
-        keys, wgt = _key_sums(keys, np.concatenate([w[off], w[off]]), n * n)
+        keys, wgt = _key_sums(
+            keys, np.stack([w[off], w[off]], axis=1).ravel(), n * n)
         rows = keys // n
         nbr = np.remainder(keys, n, out=keys)
         return cls(n, _indptr(rows, n), nbr, wgt, loop,

@@ -10,10 +10,19 @@ the configured precision.
 
 A pass works on Python-list copies of the criterion state and the node
 constants, made at its start and written back at its end, and scores
-candidates with the criterion's scalar gain (:meth:`Criterion.gain_fn`).
-A visit to a row of at most :data:`LONG_ROW` neighbours therefore makes
-no numpy call; longer rows sum their neighbour communities with numpy,
-where a fixed handful of calls beats a Python loop over the row.
+candidates with the criterion's gain (:meth:`Criterion.gain_fn`).  A
+visit takes one of two branches by the length of the node's row:
+
+- at most :data:`LONG_ROW` neighbours: a dict sums the neighbour
+  communities and the scalar gain scores them one by one, with no numpy
+  call;
+- longer rows: ``np.bincount`` sums the communities, a sort finds the
+  distinct ones, and one call of the same gain over an index array
+  scores them all, a fixed handful of numpy calls instead of a Python
+  loop over the row and its candidates.
+
+Both add a row's weights in row order and evaluate the same formula, so
+a row gives bit-identical results on either branch.
 """
 
 from __future__ import annotations
@@ -158,12 +167,13 @@ class PassResult(NamedTuple):
     moves: int
 
 
-#: Rows longer than this sum their neighbour communities with numpy
-#: (:func:`_long_row_sums`) instead of a Python dict.  The dict costs a
-#: fixed amount per neighbour, the numpy calls a fixed amount per row;
-#: measured through ``one_pass`` on planted graphs the two break even
-#: near degree 96 (see BENCH_2.json).
-LONG_ROW = 96
+#: Rows longer than this are scored in numpy, a fixed handful of calls
+#: per visit, instead of a Python loop over the row and its candidates.
+#: The loop costs a fixed amount per neighbour and per candidate, the
+#: numpy calls a fixed amount per visit; measured through ``one_pass`` on
+#: planted graphs the two break even near degree 48 (``pd``), 56
+#: (``ng``) and 72 (``bm``), see BENCH_8.json.
+LONG_ROW = 64
 
 
 def _short_rows(g):
@@ -185,20 +195,9 @@ def _short_rows(g):
     return rows
 
 
-def _long_row_sums(comms, weights):
-    """``{community: summed weight}`` of one row, in ascending community
-    order.  A stable sort keeps each community's weights in row order, so
-    ``np.bincount`` adds them in the order the dict path of
-    :func:`one_pass` does and the sums agree to the bit."""
-    perm = comms.argsort(kind="stable")
-    comms = comms[perm]
-    first = np.empty(comms.size, dtype=bool)
-    first[0] = True
-    np.not_equal(comms[1:], comms[:-1], out=first[1:])
-    sums = np.bincount(first.cumsum() - 1, weights=weights[perm])
-    return dict(zip(comms[first].tolist(), sums.tolist()))
-
-
+# Overflowing weights give inf/NaN gains on the numpy branch as in the
+# scalar gain, silently; the quality check of ``run`` reports them.
+@np.errstate(over="ignore", invalid="ignore")
 def one_pass(g, cfg, st, rng=None):
     """Greedy local optimization on one graph level.
 
@@ -215,11 +214,21 @@ def one_pass(g, cfg, st, rng=None):
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
-    when the pass ends (also when it raises), and scores candidates with
-    the criterion's scalar gain.  A row of at most :data:`LONG_ROW`
-    neighbours sums its neighbour communities in a dict, a longer one
-    with numpy; both add a row's weights in row order, so the result is
-    bit-identical whichever path a row takes.
+    when the pass ends (also when it raises).  A visit takes one of two
+    branches:
+
+    - a row of at most :data:`LONG_ROW` neighbours sums its neighbour
+      communities in a dict and scores them one by one with the
+      criterion's scalar gain;
+    - a longer row sums them with ``np.bincount``, finds the distinct
+      ones by a sort, and scores all but the own community with one call
+      of the same gain over an index array; the first maximum wins if it
+      beats the own community's gain.  ``st``'s numpy accumulators feed
+      that call; on a graph with a long row each visit writes the slots
+      it changed back into them.
+
+    Both branches add a row's weights in row order and evaluate the same
+    formula, so the result is bit-identical whichever branch a row takes.
     """
     n = g.n
     order = np.arange(n)
@@ -233,6 +242,13 @@ def one_pass(g, cfg, st, rng=None):
     part_np = st.part  # kept current for the long rows' numpy lookups
     indptr, nbr, wgt = g.indptr.tolist(), g.nbr, g.wgt
     free = [n]  # stack of empty community ids; slot n starts unused
+    if None in rows:
+        # st's arrays stay current slot by slot for the vector gain.
+        pairs = tuple(zip((st.in_w, st.tot, st.sz, st.aux),
+                          (ls.in_w, ls.tot, ls.sz, ls.aux)))
+        vgain = st.crit.gain_fn(st)
+    else:
+        pairs = ()
 
     sweeps = 0
     total_moves = 0
@@ -251,28 +267,48 @@ def one_pass(g, cfg, st, rng=None):
                 row = rows[i]
                 if row is None:
                     lo, hi = indptr[i], indptr[i + 1]
-                    sums = _long_row_sums(part_np[nbr[lo:hi]], wgt[lo:hi])
+                    comms = part_np[nbr[lo:hi]]
+                    # bincount adds each community's weights in row
+                    # order, as the dict below does.
+                    sums = np.bincount(comms, wgt[lo:hi])
+                    dw_old = float(sums[c_old]) if c_old < sums.size else 0.0
+                    comms.sort()
+                    keep = comms != c_old
+                    keep[1:] &= comms[1:] != comms[:-1]
+                    cands = comms[keep]
                 else:
                     sums = {}
                     for j, w in zip(*row):
                         c = part[j]
                         sums[c] = sums.get(c, 0.0) + w
-                dw_old = sums.pop(c_old, 0.0)
+                    dw_old = sums.pop(c_old, 0.0)
 
                 ls.remove(i, c_old, dw_old)
 
                 best, best_dw = c_old, dw_old
                 top = gain(i, c_old, dw_old)
-                for c, dw in sums.items():
-                    x = gain(i, c, dw)
-                    # Ties go to the lower id, never away from c_old.
-                    if x > top or (x == top and c < best != c_old):
-                        best, best_dw, top = c, dw, x
+                if row is not None:
+                    for c, dw in sums.items():
+                        x = gain(i, c, dw)
+                        # Ties go to the lower id, never away from c_old.
+                        if x > top or (x == top and c < best != c_old):
+                            best, best_dw, top = c, dw, x
+                elif cands.size:
+                    # Ascending ids: the first maximum is the lowest id.
+                    dws = sums[cands]
+                    x = vgain(i, cands, dws)
+                    k = x.argmax()
+                    if x[k] > top:
+                        best, best_dw, top = (int(cands[k]), float(dws[k]),
+                                              float(x[k]))
                 spare = free[-1] if sz[c_old] > 0 else -1
                 if spare >= 0 and gain(i, spare, 0.0) > top:
                     best, best_dw = spare, 0.0
 
                 ls.insert(i, best, best_dw)
+                for arr, lst in pairs:
+                    arr[c_old] = lst[c_old]
+                    arr[best] = lst[best]
 
                 if best != c_old:
                     part_np[i] = best

@@ -29,15 +29,30 @@ def lines(source):
         try:
             yield from zip(count, fh)
         except UnicodeDecodeError as exc:
+            line_no = next(count) - 1
+            if fh is not source:
+                # A path: count from the file's start, because the text
+                # layer may hold back a lone \r that ends the last chunk
+                # and is then in neither the lines nor ``exc.object``.
+                with open(source, "rb") as raw:
+                    try:
+                        raw.read().decode("utf-8")
+                    except UnicodeDecodeError as whole:
+                        exc, line_no = whole, 1
             # Universal newlines: \r\n, a lone \r and \n end a line.
             head = exc.object[:exc.start].decode("utf-8")
-            line_no = next(count) - 1 + len(re.findall(r"\r\n?|\n", head))
+            line_no += len(re.findall(r"\r\n?|\n", head))
             raise ParseError(line_no,
                              f"not UTF-8 text ({exc.reason})") from None
 
 
 def graph_from_edges(n, edges):
-    """One Python pass over ``(i, j, w)`` triples, then scipy COO -> CSR."""
+    """One Python pass over ``(i, j, w)`` triples, then scipy COO -> CSR.
+
+    Each edge enters the COO input as ``(i, j)`` directly followed by
+    ``(j, i)``, so both rows of a pair add its duplicates in line order
+    (scipy keeps the input order of a row's duplicates on rows of up to
+    16 entries)."""
     srcs, dsts, ws = [], [], []
     loop = np.zeros(n, dtype=np.float64)
     for i, j, w in edges:
@@ -53,10 +68,11 @@ def graph_from_edges(n, edges):
     ws = np.asarray(ws, dtype=np.float64)
     if not (np.isfinite(ws).all() and np.isfinite(loop).all()):
         raise LouvainError("edge weights must be finite")
+    rows = [v for pair in zip(srcs, dsts) for v in pair]
+    cols = [v for pair in zip(dsts, srcs) for v in pair]
     a = sp.coo_matrix(
-        (np.concatenate([ws, ws]),
-         (np.asarray(srcs + dsts, dtype=np.int64),
-          np.asarray(dsts + srcs, dtype=np.int64))),
+        (np.repeat(ws, 2), (np.asarray(rows, dtype=np.int64),
+                            np.asarray(cols, dtype=np.int64))),
         shape=(n, n),
     ).tocsr()
     a.sum_duplicates()

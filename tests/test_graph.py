@@ -54,20 +54,29 @@ def test_duplicate_edges_add_in_input_order():
     edges = [edges[k] for k in rng.permutation(len(edges))]
     edges = [(j, i, w) if rng.random() < 0.3 else (i, j, w)
              for i, j, w in edges]
-    # Entry (i, j): the edges given as i, j, then those given as j, i.
+    # Entries (i, j) and (j, i): the edges of the pair in line order.
     ref = {}
     for i, j, w in edges:
         ref[i, j] = ref.get((i, j), 0.0) + w
-    for i, j, w in edges:
         ref[j, i] = ref.get((j, i), 0.0) + w
     g = Graph.from_edges(21, edges)
     got = {(i, int(j)): float(w) for i in range(21)
            for j, w in zip(*g.neighbors(i))}
     assert got == ref
+    dense = g.dense()
+    assert dense.tobytes() == dense.T.tobytes()
+    # The check above sees the order: the sorted order and the old rule
+    # (the i, j lines, then the j, i lines) give other sums.
     in_sorted_order = {key: sum(sorted(w for i, j, w in edges
                                        if {i, j} == set(key)))
                        for key in ref}
-    assert in_sorted_order != ref  # the check above sees the order
+    assert in_sorted_order != ref
+    one_way_first = {}
+    for flip in (False, True):
+        for i, j, w in edges:
+            key = (j, i) if flip else (i, j)
+            one_way_first[key] = one_way_first.get(key, 0.0) + w
+    assert one_way_first != ref
 
 
 @pytest.mark.parametrize("size", [50, 1000, 2 ** 62],
@@ -109,7 +118,13 @@ def test_adjacency_symmetric():
     rng = np.random.default_rng(0)
     g = synth.random_graph(25, 0.3, weighted=True, loops=True, rng=rng)
     dense = g.dense()
-    assert np.allclose(dense, dense.T)
+    assert dense.tobytes() == dense.T.tobytes()
+    # Duplicate lines of each pair, given either way round.
+    src, dst = rng.integers(0, 25, 600), rng.integers(0, 25, 600)
+    dense = Graph.from_arrays(25, src, dst, rng.uniform(0, 1, 600)).dense()
+    assert dense.tobytes() == dense.T.tobytes()
+    g = Graph.from_edges(2, [(0, 1, 0.001), (1, 0, 0.001), (0, 1, 7.0)])
+    assert g.dense().tolist() == [[0.0, 7.002], [7.002, 0.0]]
 
 
 def test_dense_matches_loop_built_matrix():

@@ -1,13 +1,17 @@
 """Optimizer behavior: sweeps, hierarchy, determinism, quality bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from anylouvain import (Graph, LouvainError, RunConfig, compose_flat,
                         datasets, detect, exact_optimum, make_criterion,
                         one_pass, relational_total, run)
+from anylouvain import louvain
 
 from conftest import compatible_graph, two_triangles
+from test_golden import CASES as GOLDEN_CASES, golden_graphs
 
 
 def test_config_validation():
@@ -179,3 +183,44 @@ def test_non_finite_quality_raises(cid):
     g = Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (2, 0, 1e308)])
     with pytest.raises(LouvainError, match="overflow"):
         detect(g, RunConfig(criterion=cid))
+
+
+def _runs(g, crit_id, alpha):
+    """Labels, quality, sweeps and moves of ``detect`` for seeds 0-2."""
+    out = []
+    for seed in range(3):
+        h = detect(g, RunConfig(criterion=crit_id, alpha=alpha, seed=seed))
+        out.append((h.flat.tolist(), h.quality,
+                    [(lv.sweeps, lv.moves, lv.kappa, lv.quality)
+                     for lv in h.levels]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return golden_graphs()
+
+
+@pytest.mark.parametrize("graph,crit_id,alpha", GOLDEN_CASES,
+                         ids=[f"{g}-{c}" for g, c, _ in GOLDEN_CASES])
+def test_vector_branch_matches_scalar_branch(monkeypatch, graphs, graph,
+                                             crit_id, alpha):
+    # LONG_ROW 0 sends every non-empty row, on every level, down the
+    # numpy branch; at n no row of any level is long.
+    g = graphs[graph]
+    monkeypatch.setattr(louvain, "LONG_ROW", 0)
+    vector = _runs(g, crit_id, alpha)
+    monkeypatch.setattr(louvain, "LONG_ROW", g.n)
+    scalar = _runs(g, crit_id, alpha)
+    assert vector == scalar
+
+
+@pytest.mark.parametrize("cid", ["ng", "bm", "g", "pd"])
+def test_vector_branch_overflow_fails_without_warnings(monkeypatch, cid):
+    monkeypatch.setattr(louvain, "LONG_ROW", 0)
+    star = [(0, j, 1e308) for j in range(1, 6)] + [(1, 2, 1e308)]
+    g = Graph.from_edges(6, star)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LouvainError, match="overflow"):
+            detect(g, RunConfig(criterion=cid))

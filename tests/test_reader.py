@@ -257,6 +257,18 @@ def test_bad_byte_line_after_lone_cr_in_text_wrapper(tmp_path):
         assert err.value.line_no == 4
 
 
+@pytest.mark.parametrize("data", [b"\r\xc3", b"a b\r\xc3", b"a b\n\r\xff"])
+def test_bad_byte_after_lone_cr_in_path(tmp_path, data):
+    # A text wrapper's decoder holds the lone \r back until the bad byte
+    # fails; the reference must still count it for a path.
+    path = tmp_path / "g.edges"
+    path.write_bytes(data)
+    for read in (read_edge_list, line_reader.read_edge_list):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert err.value.line_no == data.count(b"\n") + 2
+
+
 def test_bad_byte_line_across_path_blocks(tmp_path):
     path = tmp_path / "g.edges"
     path.write_bytes(b"a b\r\n" * 3000 + b"a b\r" * 3000 + b"\xfe b\n")
