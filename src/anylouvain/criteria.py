@@ -173,7 +173,8 @@ class Criterion:
         """Validate that this criterion is defined on ``g`` (raises)."""
 
     def pretreat(self, g):
-        """Transform a level-0 graph before optimizing (identity here)."""
+        """Transform a level-0 graph before optimizing (identity here).
+        A graph already pretreated for this criterion comes back as is."""
         return g
 
     def init(self, g):
@@ -412,6 +413,8 @@ class Marcotorchino(Criterion):
                 "wc: graph must be transformed with pretreat() first")
 
     def pretreat(self, g):
+        if g.consts.extra.get("pretreated") == self.id:
+            return g
         if not (np.all(g.wgt == 1.0)
                 and np.all((g.loop == 0.0) | (g.loop == 1.0))):
             raise WeightedInputNotSupported(
@@ -614,6 +617,8 @@ class ProfileDifference(Criterion):
                 "pd: graph must be transformed with pretreat() first")
 
     def pretreat(self, g):
+        if g.consts.extra.get("pretreated") == self.id:
+            return g
         d = g.degrees
         if np.any(d == 0.0):
             raise ZeroDegreeNode(

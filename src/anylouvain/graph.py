@@ -56,8 +56,10 @@ class Graph:
     n : int
         Number of nodes.
     indptr, nbr, wgt : ndarray
-        CSR adjacency over off-diagonal neighbors only; symmetric, so every
-        edge {i, j} appears in both rows with the same weight.
+        CSR adjacency over off-diagonal neighbors only; symmetric to the
+        bit at every level, so every edge {i, j} appears in both rows with
+        the same weight (one sum, added in the order that
+        :meth:`from_arrays` and :func:`aggregate` state).
     loop : ndarray of float
         Self-loop weight per node (0 when absent).  A loop contributes once
         to the node's weighted degree and once to the total mass ``two_m``.
@@ -139,23 +141,13 @@ class Graph:
             k = neg[0]
             raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has weight "
                                  f"{w[k]}")
-        off = src != dst
-        # bincount adds the loop weights in edge order, one at a time.
-        loop = np.bincount(src[~off], weights=w[~off], minlength=n)
-        if not (np.isfinite(w).all() and np.isfinite(loop).all()):
+        if not np.isfinite(w).all():
             raise LouvainError("edge weights must be finite")
-        src, dst = src[off], dst[off]
-        # Each edge's two keys side by side: both rows see the edges of
-        # a pair in array order.
-        keys = np.stack([src * n + dst, dst * n + src], axis=1).ravel()
-        del src, dst  # freed before the sort
-        keys, wgt = _key_sums(
-            keys, np.stack([w[off], w[off]], axis=1).ravel(), n * n)
-        rows = keys // n
-        nbr = np.remainder(keys, n, out=keys)
-        return cls(n, _indptr(rows, n), nbr, wgt, loop,
-                   np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.float64),
-                   rows=rows)
+        indptr, nbr, wgt, loop, rows = _csr(n, src, dst, w)
+        if not np.isfinite(loop).all():
+            raise LouvainError("edge weights must be finite")
+        return cls(n, indptr, nbr, wgt, loop, np.ones(n, dtype=np.int64),
+                   np.zeros(n, dtype=np.float64), rows=rows)
 
     def replace_weights(self, wgt, loop, *, aux=None, extra=None):
         """Same topology with new edge weights, for pretreatments: a
@@ -168,10 +160,6 @@ class Graph:
 
     # -- basic accessors ----------------------------------------------
 
-    def degree(self, i):
-        """Weighted degree ``d_i``: incident edge weights plus the loop."""
-        return float(self.degrees[i])
-
     def neighbors(self, i):
         """Views of neighbor ids and weights of node ``i`` (no loop)."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -181,11 +169,6 @@ class Graph:
     def edge_count(self):
         """Number of distinct edges, self-loops included."""
         return int(self.nbr.size // 2 + np.count_nonzero(self.loop))
-
-    @property
-    def total_weight(self):
-        """Sum of edge weights, each edge and loop counted once."""
-        return float(self.wgt.sum() / 2.0 + self.loop.sum())
 
     def is_level0(self):
         return bool(np.all(self.size == 1))
@@ -261,34 +244,45 @@ def aggregate(g, labels, kappa=None):
     unchanged, so every criterion evaluates identically on the coarse
     graph.
 
+    For ``C <= D`` the entries ``(i, j)``, ``i`` in C and ``j`` in D, are
+    added in CSR order (``i``, then ``j`` ascending) and the one sum goes
+    to both rows, so the meta-graph is symmetric to the bit.  Member
+    loops are added to the meta self-loop last, in node order.
+
     ``labels`` must be compact (ids ``0..kappa-1``, all non-empty).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if kappa is None:
         kappa = int(labels.max()) + 1 if labels.size else 0
-    n = g.n
-    # The adjacency with each loop at the end of its row: the entry
-    # order of scipy's ``proj.T @ A @ proj``, whose sums this repeats
-    # bit for bit, as meta[C, D] = sum_{j in D} sum_{k in C} A[k, j]
-    # with j and k ascending.
-    has = g.loop != 0
-    at = g.indptr[1:][has]
-    cols = np.insert(g.nbr, at, np.flatnonzero(has))
-    w = np.insert(g.wgt, at, g.loop[has])
-    keys = np.repeat(labels * n, np.diff(g.indptr) + has)
-    keys += cols
-    keys, w = _key_sums(keys, w, kappa * n)  # per (C, j), k ascending
-    c, j = np.divmod(keys, n)
-    keys, w = _key_sums(c * kappa + labels[j], w, kappa * kappa)
+    keys = np.repeat(labels * kappa, np.diff(g.indptr))
+    keys += labels[g.nbr]
+    keys, w = _key_sums(keys, g.wgt, kappa * kappa)
     c, d = np.divmod(keys, kappa)
-    on_diag = c == d
-    loop = np.zeros(kappa, dtype=np.float64)
-    loop[c[on_diag]] = w[on_diag]
-    rows, cols, w = c[~on_diag], d[~on_diag], w[~on_diag]
+    half = c <= d
+    indptr, nbr, wgt, loop, rows = _csr(kappa, c[half], d[half], w[half])
+    loop = loop + np.bincount(labels, weights=g.loop, minlength=kappa)
     size = np.bincount(labels, weights=g.size, minlength=kappa)
     aux = np.bincount(labels, weights=g.aux, minlength=kappa)
-    return Graph(kappa, _indptr(rows, kappa), cols, w, loop,
-                 size.astype(np.int64), aux, g.consts, rows=rows)
+    return Graph(kappa, indptr, nbr, wgt, loop, size.astype(np.int64), aux,
+                 g.consts, rows=rows)
+
+
+def _csr(n, src, dst, w):
+    """``(indptr, nbr, wgt, loop, rows)`` of the edges ``src``-``dst``
+    weighted ``w`` over nodes ``0..n-1``, summed as
+    :meth:`Graph.from_arrays` states; ``rows`` is each entry's row."""
+    off = src != dst
+    loop = np.bincount(src[~off], weights=w[~off], minlength=n)
+    src, dst = src[off], dst[off]
+    # Each edge's two keys side by side: both rows see the edges of a
+    # pair in array order.
+    keys = np.stack([src * n + dst, dst * n + src], axis=1).ravel()
+    del src, dst  # freed before the sort
+    keys, wgt = _key_sums(
+        keys, np.stack([w[off], w[off]], axis=1).ravel(), n * n)
+    rows = keys // n
+    nbr = np.remainder(keys, n, out=keys)
+    return _indptr(rows, n), nbr, wgt, loop, rows
 
 
 def _indptr(rows, n):

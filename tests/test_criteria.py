@@ -4,8 +4,9 @@ evaluator, checked against hand values and the brute-force oracle."""
 import numpy as np
 import pytest
 
-from anylouvain import (Graph, datasets, delta_oracle, make_criterion,
-                        relational_total, singleton_labels, synth)
+from anylouvain import (Graph, RunConfig, datasets, delta_oracle, detect,
+                        make_criterion, relational_total, singleton_labels,
+                        synth)
 from anylouvain.errors import (LouvainError, NodeAlreadyPlaced,
                                NodeNotInCommunity, NotPluggable,
                                UnknownCommunity, WeightedInputNotSupported,
@@ -43,6 +44,17 @@ def test_wc_pretreat_triangle_adds_loops():
     assert np.allclose(g.wgt, 1.0 / 3.0)
     assert np.allclose(g.loop, 1.0 / 3.0)  # unit loop over degree 3
     assert np.allclose(g.aux, g.loop)
+
+
+@pytest.mark.parametrize("cid", ["wc", "pd"])
+def test_detect_on_pretreated_graph_repeats_run(cid):
+    g, _ = datasets.karate_club()
+    gw = make_criterion(cid).pretreat(g)
+    assert make_criterion(cid).pretreat(gw) is gw
+    cfg = RunConfig(criterion=cid, seed=1)
+    a, b = detect(g, cfg), detect(gw, cfg)
+    assert np.array_equal(a.flat, b.flat)
+    assert a.quality.hex() == b.quality.hex()
 
 
 def test_ng_pretreat_is_identity():
@@ -146,7 +158,7 @@ def test_ng_insert_updates_tot():
                              (1, 2, 1), (1, 3, 1), (1, 4, 1),
                              (2, 3, 1), (2, 4, 1), (3, 4, 1)])
     st = make_criterion("ng").state_from_labels(g, np.array([0, 1, 1, 1, 2]))
-    assert g.degree(0) == 4.0
+    assert g.degrees[0] == 4.0
     assert st.tot[1] == pytest.approx(12.0)
     st.remove(4, 2, 0.0)
     st.insert(4, 1, 3.0)

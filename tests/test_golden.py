@@ -7,9 +7,11 @@ default ``RunConfig``.  The per-level quality is the accumulator total
 after that level's pass, so a last-bit change in any pass shows even
 when the final level hides it.  The graphs are karate, a weighted random graph with
 self-loops, and a planted graph whose rows lie on both sides of
-``louvain.LONG_ROW``, unweighted and weighted.  It was generated from commit 69e25e1,
-whose local-move pass scored candidates with one vectorized numpy call
-per visit, by running this file as a script against that checkout::
+``louvain.LONG_ROW``, unweighted and weighted.  It was regenerated when
+``aggregate`` began to sum each community pair once, in CSR order, into
+both rows: every label, sweep, move and kappa stayed the same, and only
+quality bits moved (28 final values, at most 2.8e-14 relative, all on
+non-integer weights).  Run this file as a script against a checkout::
 
     PYTHONPATH=<checkout>/src python tests/test_golden.py
 

@@ -25,7 +25,7 @@ def test_simple_path():
 def test_duplicate_edges_summed():
     g, _ = parse("a b 2\na b 3\n")
     assert g.edge_count == 1
-    assert g.total_weight == pytest.approx(5.0)
+    assert g.wgt.sum() / 2 + g.loop.sum() == pytest.approx(5.0)
 
 
 def test_comments_blank_lines_weights():
