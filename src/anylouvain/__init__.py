@@ -19,7 +19,6 @@ from .criteria import (
     EXPERIMENT_CRITERIA,
     LINEAR_CRITERIA,
     Criterion,
-    CriterionState,
     as_criterion,
     make_criterion,
     relational_total,
@@ -41,9 +40,7 @@ from .errors import (
     ZeroEdgeMass,
 )
 from .graph import (
-    SENTINEL,
     Graph,
-    Level0Constants,
     aggregate,
     compact_labels,
     neighbor_community_weights,

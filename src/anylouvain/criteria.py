@@ -37,7 +37,13 @@ Accumulators per community C (all criteria share one state layout):
 - ``tot[C]``: summed weighted degrees;
 - ``sz[C]``: summed node sizes (level-0 node count);
 - ``aux[C]``: summed per-node auxiliary constants;
-- ``kappa``: number of non-empty communities.
+- ``kappa``: number of non-empty communities, derived from ``sz``
+  (``remove`` and ``insert`` do not count it).
+
+Both evaluation paths, :meth:`CriterionState.total` and
+:meth:`Criterion.relational`, raise :class:`LouvainError` on a NaN or
+infinite quality, which finite weights give when their sums overflow
+float64; callers do not check again.
 
 Criteria defined on a transformed weight matrix (``wc``, ``pd``) expose a
 ``pretreat`` step that rewrites the level-0 weights once, before the
@@ -73,12 +79,13 @@ class CriterionState:
     and ``insert`` are exact inverses with the same arguments.  The
     accumulators are numpy arrays, or Python lists in the copy that
     :meth:`as_lists` makes for one optimizer pass; ``remove``, ``insert``
-    and ``gain`` only index them, so they work on either.
+    and ``gain`` only index them, so they work on either.  ``kappa`` is
+    derived from the sizes, not kept.
     """
 
-    __slots__ = ("crit", "g", "part", "in_w", "tot", "sz", "aux", "kappa")
+    __slots__ = ("crit", "g", "part", "in_w", "tot", "sz", "aux")
 
-    def __init__(self, crit, g, part, in_w, tot, sz, aux, kappa):
+    def __init__(self, crit, g, part, in_w, tot, sz, aux):
         self.crit = crit
         self.g = g
         self.part = part
@@ -86,7 +93,11 @@ class CriterionState:
         self.tot = tot
         self.sz = sz
         self.aux = aux
-        self.kappa = kappa
+
+    @property
+    def kappa(self):
+        """Number of non-empty communities."""
+        return int(np.count_nonzero(self.sz))
 
     def remove(self, i, c, dw):
         """Take node ``i`` out of community ``c``; ``dw = d_w(i, c)``."""
@@ -97,8 +108,6 @@ class CriterionState:
         self.tot[c] -= g.degrees[i]
         self.sz[c] -= g.size[i]
         self.aux[c] -= g.aux[i]
-        if self.sz[c] == 0:
-            self.kappa -= 1
         self.part[i] = SENTINEL
 
     def insert(self, i, c, dw):
@@ -106,8 +115,6 @@ class CriterionState:
         if self.part[i] != SENTINEL:
             raise NodeAlreadyPlaced(f"node {i} is already in a community")
         g = self.g
-        if self.sz[c] == 0:
-            self.kappa += 1
         self.in_w[c] += 2.0 * dw + g.loop[i]
         self.tot[c] += g.degrees[i]
         self.sz[c] += g.size[i]
@@ -136,23 +143,22 @@ class CriterionState:
                                 aux=g.aux.tolist())
         return CriterionState(self.crit, nodes, self.part.tolist(),
                               self.in_w.tolist(), self.tot.tolist(),
-                              self.sz.tolist(), self.aux.tolist(),
-                              self.kappa)
+                              self.sz.tolist(), self.aux.tolist())
 
     def assign(self, other):
         """Overwrite the partition and accumulators with ``other``'s
-        (e.g. the list copy of :meth:`as_lists`), in place; ``kappa`` is
-        recounted from the sizes."""
+        (e.g. the list copy of :meth:`as_lists`), in place."""
         self.part[:] = other.part
         self.in_w[:] = other.in_w
         self.tot[:] = other.tot
         self.sz[:] = other.sz
         self.aux[:] = other.aux
-        self.kappa = int(np.count_nonzero(self.sz))
 
     def total(self):
-        """Exact quality of the partition held by this state."""
-        return self.crit.total(self)
+        """Exact quality of the partition held by this state; raises
+        :class:`LouvainError` if it is NaN or infinite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self.crit.total(self))
 
     def live(self):
         """Boolean mask of non-empty community slots."""
@@ -203,8 +209,7 @@ class Criterion:
         aux = np.bincount(labels, weights=g.aux,
                           minlength=slots).astype(np.float64)
         return CriterionState(self, g, labels.copy(), in_w, tot,
-                              sz.astype(np.int64), aux,
-                              kappa=int(np.count_nonzero(sz)))
+                              sz.astype(np.int64), aux)
 
     def gain_fn(self, st):
         """The criterion's gain over the accumulators of ``st``.
@@ -233,7 +238,8 @@ class Criterion:
         ordered node pairs in row blocks of the dense weight matrix.
         ``labels`` is one partition, shape ``(n,)``, which gives a float,
         or a stack of ``P`` partitions, shape ``(P, n)``, which gives a
-        length-``P`` array scored in one batched pass.
+        length-``P`` array scored in one batched pass.  Raises
+        :class:`LouvainError` if any quality is NaN or infinite.
         """
         if not g0.is_level0():
             raise ValueError("pairwise evaluation needs a level-0 graph")
@@ -242,15 +248,27 @@ class Criterion:
                 or (labels.size and labels.min() < 0)):
             raise ValueError("labels must assign every node a community")
         self.check(g0)
-        f = self._relational(g0, labels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = self._relational(g0, labels)
         # With no nodes there is no row block and f is the scalar 0.
-        return float(f) if labels.ndim == 1 else np.full(len(labels), f)
+        return _finite(float(f) if labels.ndim == 1
+                       else np.full(len(labels), f))
 
     def _relational(self, g0, labels):
         raise NotImplementedError
 
     def __repr__(self):
         return f"<criterion {self.id}>"
+
+
+def _finite(q):
+    """``q``, a quality or an array of them, if every value is finite;
+    else raises :class:`LouvainError` naming the first bad one."""
+    ok = np.isfinite(q)
+    if not ok.all():
+        raise LouvainError(f"quality is {np.ravel(q)[np.argmin(ok)]}: the "
+                           "edge weights overflow float64 arithmetic")
+    return q
 
 
 def _blocks(g, labels):
@@ -268,7 +286,7 @@ def _rescaled(g, d, loop):
     ``h_ii = loop_i / d_i`` of its loops, for the degrees ``d``.
 
     Degrees that overflow give non-finite weights, which the quality
-    check of ``run`` and ``eval`` reports."""
+    check of ``total`` and ``relational`` reports."""
     d_row = np.repeat(d, np.diff(g.indptr))  # d_i of each entry's row i
     with np.errstate(over="ignore", invalid="ignore"):
         return 2.0 * g.wgt / (d_row + d[g.nbr]), loop / d

@@ -90,17 +90,17 @@ class Graph:
         self.aux = np.asarray(aux, dtype=np.float64)
         if rows is None:
             rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        deg = np.bincount(rows, weights=self.wgt,
-                          minlength=self.n).astype(np.float64)
-        self.degrees = deg + self.loop
-        if consts is None:
-            # A mass that overflows is left infinite: the quality check
-            # of ``run`` and ``eval`` reports it.
-            with np.errstate(over="ignore"):
+        deg = np.bincount(rows, weights=self.wgt, minlength=self.n)
+        # Sums that overflow are left infinite: the criteria's quality
+        # check reports them.
+        with np.errstate(over="ignore"):
+            self.degrees = deg + self.loop
+            if consts is None:
                 two_m = float(self.wgt.sum() + self.loop.sum())
-            w_all = np.concatenate([self.wgt, self.loop[self.loop > 0]])
-            w_max = float(w_all.max()) if w_all.size else 1.0
-            consts = Level0Constants(n0=self.n, two_m=two_m, w_max=w_max)
+                w_all = np.concatenate([self.wgt, self.loop[self.loop > 0]])
+                w_max = float(w_all.max()) if w_all.size else 1.0
+                consts = Level0Constants(n0=self.n, two_m=two_m,
+                                         w_max=w_max)
         self.consts = consts
 
     # -- construction -------------------------------------------------
@@ -144,8 +144,6 @@ class Graph:
         if not np.isfinite(w).all():
             raise LouvainError("edge weights must be finite")
         indptr, nbr, wgt, loop, rows = _csr(n, src, dst, w)
-        if not np.isfinite(loop).all():
-            raise LouvainError("edge weights must be finite")
         return cls(n, indptr, nbr, wgt, loop, np.ones(n, dtype=np.int64),
                    np.zeros(n, dtype=np.float64), rows=rows)
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .criteria import as_criterion
-from .errors import ConfigError, LouvainError, SweepCapExceeded
+from .errors import ConfigError, SweepCapExceeded
 from .graph import Graph, aggregate, compact_labels
 
 __all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "run", "detect",
@@ -196,7 +196,7 @@ def _short_rows(g):
 
 
 # Overflowing weights give inf/NaN gains on the numpy branch as in the
-# scalar gain, silently; the quality check of ``run`` reports them.
+# scalar gain, silently; the quality check of ``total`` reports them.
 @np.errstate(over="ignore", invalid="ignore")
 def one_pass(g, cfg, st, rng=None):
     """Greedy local optimization on one graph level.
@@ -331,7 +331,7 @@ def run(g0, cfg):
     (see :func:`detect` for the turnkey version).  Levels are recorded
     until a pass moves nothing or the level's quality improvement drops
     to ``cfg.precision`` or below.  A level whose quality is NaN or
-    infinite raises :class:`LouvainError`.
+    infinite raises :class:`LouvainError` (:meth:`CriterionState.total`).
     """
     crit = as_criterion(cfg.criterion, cfg.alpha)
     rng = np.random.default_rng(cfg.seed)
@@ -342,12 +342,7 @@ def run(g0, cfg):
     while True:
         st = crit.init(g)
         res = one_pass(g, cfg, st, rng)
-        with np.errstate(over="ignore", invalid="ignore"):
-            quality = st.total()
-        if not math.isfinite(quality):
-            raise LouvainError(
-                f"level {len(h.levels)} quality is {quality}: the edge "
-                "weights overflow float64 arithmetic")
+        quality = st.total()
         labels, kappa = compact_labels(res.labels)
         h.levels.append(Level(g, labels, quality, kappa,
                               res.sweeps, res.moves))

@@ -116,6 +116,13 @@ def test_oz_alpha_rejected_before_io(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_bench_oz_alpha_rejected_before_io(tmp_path, capsys):
+    missing = str(tmp_path / "does-not-exist.edges")
+    assert main(["bench", missing, "--criteria", "ng,oz"]) == 1
+    captured = capsys.readouterr()
+    assert "oz requires alpha" in captured.err and captured.out == ""
+
+
 def test_not_pluggable_criteria_rejected(karate_file, capsys):
     for cid, why in (("mg", "not pluggable"), ("sm", "not pluggable"),
                      ("md", "not pluggable")):
@@ -184,11 +191,14 @@ def test_detect_bad_config_fails_cleanly(karate_file, capsys, flag, value):
 
 # Finite weights whose sums overflow float64 (2m is infinite, or the
 # squared degrees are); the runs used to print a nan or -inf quality and
-# exit 0, and then numpy's overflow warnings before the error line.
+# exit 0, and then numpy's overflow warnings before the error line.  A
+# loop sum that overflows (loops) follows the same rule as an edge sum.
 OVERFLOW_INPUTS = {
     "1e308": ("a b 1e308\nb c 1e308\nc a 1e308\n", "a\t0\nb\t0\nc\t0\n"),
     "1e160": ("a b 1e160\nb c 1e160\nc a 1e160\nc d 1\n",
               "a\t0\nb\t0\nc\t0\nd\t1\n"),
+    "edge+loop": ("a b 1e308\na a 1e308\nb c 1\n", "a\t0\nb\t0\nc\t1\n"),
+    "loops": ("a a 1e308\na a 1e308\nb c 1\n", "a\t0\nb\t1\nc\t1\n"),
 }
 # pd divides each weight by its end degrees, so only degrees that
 # overflow (1e308) overflow its quality.
@@ -197,6 +207,9 @@ OVERFLOW_CASES = [(cid, command, weights)
                   for command in ("detect", "eval")
                   for weights in sorted(OVERFLOW_INPUTS)]
 OVERFLOW_CASES += [("pd", command, "1e308") for command in ("detect", "eval")]
+OVERFLOW_CASES += [(cid, "optimum", "1e308") for cid in ("ng", "zc", "pd")]
+OVERFLOW_CASES += [("ng", "optimum", weights)
+                   for weights in ("edge+loop", "loops")]
 
 
 @pytest.mark.parametrize("cid,command,weights", OVERFLOW_CASES)
@@ -212,6 +225,7 @@ def test_overflowing_quality_fails(tmp_path, capsys, cid, command, weights):
         assert main(args + ["--criterion", cid]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err
+    assert err.count("\n") == 1
 
 
 def test_non_utf8_edge_list_fails(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from anylouvain import (Graph, aggregate, compact_labels, datasets,
-                        neighbor_community_weights, singleton_labels)
+from anylouvain import (Graph, RunConfig, aggregate, compact_labels,
+                        datasets, detect, neighbor_community_weights,
+                        singleton_labels)
 from anylouvain.errors import LouvainError, NegativeWeight
 from anylouvain import graph, synth
 
@@ -105,6 +106,15 @@ def test_negative_weight_rejected():
 def test_non_finite_weight_rejected(w, loop):
     with pytest.raises(LouvainError, match="finite"):
         Graph.from_edges(2, [(0, 0 if loop else 1, w)])
+
+
+def test_loop_overflow_builds_and_fails_as_overflow():
+    # Finite loop weights whose sum overflows build an infinite loop, as
+    # an edge sum does, and the quality check reports the overflow.
+    g = Graph.from_edges(1, [(0, 0, 1e308), (0, 0, 1e308)])
+    assert g.loop[0] == np.inf
+    with pytest.raises(LouvainError, match="overflow"):
+        detect(g, RunConfig())
 
 
 @pytest.mark.parametrize("edges", [[(0, 2, 1.0)], [(2, 1, 1.0)],
