@@ -43,7 +43,6 @@ from .graph import (
     Graph,
     aggregate,
     compact_labels,
-    neighbor_community_weights,
     singleton_labels,
 )
 from .io import (

@@ -158,11 +158,6 @@ class Graph:
 
     # -- basic accessors ----------------------------------------------
 
-    def neighbors(self, i):
-        """Views of neighbor ids and weights of node ``i`` (no loop)."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.nbr[lo:hi], self.wgt[lo:hi]
-
     @property
     def edge_count(self):
         """Number of distinct edges, self-loops included."""
@@ -209,25 +204,6 @@ def compact_labels(labels):
     return inv.astype(np.int64), int(uniq.size)
 
 
-def neighbor_community_weights(g, i, labels):
-    """Incident weight of node ``i`` towards each adjacent community.
-
-    Returns a dict ``{community: d_w(i, community)}`` where
-    ``d_w(i, C) = sum_{j in C, j != i} w_ij``.  Communities with no
-    incident weight are omitted, except the node's own community (when
-    ``labels[i]`` is not :data:`SENTINEL`), which is always present.
-    """
-    nbrs, ws = g.neighbors(i)
-    out = {}
-    own = int(labels[i])
-    if own != SENTINEL:
-        out[own] = 0.0
-    for j, w in zip(nbrs, ws):
-        c = int(labels[j])
-        out[c] = out.get(c, 0.0) + float(w)
-    return out
-
-
 # -- coarsening --------------------------------------------------------
 
 
@@ -271,23 +247,18 @@ def _csr(n, src, dst, w):
     :meth:`Graph.from_arrays` states; ``rows`` is each entry's row."""
     off = src != dst
     loop = np.bincount(src[~off], weights=w[~off], minlength=n)
-    src, dst = src[off], dst[off]
+    if not off.all():
+        src, dst, w = src[off], dst[off], w[off]
     # Each edge's two keys side by side: both rows see the edges of a
     # pair in array order.
     keys = np.stack([src * n + dst, dst * n + src], axis=1).ravel()
-    del src, dst  # freed before the sort
-    keys, wgt = _key_sums(
-        keys, np.stack([w[off], w[off]], axis=1).ravel(), n * n)
+    del src, dst  # copies are freed before the sort
+    keys, wgt = _key_sums(keys, np.repeat(w, 2), n * n)
     rows = keys // n
     nbr = np.remainder(keys, n, out=keys)
-    return _indptr(rows, n), nbr, wgt, loop, rows
-
-
-def _indptr(rows, n):
-    """CSR row pointers of the ascending row ids ``rows``."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+    return indptr, nbr, wgt, loop, rows
 
 
 def _key_sums(keys, weights, size):

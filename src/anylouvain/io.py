@@ -1,4 +1,4 @@
-"""Reading edge lists and writing partitions.
+r"""Reading edge lists and writing partitions.
 
 Edge list format: one edge per line, ``src dst [weight]``, whitespace
 delimited; node labels are arbitrary non-whitespace tokens; ``#`` starts
@@ -7,9 +7,14 @@ self-loop.  Partition format: ``label<TAB>community`` with community ids
 dense from 0.  Labels survive round trips untouched; internal dense node
 ids never appear in files.
 
-Edge lists are read in blocks of whole lines.  Each block is split into
-tokens once, and a numpy scan of its code points counts the tokens of
-each line, so no Python loop runs per line or per edge.
+Edge lists are read in blocks of whole lines.  A numpy scan of a block's
+code points counts the tokens of each line, so no Python loop runs per
+line or per edge.  A block whose lines are all ``src dst``, whose bytes
+are all ASCII digits, `` ``, ``\t`` or ``\n``, and whose tokens are all
+canonical decimals (no leading zero unless the token is ``0``, at most 18
+digits) is parsed in C with one ``np.fromstring``, and only its distinct
+labels meet the label dict.  Every other block is split into tokens
+once.  Ids and ``Graph`` arrays are the same either way.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ _BLOCK = 1 << 20
 _SPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, 8192,
           8193, 8194, 8195, 8196, 8197, 8198, 8199, 8200, 8201, 8202, 8232,
           8233, 8239, 8287, 12288)
-_ASCII_SPACE = np.zeros(128, dtype=bool)
-_ASCII_SPACE[[c for c in _SPACE if c < 128]] = True
+#: ``bytes.translate`` table: 1 for an ASCII whitespace byte, else 0.
+_ASCII_SPACE = bytes(c < 128 and c in _SPACE for c in range(256))
 
 
 def _newlines(text):
@@ -145,6 +150,38 @@ class _Ids(dict):
         return i
 
 
+def _numeric_ids(enc, cp, space, starts, ids):
+    """The ids of the tokens of the ASCII block ``enc``, which begin at
+    ``starts``, parsed in C as the module docstring states; None when the
+    block does not qualify.  Only the distinct values, as ``str(v)`` in
+    order of first appearance, meet ``ids``."""
+    if enc.translate(None, b"0123456789 \t\n"):
+        return None
+    tail = ~space
+    tail[:-1] &= space[1:]
+    digits = np.flatnonzero(tail) + 1 - starts
+    # At most 18 digits, and no leading "0" but the token "0" itself.
+    if digits.max() > 18 or ((cp[starts] == 48) & (digits > 1)).any():
+        return None
+    vals = np.fromstring(enc, dtype=np.int64, sep=" ")
+    n = vals.size
+    if n != starts.size:
+        return None
+    top = int(vals.max())
+    if top < 4 * n:  # values index an array of size max + 1
+        uniq, idx = np.arange(top + 1), vals
+    else:
+        uniq, idx = np.unique(vals, return_inverse=True)
+    lut = np.full(uniq.size, n)  # each value's first position
+    np.minimum.at(lut, idx, np.arange(n))
+    seen = np.flatnonzero(lut < n)
+    seen = seen[np.argsort(lut[seen])]
+    names = map(str, uniq[seen].tolist())
+    lut[seen] = np.fromiter(map(ids.__getitem__, names), dtype=np.int64,
+                            count=seen.size)
+    return lut[idx]
+
+
 def _parse_block(text, line_no, ids):
     """The edges of one block as ``(pairs, w)``: ``pairs`` holds the
     ids of ``src, dst`` of each edge in turn, ``w`` the weights.
@@ -152,10 +189,10 @@ def _parse_block(text, line_no, ids):
     The block's first faulty line raises, as :func:`read_edge_list`
     describes.  ``line_no`` is the number of the block's first line.
     """
-    tokens = text.split()
-    if text.isascii():
-        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        space = _ASCII_SPACE.take(cp)
+    enc = text.isascii() and text.encode("ascii")
+    if enc:
+        cp = np.frombuffer(enc, dtype=np.uint8)
+        space = np.frombuffer(enc.translate(_ASCII_SPACE), dtype=bool)
     else:
         cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                            dtype=np.uint32)
@@ -169,8 +206,14 @@ def _parse_block(text, line_no, ids):
             and (starts[1::2] < ends).all()
             and (starts[2::2] > ends[:-1]).all()):
         # Every line is "src dst": line k holds tokens 2k and 2k + 1.
-        return (np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64,
-                            count=len(tokens)), np.ones(n_ends))
+        pairs = (_numeric_ids(enc, cp, space, starts, ids)
+                 if enc and starts.size else None)
+        if pairs is None:
+            tokens = text.split()
+            pairs = np.fromiter(map(ids.__getitem__, tokens),
+                                dtype=np.int64, count=len(tokens))
+        return pairs, np.ones(n_ends)
+    tokens = text.split()
     counts = np.bincount(np.searchsorted(ends, starts),
                          minlength=n_ends + 1)
     lead = np.cumsum(counts) - counts  # a line's first token

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anylouvain import Graph, make_criterion, synth
+from anylouvain.graph import SENTINEL
 
 # (id, alpha) pairs covering every shipped criterion.
 ALL_CRITERIA = [
@@ -50,3 +51,30 @@ def compatible_graph(crit, rng, *, n_max=20, p=0.4):
         if crit.id in ("pd", "wc") and np.any(g.degrees == 0):
             continue
         return g
+
+
+def neighbors(g, i):
+    """Views of neighbor ids and weights of node ``i`` (no loop)."""
+    lo, hi = g.indptr[i], g.indptr[i + 1]
+    return g.nbr[lo:hi], g.wgt[lo:hi]
+
+
+def neighbor_community_weights(g, i, labels):
+    """Incident weight of node ``i`` towards each adjacent community,
+    one Python step per neighbor: the reference for the optimizer's
+    vectorized sums.
+
+    Returns a dict ``{community: d_w(i, community)}`` where
+    ``d_w(i, C) = sum_{j in C, j != i} w_ij``.  Communities with no
+    incident weight are omitted, except the node's own community (when
+    ``labels[i]`` is not :data:`SENTINEL`), which is always present.
+    """
+    nbrs, ws = neighbors(g, i)
+    out = {}
+    own = int(labels[i])
+    if own != SENTINEL:
+        out[own] = 0.0
+    for j, w in zip(nbrs, ws):
+        c = int(labels[j])
+        out[c] = out.get(c, 0.0) + float(w)
+    return out

@@ -17,7 +17,8 @@ from anylouvain import (RunConfig, aggregate, datasets, delta_oracle,
                         run, singleton_labels, synth)
 from anylouvain.criteria import LINEAR_CRITERIA
 from anylouvain.errors import NotPluggable, WeightedInputNotSupported
-from anylouvain.graph import neighbor_community_weights
+
+from conftest import neighbor_community_weights
 
 ALL = [("ng", None), ("zc", None), ("oz", 0.5), ("wc", None), ("bm", None),
        ("di", None), ("du", None), ("g", None), ("pd", None)]

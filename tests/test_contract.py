@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 from anylouvain import (aggregate, compact_labels, delta_oracle, Graph,
                         make_criterion)
 from anylouvain.errors import LouvainError
-from anylouvain.graph import neighbor_community_weights
 
-from conftest import ALL_CRITERIA
+from conftest import ALL_CRITERIA, neighbor_community_weights
 
 IDS = [cid for cid, _ in ALL_CRITERIA]
 

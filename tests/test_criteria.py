@@ -11,9 +11,9 @@ from anylouvain.errors import (LouvainError, NodeAlreadyPlaced,
                                NodeNotInCommunity, NotPluggable,
                                UnknownCommunity, WeightedInputNotSupported,
                                ZeroDegreeNode, ZeroEdgeMass)
-from anylouvain.graph import neighbor_community_weights
 
-from conftest import compatible_graph, triangle, two_triangles
+from conftest import (compatible_graph, neighbor_community_weights, triangle,
+                      two_triangles)
 
 
 # -- init ---------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from anylouvain import (Graph, RunConfig, aggregate, compact_labels,
-                        datasets, detect, neighbor_community_weights,
-                        singleton_labels)
+                        datasets, detect, singleton_labels)
 from anylouvain.errors import LouvainError, NegativeWeight
 from anylouvain import graph, synth
 
-from conftest import path3, triangle
+from conftest import (neighbor_community_weights, neighbors, path3,
+                      triangle)
 
 
 def test_isolated_node_degree_zero():
@@ -41,7 +41,7 @@ def test_self_loop_counts_once_in_degree_and_mass():
 
 def test_duplicate_edges_merge():
     g = Graph.from_edges(2, [(0, 1, 2.0), (1, 0, 3.0)])
-    nbrs, ws = g.neighbors(0)
+    nbrs, ws = neighbors(g, 0)
     assert list(nbrs) == [1]
     assert list(ws) == [5.0]
 
@@ -62,7 +62,7 @@ def test_duplicate_edges_add_in_input_order():
         ref[j, i] = ref.get((j, i), 0.0) + w
     g = Graph.from_edges(21, edges)
     got = {(i, int(j)): float(w) for i in range(21)
-           for j, w in zip(*g.neighbors(i))}
+           for j, w in zip(*neighbors(g, i))}
     assert got == ref
     dense = g.dense()
     assert dense.tobytes() == dense.T.tobytes()
@@ -141,7 +141,7 @@ def test_dense_matches_loop_built_matrix():
     g = synth.random_graph(30, 0.3, weighted=True, loops=True, seed=2)
     ref = np.zeros((g.n, g.n))
     for i in range(g.n):
-        for j, w in zip(*g.neighbors(i)):
+        for j, w in zip(*neighbors(g, i)):
             ref[i, j] = w
         ref[i, i] = g.loop[i]
     assert g.dense().tobytes() == ref.tobytes()
@@ -225,7 +225,7 @@ def loop_meta(g, labels, kappa):
     CSR order, mirrored to (D, C); then the member loops in node order."""
     out = np.zeros((kappa, kappa))
     for i in range(g.n):
-        for j, w in zip(*g.neighbors(i)):
+        for j, w in zip(*neighbors(g, i)):
             c, d = labels[i], labels[j]
             if c <= d:
                 out[c, d] += w

@@ -151,6 +151,53 @@ def test_matches_reference_on_column_mixes(tmp, text, block):
     check_same(text.encode("utf-8"), block, tmp)
 
 
+# Numeric labels: a block of canonical decimals only, in "src dst" lines
+# split by " " or "\t", is read in C; every other block token by token.
+CANONICAL = ["0", "7", "10", "9" * 18]
+NON_CANONICAL = ["00", "007", "+1", "-0", "1" * 19, "9" * 19, "1e3", "\u0663"]
+NUM_SEPS = [" ", "\t", "  "]
+
+
+def numeric_line(number, sep):
+    pad = st.sampled_from(["", " ", "\t"])
+    return st.builds(lambda p, a, s, b, q: p + a + s + b + q,
+                     pad, number, sep, number, pad)
+
+
+canonical = st.sampled_from(CANONICAL) | st.integers(0, 99).map(str)
+numeric_lines = (numeric_line(canonical, st.sampled_from(NUM_SEPS))
+                 | numeric_line(canonical | st.sampled_from(NON_CANONICAL),
+                                st.sampled_from(NUM_SEPS + ["\x0b", "\x1c"])))
+
+
+@SETTINGS
+@given(text=document(numeric_lines, ends=["\n", "\r\n"]),
+       block=st.sampled_from([1, 16, 1 << 20]))
+def test_matches_reference_on_numeric_labels(tmp, text, block):
+    # One-line blocks (block 1) mix fast and slow blocks in one file.
+    check_same(text.encode("utf-8"), block, tmp)
+
+
+@pytest.mark.parametrize("digits", [1, 17])
+@pytest.mark.parametrize("block", [64, 1 << 20])
+def test_numeric_blocks_are_read_in_c(tmp_path, digits, block):
+    # One digit: values index an array of size max + 1; 17 digits: far
+    # sparser than the token count, so they are ranked by a sort.
+    rng = np.random.default_rng(digits)
+    names = rng.integers(10 ** (digits - 1), 10 ** digits, 60)
+    data = "".join(f"{a}\t{b}\n" for a, b in
+                   rng.choice(names, (500, 2)).tolist()).encode()
+    check_same(data, block, tmp_path)
+    path = tmp_path / "numeric.edges"
+    path.write_bytes(data)
+    with mock.patch.object(reader, "_BLOCK", block), \
+            mock.patch.object(np, "fromstring", wraps=np.fromstring) as c, \
+            mock.patch.object(np, "unique", wraps=np.unique) as by_sort:
+        read_edge_list(path)
+        assert c.call_count == len(list(reader._blocks(path)))
+    assert by_sort.called == (digits == 17)
+
+
 def without_echo(out):
     """An outcome with the echoed line dropped from an error message."""
     return out[:2] + (out[2].split(":")[0],) if out[0] == "error" else out
@@ -187,8 +234,8 @@ def test_unbalanced_columns_are_parse_errors(text, line):
 def test_whitespace_literal_is_str_isspace():
     assert set(reader._SPACE) == {c for c in range(sys.maxunicode + 1)
                                   if chr(c).isspace()}
-    assert list(np.flatnonzero(reader._ASCII_SPACE)) == [
-        c for c in range(128) if chr(c).isspace()]
+    assert list(np.flatnonzero(np.frombuffer(reader._ASCII_SPACE, bool))) \
+        == [c for c in range(128) if chr(c).isspace()]
 
 
 def line_of(exc):
