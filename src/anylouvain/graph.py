@@ -70,7 +70,10 @@ class Graph:
         folded level-0 values); zeros when unused.
     consts : Level0Constants, optional
         Frozen level-0 record.  Computed from this graph when omitted,
-        which declares the graph to be level 0.
+        which declares the graph to be level 0: ``w_max`` is then the
+        maximum over ``wgt`` and the positive loops (a NaN loop is not
+        positive), taken from the two arrays' maxima without copying
+        them, and 1 when both are empty.
     rows : ndarray of int, optional
         Row id of each CSR entry, when the caller has it; used to sum
         the degrees and not kept.
@@ -97,8 +100,9 @@ class Graph:
             self.degrees = deg + self.loop
             if consts is None:
                 two_m = float(self.wgt.sum() + self.loop.sum())
-                w_all = np.concatenate([self.wgt, self.loop[self.loop > 0]])
-                w_max = float(w_all.max()) if w_all.size else 1.0
+                tops = [a.max() for a in (self.wgt, self.loop[self.loop > 0])
+                        if a.size]
+                w_max = float(np.max(tops)) if tops else 1.0
                 consts = Level0Constants(n0=self.n, two_m=two_m,
                                          w_max=w_max)
         self.consts = consts
@@ -244,7 +248,11 @@ def aggregate(g, labels, kappa=None):
 def _csr(n, src, dst, w):
     """``(indptr, nbr, wgt, loop, rows)`` of the edges ``src``-``dst``
     weighted ``w`` over nodes ``0..n-1``, summed as
-    :meth:`Graph.from_arrays` states; ``rows`` is each entry's row."""
+    :meth:`Graph.from_arrays` states; ``rows`` is each entry's row.
+
+    Each edge's two keys share its one weight in ``w``, which
+    :func:`_key_sums` gathers per key through the sort order, so the sort
+    path makes no per-key copy of ``w``."""
     off = src != dst
     loop = np.bincount(src[~off], weights=w[~off], minlength=n)
     if not off.all():
@@ -253,7 +261,7 @@ def _csr(n, src, dst, w):
     # pair in array order.
     keys = np.stack([src * n + dst, dst * n + src], axis=1).ravel()
     del src, dst  # copies are freed before the sort
-    keys, wgt = _key_sums(keys, np.repeat(w, 2), n * n)
+    keys, wgt = _key_sums(keys, w, n * n)
     rows = keys // n
     nbr = np.remainder(keys, n, out=keys)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -266,22 +274,28 @@ def _key_sums(keys, weights, size):
     and for each the sum of its ``weights`` added in input order; keys
     whose sum is zero are dropped.
 
+    ``weights`` holds one weight per key or, when it is shorter than
+    ``keys``, one per pair of adjacent keys: ``keys[2e]`` and
+    ``keys[2e + 1]`` both weigh ``weights[e]``.  The sums are the same
+    bit for bit as with ``np.repeat(weights, 2)``.
+
     One ``bincount`` over ``0..size-1`` when that range is no longer
     than ``keys``, otherwise a stable sort of ``keys``, which may be
-    overwritten.
+    overwritten, and one gather of ``weights`` in sorted order.
     """
+    paired = int(weights.size < keys.size)
     if size <= keys.size:
-        sums = np.bincount(keys, weights, minlength=size)
+        sums = np.bincount(keys, np.repeat(weights, 2) if paired else weights,
+                           minlength=size)
         keys = np.flatnonzero(sums)
         return keys, sums[keys]
     keys, order = _stable_sort(keys, size)
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
+    sums = weights[np.right_shift(order, paired, out=order)]
+    del order  # freed before the duplicate fold allocates
+    first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    if first.all():
-        sums = weights[order]
-    else:
-        sums = np.bincount(np.cumsum(first) - 1, weights[order])
+    if not first.all():
+        sums = np.bincount(np.cumsum(first) - 1, sums)
         keys = keys[first]
     keep = sums != 0
     if not keep.all():

@@ -265,17 +265,19 @@ def read_edge_list(source):
     and bytes that are not UTF-8, and :class:`NegativeWeight` on a
     negative weight; the first faulty line in the file is the one
     reported.
+
+    The blocks' arrays are joined into one id array and one weight array
+    and dropped before the graph is built, so the read peaks at about
+    nine 8-byte words per edge: the joined ids and weights (three) and
+    the CSR build's sort (six: keys, order and gathered weights).
     """
     ids = _Ids()
-    pairs, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for line_no, text in _blocks(source):
-        p, w = _parse_block(text, line_no, ids)
-        pairs.append(p)
-        weights.append(w)
-    pairs = np.concatenate(pairs)
-    labels = list(ids)
-    return Graph.from_arrays(len(labels), pairs[0::2], pairs[1::2],
-                             np.concatenate(weights)), labels
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
+    blocks = (_parse_block(text, line_no, ids)
+              for line_no, text in _blocks(source))
+    pairs, weights = map(np.concatenate, zip(empty, *blocks))
+    return Graph.from_arrays(len(ids), pairs[0::2], pairs[1::2],
+                             weights), list(ids)
 
 
 def write_partition(target, flat, labels):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from anylouvain import (Graph, RunConfig, aggregate, compact_labels,
-                        datasets, detect, singleton_labels)
+                        datasets, detect, make_criterion, singleton_labels)
 from anylouvain.errors import LouvainError, NegativeWeight
 from anylouvain import graph, synth
 
@@ -94,6 +94,58 @@ def test_key_sums_add_in_input_order(size):
     got_keys, got = graph._key_sums(keys.copy(), weights, size)
     assert dict(zip(got_keys.tolist(), got.tolist())) == ref
     assert list(got_keys) == sorted(ref)
+
+    # One weight per pair of adjacent keys, as the CSR build passes them,
+    # gives the keys and sums of the weights repeated per key, to the bit.
+    per_pair = rng.choice([0.0, 0.1, 0.2, 0.3], 150)
+    per_pair[(keys.reshape(-1, 2) == 7).any(axis=1)] = 0.0
+    want = graph._key_sums(keys.copy(), np.repeat(per_pair, 2), size)
+    got = graph._key_sums(keys.copy(), per_pair, size)
+    assert 7 in keys and 7 not in want[0]  # a zero sum is dropped
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _pretreated(cid, edges):
+    return lambda: make_criterion(cid).pretreat(
+        Graph.from_edges(1 + max(max(e[:2]) for e in edges), edges))
+
+
+OVERFLOW = [(0, 1, 1e308), (1, 2, 1e308), (2, 0, 1e308)]
+EDGE_AND_LOOP = [(0, 1, 1e308), (0, 0, 1e308), (1, 2, 1.0)]
+LOOPS = [(0, 0, 1e308), (0, 0, 1e308), (1, 2, 1.0)]
+
+LEVEL0_GRAPHS = {
+    "edgeless": lambda: Graph.from_edges(3, []),
+    "loops-only": lambda: Graph.from_edges(2, [(0, 0, 2.5), (1, 1, 0.5)]),
+    "zero-loops": lambda: Graph.from_edges(
+        3, [(0, 0, 0.0), (0, 1, 2.0), (1, 1, 0.0), (1, 2, 0.5)]),
+    "isolated": lambda: Graph.from_edges(5, [(0, 1, 1.0), (1, 2, 3.0)]),
+    "wc": _pretreated("wc", [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)]),
+    "pd": _pretreated("pd", [(0, 1, 2.0), (1, 2, 0.5), (2, 2, 4.0)]),
+    "overflow": lambda: Graph.from_edges(3, OVERFLOW),
+    "overflow-edge-and-loop": lambda: Graph.from_edges(3, EDGE_AND_LOOP),
+    "overflow-loops": lambda: Graph.from_edges(3, LOOPS),
+    # Overflowing degrees give NaN weights, zero loops and a NaN loop.
+    "overflow-pd": _pretreated("pd", OVERFLOW),
+    "overflow-edge-and-loop-pd": _pretreated("pd", EDGE_AND_LOOP),
+    "overflow-loops-pd": _pretreated("pd", LOOPS),
+}
+
+
+@pytest.mark.parametrize("name", LEVEL0_GRAPHS)
+def test_level0_constants_match_reference(name):
+    g = LEVEL0_GRAPHS[name]()
+    # The plain formulas: every weight and every positive loop in one
+    # array, the degrees summed per CSR row.
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_m = float(g.wgt.sum() + g.loop.sum())
+        w_all = np.concatenate([g.wgt, g.loop[g.loop > 0]])
+        w_max = float(w_all.max()) if w_all.size else 1.0
+        degrees = np.bincount(rows, weights=g.wgt, minlength=g.n) + g.loop
+    assert repr((g.consts.two_m, g.consts.w_max)) == repr((two_m, w_max))
+    assert g.degrees.tobytes() == degrees.tobytes()
 
 
 def test_negative_weight_rejected():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,3 +162,23 @@ def test_summary_fields_and_json():
     qs = [lv["quality"] for lv in s["levels"]]
     assert all(b >= a for a, b in zip(qs, qs[1:]))
     assert "communities" in h.to_text()
+
+
+def test_read_peak_memory(tmp_path):
+    # The read holds the joined edge arrays (three 8-byte words per edge)
+    # and the CSR build's sort (six more), and no other edge-sized copy.
+    src, dst = np.triu_indices(710, k=1)  # 251,695 distinct pairs
+    order = np.random.default_rng(0).permutation(src.size)
+    path = tmp_path / "pairs.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in
+                            zip(src[order].tolist(), dst[order].tolist())))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        g, _ = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.nbr.size == 2 * src.size
+    assert peak <= 10.5 * 8 * src.size
