@@ -74,16 +74,16 @@ class Graph:
         maximum over ``wgt`` and the positive loops (a NaN loop is not
         positive), taken from the two arrays' maxima without copying
         them, and 1 when both are empty.
-    rows : ndarray of int, optional
-        Row id of each CSR entry, when the caller has it; used to sum
-        the degrees and not kept.
+    row_sums : ndarray of float, optional
+        Sum of each row's ``wgt`` (the degree without the loop), when
+        the caller has it; summed from ``wgt`` in CSR order otherwise.
     """
 
     __slots__ = ("n", "indptr", "nbr", "wgt", "loop", "size", "aux",
                  "consts", "degrees")
 
     def __init__(self, n, indptr, nbr, wgt, loop, size, aux, consts=None, *,
-                 rows=None):
+                 row_sums=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.nbr = np.asarray(nbr, dtype=np.int64)
@@ -91,13 +91,13 @@ class Graph:
         self.loop = np.asarray(loop, dtype=np.float64)
         self.size = np.asarray(size, dtype=np.int64)
         self.aux = np.asarray(aux, dtype=np.float64)
-        if rows is None:
+        if row_sums is None:
             rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        deg = np.bincount(rows, weights=self.wgt, minlength=self.n)
+            row_sums = np.bincount(rows, weights=self.wgt, minlength=self.n)
         # Sums that overflow are left infinite: the criteria's quality
         # check reports them.
         with np.errstate(over="ignore"):
-            self.degrees = deg + self.loop
+            self.degrees = row_sums + self.loop
             if consts is None:
                 two_m = float(self.wgt.sum() + self.loop.sum())
                 tops = [a.max() for a in (self.wgt, self.loop[self.loop > 0])
@@ -129,27 +129,32 @@ class Graph:
         goes to the self-loop weight, and zero-weight entries are
         dropped.  Raises :class:`NegativeWeight` on a negative weight
         (the first one) and :class:`LouvainError` on a node id outside
-        ``0..n-1`` or a NaN or infinite weight.
+        ``0..n-1`` or a NaN or infinite weight.  The arrays are only
+        read, so ``w`` may be a read-only view such as
+        ``np.broadcast_to(1.0, m)``.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
-        out = np.flatnonzero((np.minimum(src, dst) < 0)
-                             | (np.maximum(src, dst) >= n))
-        if out.size:
+        # Reductions first; the scans that name the first bad edge run
+        # only when one is out of range.
+        if src.size and not (min(src.min(), dst.min()) >= 0
+                             and max(src.max(), dst.max()) < n):
+            out = np.flatnonzero((np.minimum(src, dst) < 0)
+                                 | (np.maximum(src, dst) >= n))
             k = out[0]
             raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
                                f"outside 0..{n - 1}")
-        neg = np.flatnonzero(w < 0)
-        if neg.size:
-            k = neg[0]
-            raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has weight "
-                                 f"{w[k]}")
-        if not np.isfinite(w).all():
+        if w.size and not (w.min() >= 0 and w.max() < np.inf):
+            neg = np.flatnonzero(w < 0)
+            if neg.size:
+                k = neg[0]
+                raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has "
+                                     f"weight {w[k]}")
             raise LouvainError("edge weights must be finite")
-        indptr, nbr, wgt, loop, rows = _csr(n, src, dst, w)
+        indptr, nbr, wgt, loop, row_sums = _csr(n, src, dst, w)
         return cls(n, indptr, nbr, wgt, loop, np.ones(n, dtype=np.int64),
-                   np.zeros(n, dtype=np.float64), rows=rows)
+                   np.zeros(n, dtype=np.float64), row_sums=row_sums)
 
     def replace_weights(self, wgt, loop, *, aux=None, extra=None):
         """Same topology with new edge weights, for pretreatments: a
@@ -237,36 +242,50 @@ def aggregate(g, labels, kappa=None):
     keys, w = _key_sums(keys, g.wgt, kappa * kappa)
     c, d = np.divmod(keys, kappa)
     half = c <= d
-    indptr, nbr, wgt, loop, rows = _csr(kappa, c[half], d[half], w[half])
+    indptr, nbr, wgt, loop, row_sums = _csr(kappa, c[half], d[half],
+                                            w[half])
     loop = loop + np.bincount(labels, weights=g.loop, minlength=kappa)
     size = np.bincount(labels, weights=g.size, minlength=kappa)
     aux = np.bincount(labels, weights=g.aux, minlength=kappa)
     return Graph(kappa, indptr, nbr, wgt, loop, size.astype(np.int64), aux,
-                 g.consts, rows=rows)
+                 g.consts, row_sums=row_sums)
 
 
 def _csr(n, src, dst, w):
-    """``(indptr, nbr, wgt, loop, rows)`` of the edges ``src``-``dst``
+    """``(indptr, nbr, wgt, loop, row_sums)`` of the edges ``src``-``dst``
     weighted ``w`` over nodes ``0..n-1``, summed as
-    :meth:`Graph.from_arrays` states; ``rows`` is each entry's row.
+    :meth:`Graph.from_arrays` states.
 
-    Each edge's two keys share its one weight in ``w``, which
-    :func:`_key_sums` gathers per key through the sort order, so the sort
-    path makes no per-key copy of ``w``."""
+    The edges are unit-weight when, loops dropped, every weight is 1
+    (or there is none).  Then the sums are counts, exact in float64 in
+    any order: :func:`_key_sums` counts the bare keys, and ``row_sums``
+    are the edge counts per node, taken before the sort.  Otherwise each
+    edge's two keys share its one weight in ``w``, which :func:`_key_sums`
+    gathers per key through the stable sort order, and ``row_sums`` is
+    None (:class:`Graph` sums the rows)."""
     off = src != dst
     loop = np.bincount(src[~off], weights=w[~off], minlength=n)
     if not off.all():
         src, dst, w = src[off], dst[off], w[off]
-    # Each edge's two keys side by side: both rows see the edges of a
-    # pair in array order.
-    keys = np.stack([src * n + dst, dst * n + src], axis=1).ravel()
+    unit = not w.size or w.min() == 1.0 == w.max()
+    # Each edge's two keys side by side, the row in the high bits: both
+    # rows see the edges of a pair in array order.
+    bits = int(max(n - 1, 0)).bit_length()
+    keys = np.empty((src.size, 2), dtype=np.int64)
+    np.left_shift(src, bits, out=keys[:, 0])
+    keys[:, 0] |= dst
+    np.left_shift(dst, bits, out=keys[:, 1])
+    keys[:, 1] |= src
+    row_sums = None
+    if unit:
+        row_sums = np.bincount(src, minlength=n) + np.bincount(dst,
+                                                               minlength=n)
+        row_sums = row_sums.astype(np.float64)
     del src, dst  # copies are freed before the sort
-    keys, wgt = _key_sums(keys, w, n * n)
-    rows = keys // n
-    nbr = np.remainder(keys, n, out=keys)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, nbr, wgt, loop, rows
+    keys, wgt = _key_sums(keys.ravel(), None if unit else w, n << bits)
+    indptr = keys.searchsorted(np.arange(n + 1) << bits)
+    nbr = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
+    return indptr, nbr, wgt, loop, row_sums
 
 
 def _key_sums(keys, weights, size):
@@ -277,21 +296,29 @@ def _key_sums(keys, weights, size):
     ``weights`` holds one weight per key or, when it is shorter than
     ``keys``, one per pair of adjacent keys: ``keys[2e]`` and
     ``keys[2e + 1]`` both weigh ``weights[e]``.  The sums are the same
-    bit for bit as with ``np.repeat(weights, 2)``.
+    bit for bit as with ``np.repeat(weights, 2)``.  ``weights=None``
+    weighs every key 1: the sums are the counts as float64, the same
+    bit for bit as with explicit ones.
 
     One ``bincount`` over ``0..size-1`` when that range is no longer
-    than ``keys``, otherwise a stable sort of ``keys``, which may be
-    overwritten, and one gather of ``weights`` in sorted order.
+    than ``keys``, otherwise a sort of ``keys``, which may be
+    overwritten: stable, with one gather of ``weights`` in sorted order,
+    or, without weights, in place and with no order.
     """
-    paired = int(weights.size < keys.size)
     if size <= keys.size:
-        sums = np.bincount(keys, np.repeat(weights, 2) if paired else weights,
-                           minlength=size)
+        if weights is not None and weights.size < keys.size:
+            weights = np.repeat(weights, 2)
+        sums = np.bincount(keys, weights, minlength=size)
         keys = np.flatnonzero(sums)
-        return keys, sums[keys]
-    keys, order = _stable_sort(keys, size)
-    sums = weights[np.right_shift(order, paired, out=order)]
-    del order  # freed before the duplicate fold allocates
+        return keys, sums[keys].astype(np.float64, copy=False)
+    if weights is None:
+        keys.sort()
+        sums = np.ones(keys.size)
+    else:
+        keys, order = _stable_sort(keys, size)
+        paired = int(weights.size < keys.size)
+        sums = weights[np.right_shift(order, paired, out=order)]
+        del order  # freed before the duplicate fold allocates
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     if not first.all():

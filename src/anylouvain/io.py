@@ -150,28 +150,33 @@ class _Ids(dict):
         return i
 
 
-def _numeric_ids(enc, cp, space, starts, ids):
-    """The ids of the tokens of the ASCII block ``enc``, which begin at
-    ``starts``, parsed in C as the module docstring states; None when the
-    block does not qualify.  Only the distinct values, as ``str(v)`` in
+def _numeric_ids(enc, count, ids):
+    """The ids of the ``count`` tokens of the ASCII block ``enc``, parsed
+    in C when they are canonical decimals as the module docstring
+    states; None otherwise.  Only the distinct values, as ``str(v)`` in
     order of first appearance, meet ``ids``."""
-    if enc.translate(None, b"0123456789 \t\n"):
+    digits = enc.translate(None, b" \t\n")
+    if not digits.isdigit():
         return None
-    tail = ~space
-    tail[:-1] &= space[1:]
-    digits = np.flatnonzero(tail) + 1 - starts
-    # At most 18 digits, and no leading "0" but the token "0" itself.
-    if digits.max() > 18 or ((cp[starts] == 48) & (digits > 1)).any():
-        return None
+    n_digits = len(digits)
+    del digits
     vals = np.fromstring(enc, dtype=np.int64, sep=" ")
     n = vals.size
-    if n != starts.size:
+    if n != count:
         return None
     top = int(vals.max())
+    # A token has at least as many digits as its value's decimal form,
+    # and as many only when it has no leading zero.  A token of more
+    # than 18 digits parses to 10**18 or more, or to fewer digits.
+    lengths = n + sum(np.count_nonzero(vals >= 10 ** k)
+                      for k in range(1, len(str(top))))
+    if top >= 10 ** 18 or lengths != n_digits:
+        return None
     if top < 4 * n:  # values index an array of size max + 1
         uniq, idx = np.arange(top + 1), vals
     else:
         uniq, idx = np.unique(vals, return_inverse=True)
+    del vals
     lut = np.full(uniq.size, n)  # each value's first position
     np.minimum.at(lut, idx, np.arange(n))
     seen = np.flatnonzero(lut < n)
@@ -184,7 +189,8 @@ def _numeric_ids(enc, cp, space, starts, ids):
 
 def _parse_block(text, line_no, ids):
     """The edges of one block as ``(pairs, w)``: ``pairs`` holds the
-    ids of ``src, dst`` of each edge in turn, ``w`` the weights.
+    ids of ``src, dst`` of each edge in turn, ``w`` the weights, or the
+    edge count when no line of the block has a weight.
 
     The block's first faulty line raises, as :func:`read_edge_list`
     describes.  ``line_no`` is the number of the block's first line.
@@ -200,19 +206,21 @@ def _parse_block(text, line_no, ids):
     start = ~space
     start[1:] &= space[:-1]
     starts = np.flatnonzero(start)  # where each token begins
+    del start  # each scan array is dropped once used
     ends = np.flatnonzero(cp == 10)  # line k ends at ends[k]
     n_ends = ends.size
     if (starts.size == 2 * n_ends and "#" not in text
             and (starts[1::2] < ends).all()
             and (starts[2::2] > ends[:-1]).all()):
         # Every line is "src dst": line k holds tokens 2k and 2k + 1.
-        pairs = (_numeric_ids(enc, cp, space, starts, ids)
-                 if enc and starts.size else None)
+        del cp, space, starts, ends
+        pairs = _numeric_ids(enc, 2 * n_ends, ids) if enc and n_ends else None
         if pairs is None:
             tokens = text.split()
             pairs = np.fromiter(map(ids.__getitem__, tokens),
                                 dtype=np.int64, count=len(tokens))
-        return pairs, np.ones(n_ends)
+        return pairs, n_ends
+    del space
     tokens = text.split()
     counts = np.bincount(np.searchsorted(ends, starts),
                          minlength=n_ends + 1)
@@ -266,16 +274,27 @@ def read_edge_list(source):
     negative weight; the first faulty line in the file is the one
     reported.
 
-    The blocks' arrays are joined into one id array and one weight array
-    and dropped before the graph is built, so the read peaks at about
-    nine 8-byte words per edge: the joined ids and weights (three) and
-    the CSR build's sort (six: keys, order and gathered weights).
+    The blocks' id arrays are joined into one and dropped before the
+    graph is built.  A block of ``src dst`` lines makes no weight array:
+    when no line of the file has a weight, the weights stay implicit (a
+    read-only ``1.0`` broadcast over the edges) and the CSR build counts
+    its keys, sorted in place, instead of summing weights.  Such a read
+    peaks at about seven 8-byte words per edge line: the joined ids
+    (two), the CSR's neighbor ids and weights (four) and the duplicate
+    fold's byte masks.  A file with weights holds about nine at the
+    build: the ids (two), the weights (one), the keys (two) and the
+    stable sort's order and gathered weights (four).
     """
     ids = _Ids()
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
     blocks = (_parse_block(text, line_no, ids)
               for line_no, text in _blocks(source))
-    pairs, weights = map(np.concatenate, zip(empty, *blocks))
+    pairs, weights = zip((np.zeros(0, dtype=np.int64), 0), *blocks)
+    pairs = np.concatenate(pairs)
+    if all(isinstance(w, int) for w in weights):
+        weights = np.broadcast_to(1.0, pairs.size // 2)
+    else:  # the lines of an unweighted block weigh 1
+        weights = np.concatenate([np.ones(w) if isinstance(w, int) else w
+                                  for w in weights])
     return Graph.from_arrays(len(ids), pairs[0::2], pairs[1::2],
                              weights), list(ids)
 

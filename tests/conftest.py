@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from anylouvain import Graph, make_criterion, synth
-from anylouvain.graph import SENTINEL
+from anylouvain.graph import SENTINEL, Level0Constants
 
 # (id, alpha) pairs covering every shipped criterion.
 ALL_CRITERIA = [
@@ -78,3 +80,53 @@ def neighbor_community_weights(g, i, labels):
         c = int(labels[j])
         out[c] = out.get(c, 0.0) + float(w)
     return out
+
+
+GRAPH_ARRAYS = ("indptr", "nbr", "wgt", "loop", "size", "aux", "degrees")
+
+
+def reference_csr(n, edges):
+    """The level-0 graph of ``(i, j, w)`` triples, built one Python step
+    per edge: the reference for ``Graph.from_arrays``.
+
+    Entries ``(i, j)`` and ``(j, i)`` both add the pair's weights in
+    input order into a dict, and loops add into their own list; zero
+    sums are dropped.  The degrees add each row's sums in ascending
+    neighbor order, then the loop.  Returns a namespace with the seven
+    ``Graph`` arrays and ``consts``.
+    """
+    sums, loop = {}, [0.0] * n
+    for i, j, w in edges:
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            loop[i] += w
+        else:
+            sums[i, j] = sums.get((i, j), 0.0) + w
+            sums[j, i] = sums.get((j, i), 0.0) + w
+    entries = sorted(key for key, s in sums.items() if s != 0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for i, _ in entries:
+        indptr[i + 1] += 1
+    degrees = [0.0] * n
+    for key in entries:
+        degrees[key[0]] += sums[key]
+    wgt = np.array([sums[key] for key in entries], dtype=np.float64)
+    loop = np.array(loop, dtype=np.float64)
+    tops = [a.max() for a in (wgt, loop[loop > 0]) if a.size]
+    consts = Level0Constants(n0=n, two_m=float(wgt.sum() + loop.sum()),
+                             w_max=float(max(tops)) if tops else 1.0)
+    return SimpleNamespace(
+        indptr=np.cumsum(indptr),
+        nbr=np.array([j for _, j in entries], dtype=np.int64), wgt=wgt,
+        loop=loop, size=np.ones(n, dtype=np.int64),
+        aux=np.zeros(n, dtype=np.float64),
+        degrees=np.array(degrees, dtype=np.float64) + loop, consts=consts)
+
+
+def assert_same_graph(got, want):
+    """The seven ``Graph`` arrays (dtypes and bytes) and the constants
+    of ``got`` equal ``want``'s."""
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (name, a.dtype, a.tobytes()) == (name, b.dtype, b.tobytes())
+    assert repr(got.consts) == repr(want.consts)

@@ -4,9 +4,9 @@ evaluator, checked against hand values and the brute-force oracle."""
 import numpy as np
 import pytest
 
-from anylouvain import (Graph, RunConfig, datasets, delta_oracle, detect,
-                        make_criterion, relational_total, singleton_labels,
-                        synth)
+from anylouvain import (Graph, RunConfig, aggregate, compact_labels, datasets,
+                        delta_oracle, detect, make_criterion,
+                        relational_total, singleton_labels, synth)
 from anylouvain.errors import (LouvainError, NodeAlreadyPlaced,
                                NodeNotInCommunity, NotPluggable,
                                UnknownCommunity, WeightedInputNotSupported,
@@ -31,6 +31,25 @@ def test_init_single_node_with_loop():
     st = make_criterion("zc").init(g)
     assert st.in_w[0] == pytest.approx(3.0)
     assert st.sz[0] == 1
+
+
+def test_init_equals_state_from_singletons(criterion):
+    # The O(n) init against the bincount rebuild, bit for bit, on the
+    # pretreated level-0 graph (with and without loops) and coarse levels.
+    rng = np.random.default_rng(8)
+    graphs = []
+    for _ in range(12):
+        g = criterion.pretreat(compatible_graph(criterion, rng))
+        labels = synth.random_labels(g.n, rng=rng)
+        graphs += [g, aggregate(g, *compact_labels(labels))]
+    assert any(g.loop.any() for g in graphs[0::2])
+    for g in graphs:
+        got = criterion.init(g)
+        want = criterion.state_from_labels(g, singleton_labels(g.n))
+        for name in ("part", "in_w", "tot", "sz", "aux"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (name, a.dtype, a.tobytes()) == (name, b.dtype,
+                                                    b.tobytes())
 
 
 def test_pd_pretreat_triangle():

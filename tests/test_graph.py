@@ -1,5 +1,7 @@
 """Graph container, degrees, neighbor weights, and coarsening."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,8 +11,8 @@ from anylouvain import (Graph, RunConfig, aggregate, compact_labels,
 from anylouvain.errors import LouvainError, NegativeWeight
 from anylouvain import graph, synth
 
-from conftest import (neighbor_community_weights, neighbors, path3,
-                      triangle)
+from conftest import (assert_same_graph, neighbor_community_weights,
+                      neighbors, path3, reference_csr, triangle)
 
 
 def test_isolated_node_degree_zero():
@@ -104,6 +106,140 @@ def test_key_sums_add_in_input_order(size):
     assert 7 in keys and 7 not in want[0]  # a zero sum is dropped
     assert [a.dtype for a in got] == [a.dtype for a in want]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # No weights weighs every key 1: counts, as with explicit ones.
+    want = graph._key_sums(keys.copy(), np.ones(300), size)
+    got = graph._key_sums(keys.copy(), None, size)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _unit_edges(n, m, seed):
+    """``m`` unit-weight edges over ``n`` nodes with duplicates given
+    both ways round and loops; the top node ids are left isolated."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n - 2, m)
+    dst = np.where(rng.random(m) < 0.1, src, rng.integers(0, n - 2, m))
+    twice = rng.integers(0, m, m // 3)  # duplicates, half of them flipped
+    a, b = src[twice], dst[twice]
+    flip = rng.random(twice.size) < 0.5
+    return (np.concatenate([src, np.where(flip, b, a)]),
+            np.concatenate([dst, np.where(flip, a, b)]))
+
+
+# (n, edges): few nodes and many edges take the bincount branch of
+# _key_sums (a key range no longer than the keys), many nodes the sort.
+CSR_SHAPES = {"bincount": (12, 300), "sort": (400, 300)}
+
+
+def _key_sums_branch(build):
+    """``build()`` and the branch of its one ``_key_sums`` call."""
+    with mock.patch.object(graph, "_key_sums", wraps=graph._key_sums) as ks:
+        out = build()
+    (keys, _, size), = [c.args for c in ks.call_args_list]
+    return out, "bincount" if size <= keys.size else "sort"
+
+
+@pytest.mark.parametrize("shape", CSR_SHAPES)
+@pytest.mark.parametrize("weights", ["unit", "broadcast", "weighted",
+                                     "unit-edges-weighted-loops"])
+def test_from_arrays_matches_reference_csr(shape, weights):
+    n, m = CSR_SHAPES[shape]
+    src, dst = _unit_edges(n, m, seed=n)
+    rng = np.random.default_rng(1)
+    w = {"unit": np.ones(src.size),
+         "broadcast": np.broadcast_to(1.0, src.size),
+         "weighted": rng.choice([0.0, 0.1, 0.2, 0.3, 1.0], src.size),
+         "unit-edges-weighted-loops": np.where(src == dst, 0.3, 1.0)}[weights]
+    g, branch = _key_sums_branch(lambda: Graph.from_arrays(n, src, dst, w))
+    assert branch == shape
+    assert_same_graph(g, reference_csr(n, zip(src, dst, w)))
+    assert g.degrees[-2:].tolist() == [0.0, 0.0]  # isolated nodes
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_from_arrays_empty_input(n):
+    for w in (np.zeros(0), np.broadcast_to(1.0, 0)):
+        g = Graph.from_arrays(n, np.zeros(0, dtype=np.int64),
+                              np.zeros(0, dtype=np.int64), w)
+        assert_same_graph(g, reference_csr(n, []))
+
+
+def test_unit_weights_skip_the_stable_sort():
+    # Unit weights are counted on the bare keys; any other weight goes
+    # through the stable sort and its gather.
+    n, m = CSR_SHAPES["sort"]
+    src, dst = _unit_edges(n, m, seed=2)
+    ones = np.ones(src.size)
+    with mock.patch.object(graph, "_stable_sort",
+                           side_effect=AssertionError("stable sort")):
+        unit = Graph.from_arrays(n, src, dst, ones)
+    assert_same_graph(unit, reference_csr(n, zip(src, dst, ones)))
+    with mock.patch.object(graph, "_stable_sort",
+                           wraps=graph._stable_sort) as stable:
+        twos = Graph.from_arrays(n, src, dst, 2 * ones)
+    assert stable.call_count == 1
+    assert twos.wgt.tobytes() == (2 * unit.wgt).tobytes()
+
+
+@pytest.mark.parametrize("shape", CSR_SHAPES)
+def test_aggregate_of_unweighted_graph_matches_reference(shape):
+    n, m = CSR_SHAPES[shape]
+    src, dst = _unit_edges(n, m, seed=3)
+    g = Graph.from_arrays(n, src, dst, np.broadcast_to(1.0, src.size))
+    labels = np.arange(n) % 5
+    meta = aggregate(g, labels, 5)
+    # The meta-graph of the plain reference: each CSR entry (i, j) with
+    # labels C <= D once, then the member loops.
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    c, d = labels[rows], labels[g.nbr]
+    edges = [(a, b, w) for a, b, w in zip(c, d, g.wgt) if a <= b]
+    edges += [(a, a, w) for a, w in zip(labels, g.loop)]
+    ref = reference_csr(5, edges)
+    for name in ("indptr", "nbr", "wgt", "loop", "degrees"):
+        a, b = getattr(meta, name), getattr(ref, name)
+        assert (name, a.dtype, a.tobytes()) == (name, b.dtype, b.tobytes())
+
+
+# Each bad input with the error that names its first offending edge.
+BAD_ARRAYS = {
+    "negative-id": ((0, -1, 5), (1, 2, 1), (1.0, 1.0, 1.0),
+                    LouvainError, "edge (-1, 2) names a node outside 0..2"),
+    "id-equals-n": ((0, 1, 2), (1, 3, 4), (1.0, 1.0, 1.0),
+                    LouvainError, "edge (1, 3) names a node outside 0..2"),
+    "negative-before-nan": ((0, 1, 2), (1, 2, 0), (1.0, -2.0, np.nan),
+                            NegativeWeight, "edge (1, 2) has weight -2.0"),
+    "nan-before-negative": ((0, 1, 2), (1, 2, 0), (np.nan, 1.0, -0.5),
+                            NegativeWeight, "edge (2, 0) has weight -0.5"),
+    "nan": ((0, 1), (1, 2), (1.0, np.nan),
+            LouvainError, "edge weights must be finite"),
+    "inf": ((0, 1), (1, 2), (np.inf, 1.0),
+            LouvainError, "edge weights must be finite"),
+    "-inf": ((0, 1), (1, 2), (1.0, -np.inf),
+             NegativeWeight, "edge (1, 2) has weight -inf"),
+    "id-before-weight": ((0, 3), (1, 1), (-1.0, 1.0),
+                         LouvainError, "edge (3, 1) names a node outside"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARRAYS)
+def test_from_arrays_names_first_bad_edge(name):
+    src, dst, w, error, message = BAD_ARRAYS[name]
+    with pytest.raises(error) as err:
+        Graph.from_arrays(3, src, dst, w)
+    assert type(err.value) is error
+    assert str(err.value).startswith(message)
+
+
+def test_from_arrays_leaves_read_only_weights_alone():
+    src, dst = _unit_edges(50, 200, seed=4)
+    weighted = np.where(src % 3, 1.0, 2.5)
+    weighted.flags.writeable = False
+    for w in (np.broadcast_to(1.0, src.size), weighted):
+        before = w.copy()
+        g = Graph.from_arrays(50, src, dst, w)
+        assert w.tobytes() == before.tobytes()
+        assert_same_graph(g, reference_csr(50, zip(src, dst, before)))
 
 
 def _pretreated(cid, edges):

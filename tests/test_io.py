@@ -3,13 +3,17 @@
 import io
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import anylouvain.io as reader
 from anylouvain import (RunConfig, datasets, detect, read_edge_list,
                         read_partition, relational_total, write_partition)
 from anylouvain.errors import NegativeWeight, ParseError, UnknownLabel
+
+from conftest import assert_same_graph, reference_csr
 
 
 def parse(text):
@@ -164,21 +168,89 @@ def test_summary_fields_and_json():
     assert "communities" in h.to_text()
 
 
+def traced_peak(call):
+    """``(result, peak)``: the tracemalloc peak of ``call()`` in bytes,
+    over what was allocated before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_read_peak_memory(tmp_path):
-    # The read holds the joined edge arrays (three 8-byte words per edge)
-    # and the CSR build's sort (six more), and no other edge-sized copy.
+    # An unweighted read holds the joined ids (two 8-byte words per
+    # edge) and the CSR's neighbor ids and weights (four), built from the
+    # sorted keys in place, and no weight array or sort order.
     src, dst = np.triu_indices(710, k=1)  # 251,695 distinct pairs
     order = np.random.default_rng(0).permutation(src.size)
     path = tmp_path / "pairs.edges"
     path.write_text("".join(f"{a} {b}\n" for a, b in
                             zip(src[order].tolist(), dst[order].tolist())))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        g, _ = read_edge_list(path)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(lambda: read_edge_list(path)[0])
     assert g.nbr.size == 2 * src.size
-    assert peak <= 10.5 * 8 * src.size
+    assert peak <= 7.5 * 8 * src.size
+
+
+def test_parse_block_peak_memory():
+    # One 1.3 MB block of numeric "src dst" lines: each scan array is
+    # dropped once used, so the scan (three bytes per byte of text and
+    # 1.5 words per token) and the parse (two words per token at once)
+    # never overlap.
+    rng = np.random.default_rng(0)
+    text = "".join(f"{a} {b}\n" for a, b in
+                   rng.integers(0, 10_000, (135_000, 2)).tolist())
+    (pairs, lines), peak = traced_peak(
+        lambda: reader._parse_block(text, 1, reader._Ids()))
+    assert peak <= 6.5 * len(text)
+    assert (pairs.size, lines) == (270_000, 135_000)
+
+
+def labelled_edges(rng, m):
+    """``m`` edge lines over numeric and word labels, with duplicates
+    given both ways round and loops, as ``(a, b)`` label pairs."""
+    names = [str(k) for k in range(40)] + [f"v{k}" for k in range(40)]
+    pairs = [(names[a], names[b if rng.random() > 0.05 else a])
+             for a, b in rng.integers(0, len(names), (m, 2)).tolist()]
+    return pairs + [(b, a) for a, b in pairs[::3]]
+
+
+def reference_read(lines, labels):
+    """The reference graph of ``(a, b, w)`` lines under the reader's
+    ``labels``."""
+    ids = {name: i for i, name in enumerate(labels)}
+    return reference_csr(len(labels),
+                         [(ids[a], ids[b], w) for a, b, w in lines])
+
+
+@pytest.mark.parametrize("block", [64, 1 << 20])
+def test_unit_weights_written_or_not_give_one_graph(block):
+    pairs = labelled_edges(np.random.default_rng(1), 400)
+    plain = "".join(f"{a} {b}\n" for a, b in pairs)
+    ones = "".join(f"{a} {b} 1\n" for a, b in pairs)
+    with mock.patch.object(reader, "_BLOCK", block):
+        (g, labels), (h, labels_h) = parse(plain), parse(ones)
+    assert labels == labels_h
+    assert_same_graph(g, h)
+    assert_same_graph(g, reference_read([(a, b, 1.0) for a, b in pairs],
+                                        labels))
+
+
+@pytest.mark.parametrize("block", [64, 1 << 20])
+@pytest.mark.parametrize("mix", ["weighted", "mixed-blocks"])
+def test_weighted_reads_match_reference(block, mix):
+    rng = np.random.default_rng(2)
+    lines = [(a, b, float(rng.choice([0.1, 0.2, 0.3, 1.0, 2.5])))
+             for a, b in labelled_edges(rng, 400)]
+    if mix == "mixed-blocks":  # runs of unweighted lines between weights
+        lines = [(a, b, 1.0 if k // 40 % 2 else w)
+                 for k, (a, b, w) in enumerate(lines)]
+    text = "".join(f"{a} {b}\n" if mix == "mixed-blocks" and k // 40 % 2
+                   else f"{a} {b} {w!r}\n"
+                   for k, (a, b, w) in enumerate(lines))
+    with mock.patch.object(reader, "_BLOCK", block):
+        g, labels = parse(text)
+    assert_same_graph(g, reference_read(lines, labels))
