@@ -254,7 +254,10 @@ class Criterion:
         """
         if not g0.is_level0():
             raise ValueError("pairwise evaluation needs a level-0 graph")
-        labels = np.asarray(labels, dtype=np.int64)
+        # Only compared, so signed integers keep their dtype (the
+        # oracle's int8 table); anything else is converted as int64.
+        if not (isinstance(labels, np.ndarray) and labels.dtype.kind == "i"):
+            labels = np.asarray(labels, dtype=np.int64)
         if (labels.ndim not in (1, 2) or labels.shape[-1] != g0.n
                 or (labels.size and labels.min() < 0)):
             raise ValueError("labels must assign every node a community")

@@ -258,11 +258,11 @@ def _csr(n, src, dst, w):
 
     The edges are unit-weight when, loops dropped, every weight is 1
     (or there is none).  Then the sums are counts, exact in float64 in
-    any order: :func:`_key_sums` counts the bare keys, and ``row_sums``
-    are the edge counts per node, taken before the sort.  Otherwise each
-    edge's two keys share its one weight in ``w``, which :func:`_key_sums`
-    gathers per key through the stable sort order, and ``row_sums`` is
-    None (:class:`Graph` sums the rows)."""
+    any order: :func:`_key_sums` counts the bare keys, and also gives
+    ``row_sums``, the edge counts per node, as its key counts per row.
+    Otherwise each edge's two keys share its one weight in ``w``, which
+    :func:`_key_sums` gathers per key through the stable sort order, and
+    ``row_sums`` is None (:class:`Graph` sums the rows)."""
     off = src != dst
     loop = np.bincount(src[~off], weights=w[~off], minlength=n)
     if not off.all():
@@ -276,22 +276,27 @@ def _csr(n, src, dst, w):
     keys[:, 0] |= dst
     np.left_shift(dst, bits, out=keys[:, 1])
     keys[:, 1] |= src
-    row_sums = None
-    if unit:
-        row_sums = np.bincount(src, minlength=n) + np.bincount(dst,
-                                                               minlength=n)
-        row_sums = row_sums.astype(np.float64)
     del src, dst  # copies are freed before the sort
-    keys, wgt = _key_sums(keys.ravel(), None if unit else w, n << bits)
+    if unit:
+        keys, wgt, row_sums = _key_sums(keys.ravel(), None, n << bits,
+                                        shift=bits)
+    else:
+        keys, wgt = _key_sums(keys.ravel(), w, n << bits)
+        row_sums = None
     indptr = keys.searchsorted(np.arange(n + 1) << bits)
     nbr = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
     return indptr, nbr, wgt, loop, row_sums
 
 
-def _key_sums(keys, weights, size):
+def _key_sums(keys, weights, size, shift=None):
     """The distinct ``keys`` (each in ``0..size-1``) in ascending order,
     and for each the sum of its ``weights`` added in input order; keys
-    whose sum is zero are dropped.
+    whose sum is zero are dropped.  With ``weights=None`` and a
+    ``shift``, a third result holds, for each ``r`` in
+    ``0..(size >> shift) - 1``, how many ``keys`` have
+    ``key >> shift == r``, as float64: the unit row sums of a CSR whose
+    keys hold the row above ``shift`` bits.  The sort takes them from the
+    sorted keys before the duplicate fold, by one ``searchsorted``.
 
     ``weights`` holds one weight per key or, when it is shorter than
     ``keys``, one per pair of adjacent keys: ``keys[2e]`` and
@@ -305,29 +310,38 @@ def _key_sums(keys, weights, size):
     overwritten: stable, with one gather of ``weights`` in sorted order,
     or, without weights, in place and with no order.
     """
+    rows = None
     if size <= keys.size:
         if weights is not None and weights.size < keys.size:
             weights = np.repeat(weights, 2)
         sums = np.bincount(keys, weights, minlength=size)
+        if shift is not None:
+            rows = sums.reshape(-1, 1 << shift).sum(axis=1)
         keys = np.flatnonzero(sums)
-        return keys, sums[keys].astype(np.float64, copy=False)
-    if weights is None:
-        keys.sort()
-        sums = np.ones(keys.size)
+        sums = sums[keys].astype(np.float64, copy=False)
     else:
-        keys, order = _stable_sort(keys, size)
-        paired = int(weights.size < keys.size)
-        sums = weights[np.right_shift(order, paired, out=order)]
-        del order  # freed before the duplicate fold allocates
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    if not first.all():
-        sums = np.bincount(np.cumsum(first) - 1, sums)
-        keys = keys[first]
-    keep = sums != 0
-    if not keep.all():
-        keys, sums = keys[keep], sums[keep]
-    return keys, sums
+        if weights is None:
+            keys.sort()
+            sums = np.ones(keys.size)
+            if shift is not None:
+                rows = np.diff(keys.searchsorted(
+                    np.arange((size >> shift) + 1) << shift))
+        else:
+            keys, order = _stable_sort(keys, size)
+            paired = int(weights.size < keys.size)
+            sums = weights[np.right_shift(order, paired, out=order)]
+            del order  # freed before the duplicate fold allocates
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            sums = np.bincount(np.cumsum(first) - 1, sums)
+            keys = keys[first]
+        keep = sums != 0
+        if not keep.all():
+            keys, sums = keys[keep], sums[keep]
+    if shift is None:
+        return keys, sums
+    return keys, sums, rows.astype(np.float64)
 
 
 def _stable_sort(keys, size):

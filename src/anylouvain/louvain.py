@@ -23,6 +23,13 @@ visit takes one of two branches by the length of the node's row:
 
 Both add a row's weights in row order and evaluate the same formula, so
 a row gives bit-identical results on either branch.
+
+A short row's dict of sums outlives its visit: the node keeps it until
+one of its neighbours moves, and reuses it on later visits.  Each move
+walks the mover's row and drops the dicts of its neighbours.  Rebuilt,
+a dict would add the same row, in the same order, over the same
+communities, so the kept one is equal to it bit for bit, and so are
+every gain, move and quality.
 """
 
 from __future__ import annotations
@@ -219,7 +226,10 @@ def one_pass(g, cfg, st, rng=None):
 
     - a row of at most :data:`LONG_ROW` neighbours sums its neighbour
       communities in a dict and scores them one by one with the
-      criterion's scalar gain;
+      criterion's scalar gain.  The node keeps that dict for its next
+      visit; any move of a neighbour drops it (the mover walks its row),
+      while the node's own move keeps it, as its neighbours stay put.
+      The dicts live for one pass, one per short row at most;
     - a longer row sums them with ``np.bincount``, finds the distinct
       ones by a sort, and scores all but the own community with one call
       of the same gain over an index array; the first maximum wins if it
@@ -228,7 +238,9 @@ def one_pass(g, cfg, st, rng=None):
       it changed back into them.
 
     Both branches add a row's weights in row order and evaluate the same
-    formula, so the result is bit-identical whichever branch a row takes.
+    formula, so the result is bit-identical whichever branch a row takes;
+    and a kept dict holds exactly what a rebuild would sum, since no
+    neighbour's community changed since it was built.
     """
     n = g.n
     order = np.arange(n)
@@ -242,6 +254,10 @@ def one_pass(g, cfg, st, rng=None):
     part_np = st.part  # kept current for the long rows' numpy lookups
     indptr, nbr, wgt = g.indptr.tolist(), g.nbr, g.wgt
     free = [n]  # stack of empty community ids; slot n starts unused
+    # A short row's neighbour-community sums, kept until a neighbour
+    # moves; None where there are none to reuse.
+    kept = [None] * n
+    any_short = rows.count(None) < n
     if None in rows:
         # st's arrays stay current slot by slot for the vector gain.
         pairs = tuple(zip((st.in_w, st.tot, st.sz, st.aux),
@@ -277,11 +293,13 @@ def one_pass(g, cfg, st, rng=None):
                     keep[1:] &= comms[1:] != comms[:-1]
                     cands = comms[keep]
                 else:
-                    sums = {}
-                    for j, w in zip(*row):
-                        c = part[j]
-                        sums[c] = sums.get(c, 0.0) + w
-                    dw_old = sums.pop(c_old, 0.0)
+                    sums = kept[i]
+                    if sums is None:
+                        sums = kept[i] = {}
+                        for j, w in zip(*row):
+                            c = part[j]
+                            sums[c] = sums.get(c, 0.0) + w
+                    dw_old = sums.get(c_old, 0.0)
 
                 ls.remove(i, c_old, dw_old)
 
@@ -289,6 +307,8 @@ def one_pass(g, cfg, st, rng=None):
                 top = gain(i, c_old, dw_old)
                 if row is not None:
                     for c, dw in sums.items():
+                        if c == c_old:
+                            continue
                         x = gain(i, c, dw)
                         # Ties go to the lower id, never away from c_old.
                         if x > top or (x == top and c < best != c_old):
@@ -311,6 +331,13 @@ def one_pass(g, cfg, st, rng=None):
                     arr[best] = lst[best]
 
                 if best != c_old:
+                    # The neighbours' sums saw i in c_old: drop them.
+                    if row is not None:
+                        for j in row[0]:
+                            kept[j] = None
+                    elif any_short:
+                        for j in nbr[indptr[i]:indptr[i + 1]].tolist():
+                            kept[j] = None
                     part_np[i] = best
                     improved = True
                     total_moves += 1

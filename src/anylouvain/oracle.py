@@ -2,11 +2,14 @@
 the true optimum of a criterion, and re-evaluate single moves from
 scratch.  Everything here goes through the pairwise evaluation path, so
 it stays independent of the incremental bookkeeping it is used to check.
-All Bell(n) partitions are built at once as a table of growth strings
-and scored ``_BLOCK`` rows per batched ``relational`` call, up to n = 10.
+All Bell(n) partitions are built at once (and once per n) as a table of
+growth strings and scored ``_BLOCK`` rows per batched ``relational``
+call, up to n = 10.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -20,11 +23,13 @@ BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 _BLOCK = 1024  # partitions scored per batched pairwise call
 
 
+@functools.lru_cache(maxsize=None)
 def _growth_table(n):
     """Every restricted-growth string of length ``n``, one per row, in
     lexicographic order: each step repeats every prefix once per label it
     admits next (0 up to one past its largest) and appends them.  Raises
-    :class:`TooLarge` unless ``n <= 10``."""
+    :class:`TooLarge` unless ``n <= 10``.  Built once per ``n`` and
+    read-only, since every caller shares it."""
     top = len(BELL_NUMBERS) - 1
     if n > top:
         raise TooLarge(f"partition enumeration capped at n={top}, got n={n}")
@@ -36,6 +41,7 @@ def _growth_table(n):
         table = np.column_stack([np.repeat(table, reps, axis=0),
                                  col.astype(np.int8)])
         peak = np.maximum(np.repeat(peak, reps), col)
+    table.flags.writeable = False
     return table
 
 

@@ -376,6 +376,27 @@ def test_relational_rejects_bad_label_arrays(shape, fill):
         make_criterion("ng").relational(g, np.full(shape, fill))
 
 
+def test_relational_label_dtype_does_not_change_values(criterion):
+    # Signed integers are compared in their own dtype, the rest as int64.
+    rng = np.random.default_rng(71)
+    g = criterion.pretreat(compatible_graph(criterion, rng, n_max=8))
+    labels = np.stack([synth.random_labels(g.n, rng=rng) for _ in range(5)])
+    want = criterion.relational(g, labels.astype(np.int64))
+    for dtype in (np.int8, np.int16, np.uint8, np.float64):
+        got = criterion.relational(g, labels.astype(dtype))
+        assert got.tobytes() == want.tobytes()
+    assert criterion.relational(g, labels[0].astype(np.int8)) == want[0]
+    assert criterion.relational(g, labels[0].tolist()) == want[0]
+
+
+@pytest.mark.parametrize("bad", [np.array([0, 0, 0, 1, 1, -1], np.int8),
+                                 np.array([0, 0, 0, 1, 1, 2 ** 63], np.uint64),
+                                 np.array([0, 0, 0, 1, 1, -1.0])])
+def test_relational_rejects_negative_ids_in_any_dtype(bad):
+    with pytest.raises(ValueError):
+        make_criterion("ng").relational(two_triangles(), bad)
+
+
 def test_relational_batch_returns_one_value_per_row():
     g = two_triangles()
     batch = np.array([[0, 0, 0, 1, 1, 1], [0, 1, 2, 3, 4, 5]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anylouvain import (BELL_NUMBERS, Graph, datasets, delta_oracle,
-                        enumerate_partitions, exact_optimum, synth)
+                        enumerate_partitions, exact_optimum, oracle, synth)
 from anylouvain.errors import TooLarge
 
 from conftest import compatible_graph, triangle, two_triangles
@@ -68,6 +68,26 @@ def test_batched_scoring_matches_reference_loop(criterion):
         labels, q = exact_optimum(criterion, g)
         assert np.array_equal(labels, ref_labels)
         assert q == pytest.approx(ref_q, rel=1e-12, abs=1e-12)
+
+
+def test_growth_table_is_cached_read_only():
+    table = oracle._growth_table(6)
+    assert oracle._growth_table(6) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert np.array_equal(np.stack(list(enumerate_partitions(6))), table)
+
+
+def test_repeated_exact_optimum_calls_agree():
+    g = synth.random_graph(8, 0.5, weighted=True, seed=5)
+    first = exact_optimum("ng", g)
+    for _ in range(2):
+        labels, q = exact_optimum("ng", g)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, first[0]) and q == first[1]
+        labels[:] = 0  # the caller's copy, not the shared table
+    assert np.array_equal(exact_optimum("ng", g)[0], first[0])
 
 
 def test_k3_zc_optimum_is_one_community():
