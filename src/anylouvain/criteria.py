@@ -69,7 +69,9 @@ from .errors import (
 )
 from .graph import SENTINEL, singleton_labels
 
-_BLOCK = 256  # row-block size for the pairwise evaluation path
+#: Dense cells (8-byte weights) per row block of the pairwise evaluation
+#: path, at most 256 rows: a block holds 1 MB whatever the node count.
+_CELLS = 1 << 17
 
 
 class CriterionState:
@@ -211,7 +213,8 @@ class Criterion:
         # Community of each adjacency entry's row, without a row-id array.
         own = np.repeat(labels, np.diff(g.indptr))
         same = own == labels[g.nbr]
-        in_w = np.bincount(own[same], weights=g.wgt[same],
+        in_w = np.bincount(own[same],
+                           None if g.unit_weights else g.wgt[same],
                            minlength=slots).astype(np.float64)
         in_w += np.bincount(labels, weights=g.loop, minlength=slots)
         tot = np.bincount(labels, weights=g.degrees,
@@ -246,7 +249,8 @@ class Criterion:
         """Literal pairwise evaluation on the level-0 graph.
 
         Independent of the accumulator path: the quality is summed over
-        ordered node pairs in row blocks of the dense weight matrix.
+        ordered node pairs in row blocks of the dense weight matrix, at
+        most 1 MB each per partition at any node count.
         ``labels`` is one partition, shape ``(n,)``, which gives a float,
         or a stack of ``P`` partitions, shape ``(P, n)``, which gives a
         length-``P`` array scored in one batched pass.  Raises
@@ -288,9 +292,16 @@ def _finite(q):
 def _blocks(g, labels):
     """Row blocks ``lo, hi, w, x``: the dense weights ``w[lo:hi]`` and
     the pair indicator ``x`` of those rows, with ``labels``'s leading
-    batch axis if it has one."""
-    for lo in range(0, g.n, _BLOCK):
-        hi = min(lo + _BLOCK, g.n)
+    batch axis if it has one.
+
+    A block has ``min(256, _CELLS // n)`` rows (at least one), so each
+    temporary of a criterion's block sum holds at most :data:`_CELLS`
+    cells per partition, and the working memory does not grow with the
+    node count.  The rows depend on ``n`` alone, so a batched call sums
+    the same blocks as each of its single calls."""
+    step = max(1, min(256, _CELLS // max(g.n, 1)))
+    for lo in range(0, g.n, step):
+        hi = min(lo + step, g.n)
         x = labels[..., lo:hi, None] == labels[..., None, :]
         yield lo, hi, g.dense(lo, hi), x
 

@@ -22,6 +22,9 @@ from .errors import LouvainError, NegativeWeight
 #: Community id of a node that is currently removed from the partition.
 SENTINEL = -1
 
+#: Adjacency entries per chunk of the key build in :func:`aggregate`.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Level0Constants:
@@ -59,7 +62,10 @@ class Graph:
         CSR adjacency over off-diagonal neighbors only; symmetric to the
         bit at every level, so every edge {i, j} appears in both rows with
         the same weight (one sum, added in the order that
-        :meth:`from_arrays` and :func:`aggregate` state).
+        :meth:`from_arrays` and :func:`aggregate` state).  When every
+        entry of a CSR they build weighs 1, ``wgt`` is the read-only
+        ``np.broadcast_to(1.0, nnz)``, which holds no memory per entry
+        (see :attr:`unit_weights`); it reads like an array of ones.
     loop : ndarray of float
         Self-loop weight per node (0 when absent).  A loop contributes once
         to the node's weighted degree and once to the total mass ``two_m``.
@@ -133,28 +139,8 @@ class Graph:
         read, so ``w`` may be a read-only view such as
         ``np.broadcast_to(1.0, m)``.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
-        # Reductions first; the scans that name the first bad edge run
-        # only when one is out of range.
-        if src.size and not (min(src.min(), dst.min()) >= 0
-                             and max(src.max(), dst.max()) < n):
-            out = np.flatnonzero((np.minimum(src, dst) < 0)
-                                 | (np.maximum(src, dst) >= n))
-            k = out[0]
-            raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
-                               f"outside 0..{n - 1}")
-        if w.size and not (w.min() >= 0 and w.max() < np.inf):
-            neg = np.flatnonzero(w < 0)
-            if neg.size:
-                k = neg[0]
-                raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has "
-                                     f"weight {w[k]}")
-            raise LouvainError("edge weights must be finite")
-        indptr, nbr, wgt, loop, row_sums = _csr(n, src, dst, w)
-        return cls(n, indptr, nbr, wgt, loop, np.ones(n, dtype=np.int64),
-                   np.zeros(n, dtype=np.float64), row_sums=row_sums)
+        return _from_pairs(n, np.column_stack((src, dst)).astype(
+            np.int64, copy=False), w)
 
     def replace_weights(self, wgt, loop, *, aux=None, extra=None):
         """Same topology with new edge weights, for pretreatments: a
@@ -166,6 +152,13 @@ class Graph:
         return g
 
     # -- basic accessors ----------------------------------------------
+
+    @property
+    def unit_weights(self):
+        """True when ``wgt`` is a broadcast of 1.0: sums over it are then
+        counts, which code may take without reading ``wgt``."""
+        return (self.wgt.strides == (0,) and self.wgt.size > 0
+                and self.wgt[0] == 1.0)
 
     @property
     def edge_count(self):
@@ -230,20 +223,51 @@ def aggregate(g, labels, kappa=None):
     For ``C <= D`` the entries ``(i, j)``, ``i`` in C and ``j`` in D, are
     added in CSR order (``i``, then ``j`` ascending) and the one sum goes
     to both rows, so the meta-graph is symmetric to the bit.  Member
-    loops are added to the meta self-loop last, in node order.
+    loops are added to the meta self-loop last, in node order.  Over
+    unit weights (:attr:`Graph.unit_weights`) the sums are key counts,
+    the same bit for bit.
+
+    The keys ``labels[i] * kappa + labels[j]`` are made a chunk of
+    :data:`_CHUNK` entries at a time.  Over unit weights and at most as
+    many keys ``kappa ** 2`` as entries, each chunk is counted and
+    dropped, so the fold holds no edge-sized array.  Otherwise the keys
+    are the one edge-sized array, ``labels[nbr]`` with each chunk's row
+    term added, and the build peaks at about one 8-byte word per
+    adjacency entry, plus what the fold keeps per distinct community
+    pair.
 
     ``labels`` must be compact (ids ``0..kappa-1``, all non-empty).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if kappa is None:
         kappa = int(labels.max()) + 1 if labels.size else 0
-    keys = np.repeat(labels * kappa, np.diff(g.indptr))
-    keys += labels[g.nbr]
-    keys, w = _key_sums(keys, g.wgt, kappa * kappa)
+    n_keys = kappa * kappa
+    # Each entry's key is row community * kappa + neighbour community.
+    # Counts add exactly in any grouping, so unit weights over a key
+    # range no longer than the entries are counted a chunk of keys at a
+    # time; otherwise the keys are built in one edge-sized array.
+    count = g.unit_weights and n_keys <= g.nbr.size
+    if count:
+        sums = np.zeros(n_keys, dtype=np.int64)
+    else:
+        keys = labels[g.nbr]
+    base = labels * kappa
+    for a in range(0, g.nbr.size, _CHUNK):
+        b = min(a + _CHUNK, g.nbr.size)
+        if count:
+            sums += np.bincount(_row_terms(g, base, a, b)
+                                + labels[g.nbr[a:b]], minlength=n_keys)
+        else:
+            keys[a:b] += _row_terms(g, base, a, b)
+    if count:
+        keys = np.flatnonzero(sums)
+        w = sums[keys].astype(np.float64)
+    else:
+        keys, w = _key_sums(keys, None if g.unit_weights else g.wgt, n_keys)
     c, d = np.divmod(keys, kappa)
     half = c <= d
-    indptr, nbr, wgt, loop, row_sums = _csr(kappa, c[half], d[half],
-                                            w[half])
+    indptr, nbr, wgt, loop, row_sums = _csr(
+        kappa, np.column_stack((c[half], d[half])), w[half])
     loop = loop + np.bincount(labels, weights=g.loop, minlength=kappa)
     size = np.bincount(labels, weights=g.size, minlength=kappa)
     aux = np.bincount(labels, weights=g.aux, minlength=kappa)
@@ -251,37 +275,81 @@ def aggregate(g, labels, kappa=None):
                  g.consts, row_sums=row_sums)
 
 
-def _csr(n, src, dst, w):
-    """``(indptr, nbr, wgt, loop, row_sums)`` of the edges ``src``-``dst``
-    weighted ``w`` over nodes ``0..n-1``, summed as
-    :meth:`Graph.from_arrays` states.
+def _row_terms(g, base, a, b):
+    """``base[i]`` for each adjacency entry ``(i, j)`` numbered
+    ``a..b-1``."""
+    # Rows r0..r1-1 hold the entries.
+    r0 = int(g.indptr.searchsorted(a, "right")) - 1
+    r1 = int(g.indptr.searchsorted(b))
+    return np.repeat(base[r0:r1],
+                     np.diff(np.clip(g.indptr[r0:r1 + 1], a, b)))
+
+
+def _from_pairs(n, pairs, w):
+    """:meth:`Graph.from_arrays` of the edges ``pairs[e] = (src, dst)``,
+    a C-contiguous ``(m, 2)`` int64 array that the CSR build overwrites
+    with its keys (:func:`_csr`)."""
+    src, dst = pairs[:, 0], pairs[:, 1]
+    w = np.asarray(w, dtype=np.float64)
+    # Reductions first; the scans that name the first bad edge run only
+    # when one is out of range.
+    if src.size and not (min(src.min(), dst.min()) >= 0
+                         and max(src.max(), dst.max()) < n):
+        out = np.flatnonzero((np.minimum(src, dst) < 0)
+                             | (np.maximum(src, dst) >= n))
+        k = out[0]
+        raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
+                           f"outside 0..{n - 1}")
+    if w.size and not (w.min() >= 0 and w.max() < np.inf):
+        neg = np.flatnonzero(w < 0)
+        if neg.size:
+            k = neg[0]
+            raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has "
+                                 f"weight {w[k]}")
+        raise LouvainError("edge weights must be finite")
+    indptr, nbr, wgt, loop, row_sums = _csr(n, pairs, w)
+    return Graph(n, indptr, nbr, wgt, loop, np.ones(n, dtype=np.int64),
+                 np.zeros(n, dtype=np.float64), row_sums=row_sums)
+
+
+def _csr(n, pairs, w):
+    """``(indptr, nbr, wgt, loop, row_sums)`` of the edges ``pairs[e] =
+    (src, dst)`` weighted ``w`` over nodes ``0..n-1``, summed as
+    :meth:`Graph.from_arrays` states.  ``pairs`` is a C-contiguous
+    ``(m, 2)`` int64 array; when no edge is a loop, each edge's two keys
+    are written over its two ids, a chunk at a time, and the sorted keys
+    become ``nbr`` in place, so the build holds no second edge-sized
+    array.
 
     The edges are unit-weight when, loops dropped, every weight is 1
     (or there is none).  Then the sums are counts, exact in float64 in
     any order: :func:`_key_sums` counts the bare keys, and also gives
     ``row_sums``, the edge counts per node, as its key counts per row.
+    With no duplicate pair ``wgt`` is then a broadcast of 1.0.
     Otherwise each edge's two keys share its one weight in ``w``, which
     :func:`_key_sums` gathers per key through the stable sort order, and
     ``row_sums`` is None (:class:`Graph` sums the rows)."""
-    off = src != dst
-    loop = np.bincount(src[~off], weights=w[~off], minlength=n)
+    off = pairs[:, 0] != pairs[:, 1]
+    loop = np.bincount(pairs[~off, 0], weights=w[~off], minlength=n)
     if not off.all():
-        src, dst, w = src[off], dst[off], w[off]
+        pairs, w = pairs[off], w[off]
+    del off
     unit = not w.size or w.min() == 1.0 == w.max()
     # Each edge's two keys side by side, the row in the high bits: both
     # rows see the edges of a pair in array order.
     bits = int(max(n - 1, 0)).bit_length()
-    keys = np.empty((src.size, 2), dtype=np.int64)
-    np.left_shift(src, bits, out=keys[:, 0])
-    keys[:, 0] |= dst
-    np.left_shift(dst, bits, out=keys[:, 1])
-    keys[:, 1] |= src
-    del src, dst  # copies are freed before the sort
+    for a in range(0, len(pairs), _CHUNK):
+        chunk = pairs[a:a + _CHUNK]
+        src = chunk[:, 0].copy()
+        chunk[:, 0] <<= bits
+        chunk[:, 0] |= chunk[:, 1]
+        chunk[:, 1] <<= bits
+        chunk[:, 1] |= src
+    keys = pairs.ravel()
     if unit:
-        keys, wgt, row_sums = _key_sums(keys.ravel(), None, n << bits,
-                                        shift=bits)
+        keys, wgt, row_sums = _key_sums(keys, None, n << bits, shift=bits)
     else:
-        keys, wgt = _key_sums(keys.ravel(), w, n << bits)
+        keys, wgt = _key_sums(keys, w, n << bits)
         row_sums = None
     indptr = keys.searchsorted(np.arange(n + 1) << bits)
     nbr = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
@@ -302,8 +370,9 @@ def _key_sums(keys, weights, size, shift=None):
     ``keys``, one per pair of adjacent keys: ``keys[2e]`` and
     ``keys[2e + 1]`` both weigh ``weights[e]``.  The sums are the same
     bit for bit as with ``np.repeat(weights, 2)``.  ``weights=None``
-    weighs every key 1: the sums are the counts as float64, the same
-    bit for bit as with explicit ones.
+    weighs every key 1: the sums are the key counts, the same bit for
+    bit as summed explicit ones, and when every key is distinct they are
+    the read-only ``np.broadcast_to(1.0, k)``, holding no memory.
 
     One ``bincount`` over ``0..size-1`` when that range is no longer
     than ``keys``, otherwise a sort of ``keys``, which may be
@@ -318,19 +387,25 @@ def _key_sums(keys, weights, size, shift=None):
         if shift is not None:
             rows = sums.reshape(-1, 1 << shift).sum(axis=1)
         keys = np.flatnonzero(sums)
-        sums = sums[keys].astype(np.float64, copy=False)
+        sums = sums[keys]
+    elif weights is None:
+        keys.sort()
+        if shift is not None:
+            rows = np.diff(keys.searchsorted(
+                np.arange((size >> shift) + 1) << shift))
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        sums = None  # every key distinct
+        if not first.all():
+            starts = np.flatnonzero(first)
+            del first
+            sums = np.diff(starts, append=keys.size)
+            keys = keys[starts]
     else:
-        if weights is None:
-            keys.sort()
-            sums = np.ones(keys.size)
-            if shift is not None:
-                rows = np.diff(keys.searchsorted(
-                    np.arange((size >> shift) + 1) << shift))
-        else:
-            keys, order = _stable_sort(keys, size)
-            paired = int(weights.size < keys.size)
-            sums = weights[np.right_shift(order, paired, out=order)]
-            del order  # freed before the duplicate fold allocates
+        keys, order = _stable_sort(keys, size)
+        paired = int(weights.size < keys.size)
+        sums = weights[np.right_shift(order, paired, out=order)]
+        del order  # freed before the duplicate fold allocates
         first = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         if not first.all():
@@ -339,6 +414,10 @@ def _key_sums(keys, weights, size, shift=None):
         keep = sums != 0
         if not keep.all():
             keys, sums = keys[keep], sums[keep]
+    if weights is None:  # counts, each at least 1
+        sums = (np.broadcast_to(1.0, keys.size)
+                if sums is None or not sums.size or sums.max() == 1
+                else sums.astype(np.float64))
     if shift is None:
         return keys, sums
     return keys, sums, rows.astype(np.float64)

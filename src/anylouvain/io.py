@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import NegativeWeight, ParseError, UnknownLabel
-from .graph import Graph, compact_labels
+from .graph import _from_pairs, compact_labels
 
 #: Bytes per block read from a path; a text file object is read
 #: ``_BLOCK // 16 + 1`` lines at a time.
@@ -221,36 +221,52 @@ def _parse_block(text, line_no, ids):
                                 dtype=np.int64, count=len(tokens))
         return pairs, n_ends
     del space
-    tokens = text.split()
     counts = np.bincount(np.searchsorted(ends, starts),
                          minlength=n_ends + 1)
-    lead = np.cumsum(counts) - counts  # a line's first token
     lines = np.flatnonzero(counts)
-    lines = lines[cp[starts[lead[lines]]] != 35]  # drop "#" lines
-    bad = np.flatnonzero((counts[lines] < 2) | (counts[lines] > 3))
+    lead = (np.cumsum(counts) - counts)[lines]  # each line's first token
+    keep = cp[starts[lead]] != 35  # drop "#" lines
+    del cp, enc, starts
+    lines, lead = lines[keep], lead[keep]
+    counts = counts[lines]
+    bad = np.flatnonzero((counts < 2) | (counts > 3))
     bad_line = lines[bad[0]] if bad.size else None
-    lines = lines[:bad[0]] if bad.size else lines
-    seq = list(map(tokens.__getitem__,
-                   (lead[lines, None] + (0, 1)).ravel().tolist()))
-    w_lines = lines[counts[lines] == 3]
-    w_tok = list(map(tokens.__getitem__, (lead[w_lines] + 2).tolist()))
+    if bad.size:
+        lines, lead, counts = lines[:bad[0]], lead[:bad[0]], counts[:bad[0]]
+    weighted = counts == 3
+    del keep, counts
+    # The tokens as an object array, indexed by arrays: no Python int
+    # per index.  The labels meet the ids first, then only the weight
+    # tokens stay alive while they are parsed.
+    tokens = np.array(text.split(), dtype=object)
+    seq = tokens[(lead[:, None] + (0, 1)).ravel()]
+    pairs = np.fromiter(map(ids.__getitem__, seq), dtype=np.int64,
+                        count=seq.size)
+    del seq
+    w_tok = tokens[lead[weighted] + 2]
+    del tokens, lead
 
-    # Weights, then the earliest faulty line of any kind.
-    vals = []
+    # Weights, then the earliest faulty line of any kind.  Only a bad
+    # token makes a list of Python floats, to find where it is.
     try:
-        vals.extend(map(float, w_tok))  # extend() keeps the good prefix
+        w = np.fromiter(map(float, w_tok), dtype=np.float64,
+                        count=w_tok.size)
     except ValueError:
-        pass
-    w = np.array(vals, dtype=np.float64)
+        vals = []
+        try:
+            vals.extend(map(float, w_tok))  # extend() keeps the good prefix
+        except ValueError:
+            pass
+        w = np.array(vals, dtype=np.float64)
     odd = np.flatnonzero(~np.isfinite(w) | (w < 0))
-    k = odd[0] if odd.size else len(vals)
-    if k < len(w_tok):
-        at = line_no + int(w_lines[k])
-        if k == len(vals):
+    k = odd[0] if odd.size else w.size
+    if k < w_tok.size:
+        at = line_no + int(lines[weighted][k])
+        if k == w.size:
             raise ParseError(at, f"bad weight token {w_tok[k]!r}")
-        if not math.isfinite(vals[k]):
+        if not math.isfinite(w[k]):
             raise ParseError(at, f"weight {w_tok[k]!r} is not finite")
-        raise NegativeWeight(f"line {at}: weight {vals[k]} is negative")
+        raise NegativeWeight(f"line {at}: weight {float(w[k])} is negative")
     if bad_line is not None:
         lo = ends[bad_line - 1] + 1 if bad_line else 0
         hi = ends[bad_line] + 1 if bad_line < n_ends else len(text)
@@ -258,9 +274,8 @@ def _parse_block(text, line_no, ids):
                          f"expected 'src dst [weight]', got {text[lo:hi]!r}")
 
     wgt = np.ones(lines.size)
-    wgt[np.searchsorted(lines, w_lines)] = w
-    return np.fromiter(map(ids.__getitem__, seq), dtype=np.int64,
-                       count=len(seq)), wgt
+    wgt[weighted] = w
+    return pairs, wgt
 
 
 def read_edge_list(source):
@@ -279,11 +294,14 @@ def read_edge_list(source):
     when no line of the file has a weight, the weights stay implicit (a
     read-only ``1.0`` broadcast over the edges) and the CSR build counts
     its keys, sorted in place, instead of summing weights.  Such a read
-    peaks at about seven 8-byte words per edge line: the joined ids
-    (two), the CSR's neighbor ids and weights (four) and the duplicate
-    fold's byte masks.  A file with weights holds about nine at the
-    build: the ids (two), the weights (one), the keys (two) and the
-    stable sort's order and gathered weights (four).
+    peaks at about four 8-byte words per edge line, the blocks' id arrays
+    and their join (two each).  The CSR build writes each edge's two keys
+    over its two ids and sorts them in place into the neighbor ids, so
+    the graph holds two; its weights stay the broadcast unless a pair is
+    given twice.  A file with weights also holds its weights (one) and
+    the stable sort's order and gathered weights (four), about ten words
+    per line at the build.  Its blocks are split into token strings,
+    about 20 bytes per byte of a block's text while that block is parsed.
     """
     ids = _Ids()
     blocks = (_parse_block(text, line_no, ids)
@@ -295,8 +313,7 @@ def read_edge_list(source):
     else:  # the lines of an unweighted block weigh 1
         weights = np.concatenate([np.ones(w) if isinstance(w, int) else w
                                   for w in weights])
-    return Graph.from_arrays(len(ids), pairs[0::2], pairs[1::2],
-                             weights), list(ids)
+    return _from_pairs(len(ids), pairs.reshape(-1, 2), weights), list(ids)
 
 
 def write_partition(target, flat, labels):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,3 +131,18 @@ def assert_same_graph(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert (name, a.dtype, a.tobytes()) == (name, b.dtype, b.tobytes())
     assert repr(got.consts) == repr(want.consts)
+
+
+def traced_peak(call):
+    """``(result, peak, held)``: the tracemalloc peak of ``call()`` and
+    what its result still holds, in bytes over what was allocated before
+    it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+        return out, peak - base, held - base
+    finally:
+        tracemalloc.stop()

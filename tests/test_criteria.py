@@ -12,8 +12,9 @@ from anylouvain.errors import (LouvainError, NodeAlreadyPlaced,
                                UnknownCommunity, WeightedInputNotSupported,
                                ZeroDegreeNode, ZeroEdgeMass)
 
-from conftest import (compatible_graph, neighbor_community_weights, triangle,
-                      two_triangles)
+from anylouvain import criteria
+from conftest import (compatible_graph, neighbor_community_weights,
+                      traced_peak, triangle, two_triangles)
 
 
 # -- init ---------------------------------------------------------------
@@ -420,3 +421,44 @@ def test_oz_half_alpha_is_half_zc():
 def test_unknown_criterion_id():
     with pytest.raises(LouvainError):
         make_criterion("nope")
+
+
+def test_relational_over_many_blocks_matches_one_dense_block(criterion,
+                                                             monkeypatch):
+    # 700 nodes take four row blocks of 187 rows; one block of the whole
+    # dense matrix is the plain reference.
+    rng = np.random.default_rng(17)
+    g = synth.random_graph(700, 0.02, weighted=criterion.weighted_ok,
+                           loops=criterion.id != "wc", seed=17)
+    g = criterion.pretreat(g)
+    labels = np.stack([synth.random_labels(g.n, max_kappa=k, rng=rng)
+                       for k in (3, 30, 700)])
+    assert len(list(criteria._blocks(g, labels))) == 4
+    got = criterion.relational(g, labels)
+    assert got.tolist() == [criterion.relational(g, x) for x in labels]
+
+    def one_block(g, labels):
+        yield 0, g.n, g.dense(), labels[..., :, None] == labels[..., None, :]
+    monkeypatch.setattr(criteria, "_blocks", one_block)
+    np.testing.assert_allclose(got, criterion.relational(g, labels),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cid", ["ng", "pd"])
+def test_relational_memory_is_flat_in_n(cid):
+    # Row blocks hold a fixed number of cells, so the working memory
+    # stays the same as the node count doubles (256-row blocks doubled
+    # it, 8 MB per temporary at 4000 nodes).
+    crit = make_criterion(cid)
+    peaks = []
+    for n in (2000, 4000):
+        ring = np.arange(n)
+        g = crit.pretreat(Graph.from_arrays(
+            n, np.tile(ring, 2), np.concatenate([(ring + 1) % n,
+                                                 (ring + 7) % n]),
+            np.broadcast_to(1.0, 2 * n)))
+        labels = np.arange(n) % 40
+        _, peak, _ = traced_peak(lambda: crit.relational(g, labels))
+        peaks.append(peak)
+    assert peaks[1] <= 1.2 * peaks[0]
+    assert peaks[1] <= 5e6

@@ -12,7 +12,7 @@ from anylouvain.errors import LouvainError, NegativeWeight
 from anylouvain import graph, synth
 
 from conftest import (assert_same_graph, neighbor_community_weights,
-                      neighbors, path3, reference_csr, triangle)
+                      neighbors, path3, reference_csr, traced_peak, triangle)
 
 
 def test_isolated_node_degree_zero():
@@ -235,10 +235,12 @@ def test_from_arrays_leaves_read_only_weights_alone():
     src, dst = _unit_edges(50, 200, seed=4)
     weighted = np.where(src % 3, 1.0, 2.5)
     weighted.flags.writeable = False
+    ids = src.tobytes() + dst.tobytes()
     for w in (np.broadcast_to(1.0, src.size), weighted):
         before = w.copy()
         g = Graph.from_arrays(50, src, dst, w)
         assert w.tobytes() == before.tobytes()
+        assert src.tobytes() + dst.tobytes() == ids
         assert_same_graph(g, reference_csr(50, zip(src, dst, before)))
 
 
@@ -454,3 +456,95 @@ def test_compact_labels():
     assert list(labels) == [1, 1, 2, 0]
     with pytest.raises(ValueError):
         compact_labels(np.array([0, -1]))
+
+
+# -- implicit unit weights ----------------------------------------------
+
+
+def test_unit_csr_weights_are_a_read_only_broadcast():
+    # Distinct unit pairs give a broadcast of 1.0; a pair given twice
+    # sums to 2 and keeps a real weight array.
+    n, m = CSR_SHAPES["sort"]
+    src, dst = _unit_edges(n, m, seed=5)
+    g = Graph.from_arrays(n, src, dst, np.ones(src.size))
+    assert not g.unit_weights and g.wgt.flags.writeable
+    assert_same_graph(g, reference_csr(n, zip(src, dst, np.ones(src.size))))
+    keys = np.unique(np.where(src == dst, -1, np.minimum(src, dst) * n
+                              + np.maximum(src, dst)))[1:]
+    a, b = np.divmod(keys, n)
+    g = Graph.from_arrays(n, a, b, np.ones(a.size))
+    assert g.unit_weights
+    assert g.wgt.strides == (0,) and not g.wgt.flags.writeable
+    with pytest.raises(ValueError):
+        g.wgt[0] = 2.0
+    assert_same_graph(g, reference_csr(n, zip(a, b, np.ones(a.size))))
+
+
+@pytest.mark.parametrize("size", [40, 100])  # bincount, then sort branch
+def test_key_sums_of_distinct_keys_are_a_broadcast(size):
+    keys = np.random.default_rng(6).permutation(size)[:40]
+    got = graph._key_sums(keys.copy(), None, size)
+    want = graph._key_sums(keys.copy(), np.ones(40), size)
+    assert got[1].strides == (0,)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _with_ones(g):
+    """``g`` with its weights written out as an array of ones."""
+    return Graph(g.n, g.indptr, g.nbr, np.ones(g.nbr.size), g.loop, g.size,
+                 g.aux)
+
+
+@pytest.mark.parametrize("cid,alpha", [
+    ("ng", None), ("zc", None), ("oz", 0.3), ("wc", None), ("bm", None),
+    ("di", None), ("du", None), ("g", None), ("pd", None)])
+def test_broadcast_weights_run_as_ones(cid, alpha):
+    # Counting in place of summing ones changes no bit: detect (long and
+    # short rows, every level's aggregate), state_from_labels, relational
+    # and dense agree between a broadcast and an array of ones.
+    crit = make_criterion(cid, alpha)
+    for n, p in ((150, 0.6), (300, 0.03)):
+        unit = synth.random_graph(n, p, loops=cid != "wc", seed=n)
+        assert unit.unit_weights
+        ones = _with_ones(unit)
+        assert_same_graph(unit, ones)
+        cfg = RunConfig(criterion=cid, alpha=alpha)
+        a, b = detect(unit, cfg), detect(ones, cfg)
+        assert a.flat.tobytes() == b.flat.tobytes()
+        for la, lb in zip(a.levels, b.levels, strict=True):
+            assert la.labels.tobytes() == lb.labels.tobytes()
+            assert ((la.quality, la.sweeps, la.moves, la.kappa)
+                    == (lb.quality, lb.sweeps, lb.moves, lb.kappa))
+            assert_same_graph(la.graph, lb.graph)
+        labels = a.levels[0].labels
+        assert_same_graph(aggregate(unit, labels), aggregate(ones, labels))
+        if cid in ("wc", "pd"):
+            unit, ones = crit.pretreat(unit), crit.pretreat(ones)
+        sa, sb = (crit.state_from_labels(g, a.flat) for g in (unit, ones))
+        for name in ("in_w", "tot", "sz", "aux"):
+            assert getattr(sa, name).tobytes() == getattr(sb, name).tobytes()
+        assert crit.relational(unit, a.flat) == crit.relational(ones, a.flat)
+        assert unit.dense().tobytes() == ones.dense().tobytes()
+
+
+@pytest.mark.parametrize("groups,size", [(20, 150), (1000, 22)],
+                         ids=["counted", "sort"])
+def test_aggregate_peak_memory(groups, size):
+    # Few communities over unit weights are counted a chunk of keys at a
+    # time, in a few chunk-sized temporaries; many communities build the
+    # keys as one array per adjacency entry and sort it.  Building the
+    # row term and labels[nbr] apart held two words per entry, the
+    # stable sort and gather of explicit ones four.  Groups of nodes
+    # joined inside and to the next group give a few meta-edges each.
+    n = groups * size
+    src, dst = np.triu_indices(size, k=1)
+    base = np.arange(groups)[:, None] * size
+    src = np.concatenate([(base + src).ravel(), np.arange(n)])
+    dst = np.concatenate([(base + dst).ravel(), (np.arange(n) + size) % n])
+    g = Graph.from_arrays(n, src, dst, np.broadcast_to(1.0, src.size))
+    labels = np.arange(n) // size
+    assert (groups * groups <= g.nbr.size) == (groups == 20)
+    meta, peak, _ = traced_peak(lambda: aggregate(g, labels, groups))
+    assert peak <= (3 * 8 * graph._CHUNK if groups == 20
+                    else 1.25 * 8 * g.nbr.size)
+    assert_same_graph(meta, aggregate(_with_ones(g), labels, groups))

@@ -2,7 +2,6 @@
 
 import io
 import json
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,7 @@ from anylouvain import (RunConfig, datasets, detect, read_edge_list,
                         read_partition, relational_total, write_partition)
 from anylouvain.errors import NegativeWeight, ParseError, UnknownLabel
 
-from conftest import assert_same_graph, reference_csr
+from conftest import assert_same_graph, reference_csr, traced_peak
 
 
 def parse(text):
@@ -168,31 +167,32 @@ def test_summary_fields_and_json():
     assert "communities" in h.to_text()
 
 
-def traced_peak(call):
-    """``(result, peak)``: the tracemalloc peak of ``call()`` in bytes,
-    over what was allocated before it."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_read_peak_memory(tmp_path):
-    # An unweighted read holds the joined ids (two 8-byte words per
-    # edge) and the CSR's neighbor ids and weights (four), built from the
-    # sorted keys in place, and no weight array or sort order.
+    # An unweighted read holds at most the blocks' ids and their join
+    # (two 8-byte words per edge each), and no weight array or sort
+    # order: the keys are written over the joined ids and sorted in
+    # place into the neighbor ids, which the graph keeps (two), its
+    # weights a broadcast.
     src, dst = np.triu_indices(710, k=1)  # 251,695 distinct pairs
     order = np.random.default_rng(0).permutation(src.size)
     path = tmp_path / "pairs.edges"
     path.write_text("".join(f"{a} {b}\n" for a, b in
                             zip(src[order].tolist(), dst[order].tolist())))
-    g, peak = traced_peak(lambda: read_edge_list(path)[0])
+    g, peak, held = traced_peak(lambda: read_edge_list(path)[0])
     assert g.nbr.size == 2 * src.size
-    assert peak <= 7.5 * 8 * src.size
+    assert peak <= 5.5 * 8 * src.size
+    assert held <= 2.1 * 8 * src.size
+
+
+def test_duplicate_pairs_keep_a_weight_array(tmp_path):
+    path = tmp_path / "twice.edges"
+    path.write_text("a b\nb c\nc a\n")
+    g = read_edge_list(path)[0]
+    assert g.unit_weights and not g.wgt.flags.writeable
+    path.write_text("a b\nb c\nc a\nb a\n")
+    g = read_edge_list(path)[0]
+    assert not g.unit_weights and g.wgt.flags.writeable
+    assert g.wgt.tolist() == [2.0, 1.0, 2.0, 1.0, 1.0, 1.0]
 
 
 def test_parse_block_peak_memory():
@@ -203,10 +203,25 @@ def test_parse_block_peak_memory():
     rng = np.random.default_rng(0)
     text = "".join(f"{a} {b}\n" for a, b in
                    rng.integers(0, 10_000, (135_000, 2)).tolist())
-    (pairs, lines), peak = traced_peak(
+    (pairs, lines), peak, _ = traced_peak(
         lambda: reader._parse_block(text, 1, reader._Ids()))
     assert peak <= 6.5 * len(text)
     assert (pairs.size, lines) == (270_000, 135_000)
+
+
+def test_weighted_block_peak_memory():
+    # One 1 MB block of "src dst 0.5" lines goes through text.split():
+    # its token strings (~15 bytes per byte of text) and one object
+    # array of them are alive at once, but no Python int per index and
+    # no list of Python floats (the parent peaked at 29.5 bytes per byte).
+    rng = np.random.default_rng(0)
+    text = "".join(f"{a} {b} 0.5\n" for a, b in
+                   rng.integers(0, 1000, (89_703, 2)).tolist())
+    (pairs, w), peak, _ = traced_peak(
+        lambda: reader._parse_block(text, 1, reader._Ids()))
+    assert peak <= 21.5 * len(text)
+    assert pairs.size == 2 * w.size == 2 * 89_703
+    assert np.all(w == 0.5)
 
 
 def labelled_edges(rng, m):
