@@ -22,9 +22,12 @@ _AGREE_TOL = 1e-9
 
 
 def _read_graph(path):
-    if path == "-":
-        return read_edge_list(sys.stdin)
-    return read_edge_list(path)
+    """The graph and node labels of the edge list at ``path`` ("-" reads
+    stdin); a graph with no nodes raises :class:`LouvainError`."""
+    g, labels = read_edge_list(sys.stdin if path == "-" else path)
+    if g.n == 0:
+        raise LouvainError(f"graph {path!r} has no nodes")
+    return g, labels
 
 
 def _config(args):
@@ -42,8 +45,6 @@ def _cmd_detect(args):
     as_criterion(args.criterion, args.alpha)  # validate before I/O
     cfg = _config(args)
     g, labels = _read_graph(args.graph)
-    if g.n == 0:
-        raise LouvainError(f"graph {args.graph!r} has no nodes")
     h = detect(g, cfg)
     write_partition(args.output or sys.stdout, h.flat, labels)
     if args.levels_out:

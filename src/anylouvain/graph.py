@@ -80,16 +80,12 @@ class Graph:
         maximum over ``wgt`` and the positive loops (a NaN loop is not
         positive), taken from the two arrays' maxima without copying
         them, and 1 when both are empty.
-    row_sums : ndarray of float, optional
-        Sum of each row's ``wgt`` (the degree without the loop), when
-        the caller has it; summed from ``wgt`` in CSR order otherwise.
     """
 
     __slots__ = ("n", "indptr", "nbr", "wgt", "loop", "size", "aux",
                  "consts", "degrees")
 
-    def __init__(self, n, indptr, nbr, wgt, loop, size, aux, consts=None, *,
-                 row_sums=None):
+    def __init__(self, n, indptr, nbr, wgt, loop, size, aux, consts=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.nbr = np.asarray(nbr, dtype=np.int64)
@@ -97,7 +93,9 @@ class Graph:
         self.loop = np.asarray(loop, dtype=np.float64)
         self.size = np.asarray(size, dtype=np.int64)
         self.aux = np.asarray(aux, dtype=np.float64)
-        if row_sums is None:
+        if self.unit_weights:  # the row sums are the row lengths
+            row_sums = np.diff(self.indptr)
+        else:
             rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
             row_sums = np.bincount(rows, weights=self.wgt, minlength=self.n)
         # Sums that overflow are left infinite: the criteria's quality
@@ -266,13 +264,13 @@ def aggregate(g, labels, kappa=None):
         keys, w = _key_sums(keys, None if g.unit_weights else g.wgt, n_keys)
     c, d = np.divmod(keys, kappa)
     half = c <= d
-    indptr, nbr, wgt, loop, row_sums = _csr(
+    indptr, nbr, wgt, loop = _csr(
         kappa, np.column_stack((c[half], d[half])), w[half])
     loop = loop + np.bincount(labels, weights=g.loop, minlength=kappa)
     size = np.bincount(labels, weights=g.size, minlength=kappa)
     aux = np.bincount(labels, weights=g.aux, minlength=kappa)
     return Graph(kappa, indptr, nbr, wgt, loop, size.astype(np.int64), aux,
-                 g.consts, row_sums=row_sums)
+                 g.consts)
 
 
 def _row_terms(g, base, a, b):
@@ -307,13 +305,13 @@ def _from_pairs(n, pairs, w):
             raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has "
                                  f"weight {w[k]}")
         raise LouvainError("edge weights must be finite")
-    indptr, nbr, wgt, loop, row_sums = _csr(n, pairs, w)
+    indptr, nbr, wgt, loop = _csr(n, pairs, w)
     return Graph(n, indptr, nbr, wgt, loop, np.ones(n, dtype=np.int64),
-                 np.zeros(n, dtype=np.float64), row_sums=row_sums)
+                 np.zeros(n, dtype=np.float64))
 
 
 def _csr(n, pairs, w):
-    """``(indptr, nbr, wgt, loop, row_sums)`` of the edges ``pairs[e] =
+    """``(indptr, nbr, wgt, loop)`` of the edges ``pairs[e] =
     (src, dst)`` weighted ``w`` over nodes ``0..n-1``, summed as
     :meth:`Graph.from_arrays` states.  ``pairs`` is a C-contiguous
     ``(m, 2)`` int64 array; when no edge is a loop, each edge's two keys
@@ -323,12 +321,10 @@ def _csr(n, pairs, w):
 
     The edges are unit-weight when, loops dropped, every weight is 1
     (or there is none).  Then the sums are counts, exact in float64 in
-    any order: :func:`_key_sums` counts the bare keys, and also gives
-    ``row_sums``, the edge counts per node, as its key counts per row.
-    With no duplicate pair ``wgt`` is then a broadcast of 1.0.
-    Otherwise each edge's two keys share its one weight in ``w``, which
-    :func:`_key_sums` gathers per key through the stable sort order, and
-    ``row_sums`` is None (:class:`Graph` sums the rows)."""
+    any order: :func:`_key_sums` counts the bare keys, and with no
+    duplicate pair ``wgt`` is a broadcast of 1.0.  Otherwise each edge's
+    two keys share its one weight in ``w``, which :func:`_key_sums`
+    gathers per key through the stable sort order."""
     off = pairs[:, 0] != pairs[:, 1]
     loop = np.bincount(pairs[~off, 0], weights=w[~off], minlength=n)
     if not off.all():
@@ -345,26 +341,16 @@ def _csr(n, pairs, w):
         chunk[:, 0] |= chunk[:, 1]
         chunk[:, 1] <<= bits
         chunk[:, 1] |= src
-    keys = pairs.ravel()
-    if unit:
-        keys, wgt, row_sums = _key_sums(keys, None, n << bits, shift=bits)
-    else:
-        keys, wgt = _key_sums(keys, w, n << bits)
-        row_sums = None
+    keys, wgt = _key_sums(pairs.ravel(), None if unit else w, n << bits)
     indptr = keys.searchsorted(np.arange(n + 1) << bits)
     nbr = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
-    return indptr, nbr, wgt, loop, row_sums
+    return indptr, nbr, wgt, loop
 
 
-def _key_sums(keys, weights, size, shift=None):
+def _key_sums(keys, weights, size):
     """The distinct ``keys`` (each in ``0..size-1``) in ascending order,
     and for each the sum of its ``weights`` added in input order; keys
-    whose sum is zero are dropped.  With ``weights=None`` and a
-    ``shift``, a third result holds, for each ``r`` in
-    ``0..(size >> shift) - 1``, how many ``keys`` have
-    ``key >> shift == r``, as float64: the unit row sums of a CSR whose
-    keys hold the row above ``shift`` bits.  The sort takes them from the
-    sorted keys before the duplicate fold, by one ``searchsorted``.
+    whose sum is zero are dropped.
 
     ``weights`` holds one weight per key or, when it is shorter than
     ``keys``, one per pair of adjacent keys: ``keys[2e]`` and
@@ -379,20 +365,14 @@ def _key_sums(keys, weights, size, shift=None):
     overwritten: stable, with one gather of ``weights`` in sorted order,
     or, without weights, in place and with no order.
     """
-    rows = None
     if size <= keys.size:
         if weights is not None and weights.size < keys.size:
             weights = np.repeat(weights, 2)
         sums = np.bincount(keys, weights, minlength=size)
-        if shift is not None:
-            rows = sums.reshape(-1, 1 << shift).sum(axis=1)
         keys = np.flatnonzero(sums)
         sums = sums[keys]
     elif weights is None:
         keys.sort()
-        if shift is not None:
-            rows = np.diff(keys.searchsorted(
-                np.arange((size >> shift) + 1) << shift))
         first = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         sums = None  # every key distinct
@@ -418,9 +398,7 @@ def _key_sums(keys, weights, size, shift=None):
         sums = (np.broadcast_to(1.0, keys.size)
                 if sums is None or not sums.size or sums.max() == 1
                 else sums.astype(np.float64))
-    if shift is None:
-        return keys, sums
-    return keys, sums, rows.astype(np.float64)
+    return keys, sums
 
 
 def _stable_sort(keys, size):

@@ -208,15 +208,15 @@ def _short_rows(g):
 def one_pass(g, cfg, st, rng=None):
     """Greedy local optimization on one graph level.
 
-    ``st`` must be a freshly initialized state (all-singleton partition).
+    ``st`` may hold any partition (:meth:`Criterion.state_from_labels`).
     Nodes are visited in (re-)shuffled order; each visit removes the node
     and re-inserts it into the candidate community of highest gain.
     Candidates are scored in a fixed order, and a later one wins only with
     a strictly higher gain: the node's own community first (so ties keep
     it in place), then neighbouring communities by ascending id, then one
-    empty community unless the node just vacated its own.  Sweeps repeat
-    until one full sweep moves nothing; a pass still moving after
-    ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
+    empty slot of ``st`` unless the node just vacated its own.
+    Sweeps repeat until one full sweep moves nothing; a pass still moving
+    after ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
     :class:`PassResult`.
 
     The pass runs on Python-list copies of the state and the node
@@ -253,7 +253,7 @@ def one_pass(g, cfg, st, rng=None):
     rows = _short_rows(g)
     part_np = st.part  # kept current for the long rows' numpy lookups
     indptr, nbr, wgt = g.indptr.tolist(), g.nbr, g.wgt
-    free = [n]  # stack of empty community ids; slot n starts unused
+    free = np.flatnonzero(st.sz == 0)[::-1].tolist()  # stack, lowest on top
     # A short row's neighbour-community sums, kept until a neighbour
     # moves; None where there are none to reuse.
     kept = [None] * n

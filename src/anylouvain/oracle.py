@@ -4,18 +4,22 @@ scratch.  Everything here goes through the pairwise evaluation path, so
 it stays independent of the incremental bookkeeping it is used to check.
 All Bell(n) partitions are built at once (and once per n) as a table of
 growth strings and scored ``_BLOCK`` rows per batched ``relational``
-call, up to n = 10.
+call, up to n = 10.  :func:`attainment_table` scores the greedy
+optimizer against both: the optimum and the single-node moves of
+:func:`improving_move`.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import as_criterion
-from .errors import TooLarge
+from .criteria import CRITERIA, as_criterion, make_criterion
+from .errors import LouvainError, TooLarge, WeightedInputNotSupported
 from .graph import SENTINEL
+from .louvain import RunConfig, run
 
 #: Bell numbers B(0)..B(10): number of set partitions of n elements.
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
@@ -89,3 +93,78 @@ def delta_oracle(criterion, g0, labels, i, c_new, *, alpha=None):
     after[i] = c_new
     before_q, after_q = crit.relational(g0, np.stack([labels, after]))
     return float(after_q - before_q)
+
+
+def improving_move(criterion, g0, labels, *, alpha=None):
+    """The first single-node move that raises the quality of ``labels``
+    on the small level-0 graph ``g0`` by more than 1e-9 relative, as
+    ``(node, community)``, or None when ``labels`` is a level-0 local
+    optimum.
+
+    The moves are the ones a local-move pass offers: node ``i`` into the
+    community of a neighbour or into an empty one (id one past the
+    largest).  They are tried node by node, each node's targets in
+    ascending id, and scored in one batched ``relational`` call.
+    """
+    crit = as_criterion(criterion, alpha)
+    labels = np.asarray(labels, dtype=np.int64)
+    empty = int(labels.max(initial=-1)) + 1
+    moves = [(i, c) for i in range(g0.n) for c in sorted(
+        {empty, *labels[g0.nbr[g0.indptr[i]:g0.indptr[i + 1]]].tolist()}
+        - {int(labels[i])})]
+    if not moves:
+        return None
+    node, comm = np.array(moves).T
+    after = np.repeat(labels[None], len(moves), axis=0)
+    after[np.arange(len(moves)), node] = comm
+    q0 = crit.relational(g0, labels)
+    up = np.flatnonzero(crit.relational(g0, after) - q0
+                        > 1e-9 * max(1.0, abs(q0)))
+    return moves[up[0]] if up.size else None
+
+
+class Attainment(NamedTuple):
+    """One criterion's row of :func:`attainment_table`."""
+
+    runs: int
+    hits: int
+    max_gap: float
+    local_optima: int
+
+
+def attainment_table(graphs):
+    """Per criterion id, an :class:`Attainment` of ``run`` with the
+    default :class:`RunConfig` on each of the small level-0 ``graphs``,
+    pretreated here; a graph the criterion refuses as weighted is
+    skipped, and ``oz`` runs at alpha 0.3.
+
+    A run hits when its quality is within 1e-9 relative of the
+    enumerated optimum; its gap is ``(optimum - quality) / |optimum|``
+    (the bare difference for an optimum of 0); it is a local optimum
+    when :func:`improving_move` finds no move from its partition.  A run
+    that beats the optimum by more than 1e-9 relative raises
+    :class:`LouvainError`: the evaluation paths then disagree.
+    """
+    table = {}
+    for cid in CRITERIA:
+        cfg = RunConfig(criterion=cid, alpha=0.3)  # only oz reads alpha
+        crit = make_criterion(cid, cfg.alpha)
+        runs = hits = local = 0
+        max_gap = 0.0
+        for g in graphs:
+            try:
+                g = crit.pretreat(g)
+            except WeightedInputNotSupported:
+                continue
+            _, best = exact_optimum(crit, g)
+            h = run(g, cfg)
+            miss, tol = best - h.quality, 1e-9 * max(1.0, abs(best))
+            if miss < -tol:
+                raise LouvainError(f"{cid}: run quality {h.quality!r} "
+                                   f"beats the optimum {best!r}")
+            runs += 1
+            hits += miss <= tol
+            max_gap = max(max_gap, miss / (abs(best) or 1.0))
+            local += improving_move(crit, g, h.flat) is None
+        table[cid] = Attainment(runs, hits, max_gap, local)
+    return table

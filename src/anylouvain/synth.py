@@ -32,6 +32,21 @@ def random_graph(n, p, *, weighted=False, w_max=5.0, loops=False,
     return Graph.from_arrays(n, iu, ju, ws)
 
 
+def small_graphs(count, *, seed):
+    """``count`` random graphs of 5 to 8 nodes at edge probability 0.45,
+    each with no isolated node, every second one weighted: small enough
+    for :func:`oracle.exact_optimum`."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(int(rng.integers(5, 9)), 0.45,
+                         weighted=len(graphs) % 2 == 1,
+                         seed=int(rng.integers(2 ** 32)))
+        if np.all(g.degrees > 0):
+            graphs.append(g)
+    return graphs
+
+
 def random_labels(n, *, max_kappa=None, seed=None, rng=None):
     """Random partition of ``n`` nodes into at most ``max_kappa``
     communities, compacted to dense ids."""

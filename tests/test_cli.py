@@ -90,14 +90,19 @@ def test_eval_one_community_ng_zero(tmp_path, capsys):
     assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(0.0)
 
 
-def test_detect_empty_input_fails(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["detect", "bench", "optimum", "eval"])
+def test_empty_input_fails(tmp_path, capsys, command):
     empty = tmp_path / "empty.edges"
     empty.write_text("")
     out = tmp_path / "p.tsv"
-    rc = main(["detect", str(empty), "--output", str(out)])
-    assert rc == 1
+    extra = {"detect": ["--output", str(out)], "bench": [],
+             "optimum": ["--output", str(out)], "eval": [str(empty)]}
+    assert main([command, str(empty)] + extra[command]) == 1
     assert not out.exists()
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "no nodes" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_invalid_criterion_rejected_before_io(tmp_path, capsys):

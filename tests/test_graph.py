@@ -259,6 +259,10 @@ LEVEL0_GRAPHS = {
     "zero-loops": lambda: Graph.from_edges(
         3, [(0, 0, 0.0), (0, 1, 2.0), (1, 1, 0.0), (1, 2, 0.5)]),
     "isolated": lambda: Graph.from_edges(5, [(0, 1, 1.0), (1, 2, 3.0)]),
+    # Unweighted, with "a b", "b a", "a b": the pair weighs 3, so its
+    # rows' sums are not their lengths.
+    "repeated-unit-pair": lambda: Graph.from_edges(
+        3, [(0, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)]),
     "wc": _pretreated("wc", [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)]),
     "pd": _pretreated("pd", [(0, 1, 2.0), (1, 2, 0.5), (2, 2, 4.0)]),
     "overflow": lambda: Graph.from_edges(3, OVERFLOW),

@@ -9,6 +9,7 @@ from anylouvain import (Graph, LouvainError, RunConfig, compose_flat,
                         datasets, detect, exact_optimum, make_criterion,
                         one_pass, relational_total, run)
 from anylouvain import louvain
+from anylouvain.oracle import improving_move
 
 from conftest import compatible_graph, two_triangles
 from test_golden import CASES as GOLDEN_CASES, golden_graphs
@@ -131,6 +132,26 @@ def test_never_beats_exact_optimum(criterion):
         h = run(g, cfg)
         _, q_opt = exact_optimum(criterion, g)
         assert h.quality <= q_opt + 1e-9 * max(1.0, abs(q_opt))
+
+
+def test_pass_from_any_partition(criterion):
+    # Ids run past n, so starts leave gaps and take slot n, which an
+    # all-singleton start keeps empty.
+    rng = np.random.default_rng(41)
+    cfg = RunConfig(criterion=criterion.id,
+                    alpha=getattr(criterion, "alpha", None))
+    for _ in range(60):
+        g = criterion.pretreat(compatible_graph(criterion, rng, n_max=8))
+        st = criterion.state_from_labels(g, rng.integers(0, g.n + 3, g.n))
+        start = st.total()
+        res = one_pass(g, cfg, st, rng)
+        fresh = criterion.state_from_labels(g, res.labels)
+        for name in ("in_w", "tot", "sz", "aux"):
+            a, b = getattr(st, name), getattr(fresh, name)
+            b = np.pad(b, (0, a.size - b.size))  # fewer spare slots
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
+        assert st.total() >= start - 1e-9 * max(1.0, abs(start))
+        assert improving_move(criterion, g, res.labels) is None
 
 
 def test_compose_flat_two_levels():

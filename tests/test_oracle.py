@@ -1,4 +1,19 @@
-"""Partition enumeration and the exact brute-force optimum."""
+"""Partition enumeration, the exact brute-force optimum and the pinned
+greedy-versus-exact attainment table.
+
+``data/attainment.json`` holds, per criterion, the figures of
+:func:`oracle.attainment_table` on ``synth.small_graphs(120, seed=7)``:
+runs, hits, the largest relative gap and how many results are level-0
+local optima.  A change to the optimizer that moves a figure
+re-baselines it, and says so where the change is recorded; never loosen
+it to get a pass.  Run this file as a script against a checkout to
+regenerate it::
+
+    PYTHONPATH=<checkout>/src python tests/test_oracle.py
+"""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +23,13 @@ from anylouvain import (BELL_NUMBERS, Graph, datasets, delta_oracle,
 from anylouvain.errors import TooLarge
 
 from conftest import compatible_graph, triangle, two_triangles
+
+ATTAINMENT = Path(__file__).parent / "data" / "attainment.json"
+
+
+def attainment():
+    table = oracle.attainment_table(synth.small_graphs(120, seed=7))
+    return {cid: row._asdict() for cid, row in table.items()}
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -123,3 +145,30 @@ def test_delta_oracle_null_move_is_zero(criterion):
         i = int(rng.integers(g.n))
         assert delta_oracle(criterion, g, labels, i,
                             int(labels[i])) == pytest.approx(0.0)
+
+
+def test_attainment_table_is_pinned():
+    want = json.loads(ATTAINMENT.read_text())
+    got = attainment()
+    assert list(got) == list(want)
+    for cid, row in got.items():
+        gap = row.pop("max_gap")
+        assert gap == pytest.approx(want[cid].pop("max_gap"), rel=1e-9), cid
+        assert row == want[cid], cid
+
+
+def test_improving_move_is_the_first_single_node_gain():
+    # Path 0-1-2 with node 2 alone: joining {0, 1} raises ng; a node
+    # moved out of {0, 1} would lower it.  Two triangles are optimal.
+    g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+    assert oracle.improving_move("ng", g, [0, 0, 1]) == (2, 0)
+    assert oracle.improving_move("ng", two_triangles(),
+                                 [0, 0, 0, 1, 1, 1]) is None
+    # One community of all nodes: splitting off a node into an empty
+    # community is a move too.
+    assert oracle.improving_move("zc", Graph.from_edges(3, []),
+                                 [0, 0, 0]) == (0, 1)
+
+
+if __name__ == "__main__":
+    ATTAINMENT.write_text(json.dumps(attainment(), indent=1) + "\n")
