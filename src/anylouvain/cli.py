@@ -10,6 +10,7 @@ import argparse
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 from .criteria import EXPERIMENT_CRITERIA, as_criterion
 from .errors import LouvainError
@@ -94,6 +95,8 @@ def _cmd_bench(args):
             wanted.append(tok)
     for crit_id in wanted:
         as_criterion(crit_id, args.alpha)  # validate before I/O
+    base = RunConfig(alpha=args.alpha, precision=args.precision,
+                     seed=args.seed, shuffle_nodes=not args.no_shuffle)
     g, _ = _read_graph(args.graph)
 
     header = (f"{'criterion':<10} {'time(s)':>10} {'±':>8} "
@@ -103,9 +106,7 @@ def _cmd_bench(args):
         times, kappas, quals = [], [], []
         error = None
         for r in range(args.runs):
-            cfg = RunConfig(criterion=crit_id, alpha=args.alpha,
-                            precision=args.precision, seed=args.seed + r,
-                            shuffle_nodes=not args.no_shuffle)
+            cfg = replace(base, criterion=crit_id, seed=args.seed + r)
             try:
                 t0 = time.perf_counter()
                 h = detect(g, cfg)

@@ -1,7 +1,7 @@
 """Pluggable partition-quality criteria for the greedy engine.
 
-Every criterion implements the same five-operation contract the optimizer
-is written against:
+The optimizer is written against a five-operation contract, carried out
+by :class:`CriterionState` on one state layout for every criterion:
 
 ``init``
     Build per-community accumulators for the all-singleton partition.
@@ -13,42 +13,35 @@ is written against:
     ``gain_scale * (gain(i, C_new) - gain(i, C_old))`` for a fixed
     positive per-criterion ``gain_scale``, so the argmax over candidates
     is the argmax of the true quality change while the hot loop skips
-    candidate-independent terms and global factors.  Each criterion has
-    exactly one gain formula, :meth:`Criterion.gain_fn`: a function
-    ``gain(i, c, dw)`` built over a state's accumulators, which also
-    scores an index array ``c`` of non-empty communities at once.
-    :meth:`CriterionState.gain` and the optimizer's pass both call it.
+    candidate-independent terms and global factors.
 ``total``
-    The exact (unscaled) quality of the current partition, computed from
-    the accumulators.
+    The exact (unscaled) quality of the current partition.
 
-Each criterion also carries an independent evaluation path,
-``relational``, which computes the same quality as a literal double sum
-over ordered node pairs of the original graph, using the pair indicator
-``x_ij`` (1 when i and j share a community).  ``total`` and
-``relational`` must agree on every partition; the test suite leans on
-this equivalence heavily, so the two paths are kept deliberately
-separate.
+Accumulators per community C: ``in_w[C]``, the internal mass
+``sum_{i,j in C} w_ij`` over ordered pairs, self-loops included once;
+``tot[C]``, the summed weighted degrees; ``sz[C]``, the summed node sizes
+(level-0 node count); ``aux[C]``, the summed per-node auxiliary
+constants.  ``kappa``, the number of non-empty communities, is derived
+from ``sz``.
 
-Accumulators per community C (all criteria share one state layout):
-
-- ``in_w[C]``: internal mass ``sum_{i,j in C} w_ij`` over ordered pairs,
-  self-loops included once;
-- ``tot[C]``: summed weighted degrees;
-- ``sz[C]``: summed node sizes (level-0 node count);
-- ``aux[C]``: summed per-node auxiliary constants;
-- ``kappa``: number of non-empty communities, derived from ``sz``
-  (``remove`` and ``insert`` do not count it).
-
-Both evaluation paths, :meth:`CriterionState.total` and
-:meth:`Criterion.relational`, raise :class:`LouvainError` on a NaN or
-infinite quality, which finite weights give when their sums overflow
-float64; callers do not check again.
-
-Criteria defined on a transformed weight matrix (``wc``, ``pd``) expose a
-``pretreat`` step that rewrites the level-0 weights once, before the
-optimizer runs; all bookkeeping above then applies to the transformed
-weights.
+A criterion is a subclass of :class:`Criterion` that states its formulas
+and nothing else: ``id`` and ``label``; ``gain_scale`` when it is not 2;
+:meth:`~Criterion.gain_fn`, its one gain formula; :meth:`~Criterion._total`,
+its quality over the accumulators of the non-empty communities; and
+:meth:`~Criterion._relational`, the same quality as a literal sum over
+ordered node pairs of the level-0 graph, using the pair indicator
+``x_ij`` (1 when i and j share a community).  The test suite leans on the
+agreement of the two quality paths, so they are kept deliberately
+separate.  It declares on the class which shared rules apply to it:
+``needs_edge_mass`` when it divides by the edge mass ``2m``,
+``weighted_ok = False`` when it is defined on unweighted graphs only,
+and a ``reweight`` method when it rewrites the level-0 weights once
+before the optimizer runs (``wc``, ``pd``).  The base class states
+every rule once: the empty-community mask, :meth:`~Criterion.check`,
+the idempotent :meth:`~Criterion.pretreat`, the labels check, and the
+check that both quality paths are finite (finite weights whose sums
+overflow float64 raise :class:`LouvainError` there, so callers do not
+check again).
 """
 
 from __future__ import annotations
@@ -157,33 +150,61 @@ class CriterionState:
         self.aux[:] = other.aux
 
     def total(self):
-        """Exact quality of the partition held by this state; raises
-        :class:`LouvainError` if it is NaN or infinite."""
+        """Exact quality of the partition held by this state: the
+        criterion's :meth:`~Criterion._total` over the non-empty
+        communities.  Raises :class:`LouvainError` if it is NaN or
+        infinite."""
+        live = self.sz > 0
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(self.crit.total(self))
-
-    def live(self):
-        """Boolean mask of non-empty community slots."""
-        return self.sz > 0
+            return _finite(float(self.crit._total(
+                self.g.consts, self.in_w[live], self.tot[live],
+                self.sz[live], self.aux[live])))
 
 
 class Criterion:
-    """Base class: one stateless descriptor per quality function."""
+    """Base class: one stateless descriptor per quality function, which
+    applies the shared rules a subclass declares (module docstring)."""
 
     id = "?"
     label = "?"
-    weighted_ok = True
     #: Ratio of the true quality change to the scaled gain difference:
     #: ``F(after) - F(before) = gain_scale * (gain(i, C_new) - gain(i, C_old))``.
     gain_scale = 2.0
+    #: The quality divides by the edge mass ``2m``: :meth:`check` refuses
+    #: a graph with none.
+    needs_edge_mass = False
+    #: False for a criterion defined on unweighted graphs only:
+    #: :meth:`pretreat` refuses any other.
+    weighted_ok = True
+    #: ``reweight(g)``: the rewritten ``(wgt, loop, aux, extra)`` of a
+    #: level-0 ``g`` (an ``aux`` of None keeps the old one, ``extra``
+    #: joins the constants), which :meth:`pretreat` applies.
+    reweight = None
 
     def check(self, g):
         """Validate that this criterion is defined on ``g`` (raises)."""
+        if (self.reweight is not None
+                and g.consts.extra.get("pretreated") != self.id):
+            raise LouvainError(
+                f"{self.id}: graph must be transformed with pretreat() first")
+        if self.needs_edge_mass and g.consts.two_m <= 0:
+            raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
 
     def pretreat(self, g):
-        """Transform a level-0 graph before optimizing (identity here).
-        A graph already pretreated for this criterion comes back as is."""
-        return g
+        """The level-0 graph the criterion is optimized on: ``g`` with
+        :attr:`reweight` applied, or ``g`` itself when the criterion has
+        none or ``g`` was already pretreated for it."""
+        if g.consts.extra.get("pretreated") == self.id:
+            return g
+        if not self.weighted_ok and (np.any(g.wgt != 1.0) or np.any(
+                (g.loop != 0.0) & (g.loop != 1.0))):
+            raise WeightedInputNotSupported(
+                f"{self.id} is limited to unweighted graphs")
+        if self.reweight is None:
+            return g
+        wgt, loop, aux, extra = self.reweight(g)
+        return g.replace_weights(wgt, loop, aux=aux,
+                                 extra={"pretreated": self.id, **extra})
 
     def init(self, g):
         """State for the all-singleton partition of ``g``: the same bit
@@ -207,7 +228,7 @@ class Criterion:
         community; used to cross-check incremental bookkeeping.
         """
         self.check(g)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _labels(np.asarray(labels, dtype=np.int64), g.n, (1,))
         # At least one spare slot, so an empty community always exists.
         slots = max(g.n + 1, int(labels.max(initial=0)) + 2)
         # Community of each adjacency entry's row, without a row-id array.
@@ -230,27 +251,26 @@ class Criterion:
 
         Returns ``gain(i, c, dw)``: the scaled gain of inserting the
         removed node ``i`` into community ``c``, with ``dw = d_w(i, c)``.
-        The function holds the state's sequences, not their values, so
-        it is built once per pass and sees every later ``remove`` /
-        ``insert``.  It only indexes them, so numpy arrays and the list
-        copy of :meth:`CriterionState.as_lists` give bit-identical
-        results.  Over numpy accumulators ``c`` may also be an index
-        array of non-empty communities and ``dw`` the matching array;
-        the gains come back as an array, each bit-identical to the
-        scalar call.  No range check: :meth:`CriterionState.gain` does
-        that.
+        It holds the state's sequences, not their values, so it is
+        built once per pass and sees every later ``remove`` / ``insert``;
+        it only indexes them, so numpy arrays and the list copy of
+        :meth:`CriterionState.as_lists` give bit-identical results.  Over
+        numpy accumulators ``c`` may also be an index array of non-empty
+        communities and ``dw`` the matching array, each gain then
+        bit-identical to the scalar call.  No range check.
         """
         raise NotImplementedError
 
-    def total(self, st):
+    def _total(self, c, in_w, tot, sz, aux):
+        """The quality from the graph constants ``c`` and the
+        accumulators of the non-empty communities, one entry each."""
         raise NotImplementedError
 
     def relational(self, g0, labels):
-        """Literal pairwise evaluation on the level-0 graph.
+        """Literal pairwise evaluation on the level-0 graph by
+        :meth:`_relational`, independent of the accumulator path (the
+        shipped criteria sum row blocks of at most 1 MB per partition).
 
-        Independent of the accumulator path: the quality is summed over
-        ordered node pairs in row blocks of the dense weight matrix, at
-        most 1 MB each per partition at any node count.
         ``labels`` is one partition, shape ``(n,)``, which gives a float,
         or a stack of ``P`` partitions, shape ``(P, n)``, which gives a
         length-``P`` array scored in one batched pass.  Raises
@@ -258,13 +278,7 @@ class Criterion:
         """
         if not g0.is_level0():
             raise ValueError("pairwise evaluation needs a level-0 graph")
-        # Only compared, so signed integers keep their dtype (the
-        # oracle's int8 table); anything else is converted as int64.
-        if not (isinstance(labels, np.ndarray) and labels.dtype.kind == "i"):
-            labels = np.asarray(labels, dtype=np.int64)
-        if (labels.ndim not in (1, 2) or labels.shape[-1] != g0.n
-                or (labels.size and labels.min() < 0)):
-            raise ValueError("labels must assign every node a community")
+        labels = _labels(labels, g0.n, (1, 2))
         self.check(g0)
         with np.errstate(over="ignore", invalid="ignore"):
             f = self._relational(g0, labels)
@@ -273,10 +287,25 @@ class Criterion:
                        else np.full(len(labels), f))
 
     def _relational(self, g0, labels):
+        """The quality of ``labels`` (one partition or a stack, checked)
+        as a literal sum over ordered node pairs of ``g0``."""
         raise NotImplementedError
 
     def __repr__(self):
         return f"<criterion {self.id}>"
+
+
+def _labels(labels, n, ndims):
+    """``labels`` as a signed integer array of ``ndims`` dimensions whose
+    last is ``n``, with no negative id; else raises ValueError.  Signed
+    integers keep their dtype (the oracle's int8 table); anything else is
+    converted as int64."""
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind == "i"):
+        labels = np.asarray(labels, dtype=np.int64)
+    if (labels.ndim not in ndims or labels.shape[-1] != n
+            or (labels.size and labels.min() < 0)):
+        raise ValueError("labels must assign every node a community")
+    return labels
 
 
 def _finite(q):
@@ -339,10 +368,7 @@ class NewmanGirvan(Criterion):
 
     id = "ng"
     label = "Newman-Girvan"
-
-    def check(self, g):
-        if g.consts.two_m <= 0:
-            raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
+    needs_edge_mass = True
 
     def gain_fn(self, st):
         deg, tot, m2 = st.g.degrees, st.tot, st.g.consts.two_m
@@ -351,10 +377,8 @@ class NewmanGirvan(Criterion):
             return dw - deg[i] * tot[c] / m2
         return gain
 
-    def total(self, st):
-        live = st.live()
-        m2 = st.g.consts.two_m
-        return float(np.sum(st.in_w[live] - st.tot[live] ** 2 / m2))
+    def _total(self, c, in_w, tot, sz, aux):
+        return np.sum(in_w - tot ** 2 / c.two_m)
 
     def _relational(self, g0, labels):
         d = g0.degrees
@@ -383,11 +407,9 @@ class ZahnCondorcet(Criterion):
             return 2.0 * dw - w_max * size[i] * sz[c]
         return gain
 
-    def total(self, st):
-        c = st.g.consts
-        live = st.live()
-        per = np.sum(2.0 * st.in_w[live] - c.w_max * st.sz[live] ** 2.0)
-        return float(per + c.w_max * c.n0 ** 2 - c.two_m)
+    def _total(self, c, in_w, tot, sz, aux):
+        per = np.sum(2.0 * in_w - c.w_max * sz ** 2.0)
+        return per + c.w_max * c.n0 ** 2 - c.two_m
 
     def _relational(self, g0, labels):
         wmax = g0.consts.w_max
@@ -419,12 +441,10 @@ class OwsinskiZadrozny(Criterion):
             return dw - a_w * size[i] * sz[c]
         return gain
 
-    def total(self, st):
-        c = st.g.consts
+    def _total(self, c, in_w, tot, sz, aux):
         a = self.alpha
-        live = st.live()
-        per = np.sum(st.in_w[live] - a * c.w_max * st.sz[live] ** 2.0)
-        return float(per + a * (c.w_max * c.n0 ** 2 - c.two_m))
+        per = np.sum(in_w - a * c.w_max * sz ** 2.0)
+        return per + a * (c.w_max * c.n0 ** 2 - c.two_m)
 
     def _relational(self, g0, labels):
         wmax = g0.consts.w_max
@@ -450,22 +470,10 @@ class Marcotorchino(Criterion):
     label = "Marcotorchino"
     weighted_ok = False
 
-    def check(self, g):
-        if g.consts.extra.get("pretreated") != self.id:
-            raise LouvainError(
-                "wc: graph must be transformed with pretreat() first")
-
-    def pretreat(self, g):
-        if g.consts.extra.get("pretreated") == self.id:
-            return g
-        if not (np.all(g.wgt == 1.0)
-                and np.all((g.loop == 0.0) | (g.loop == 1.0))):
-            raise WeightedInputNotSupported(
-                "wc is limited to unweighted graphs")
+    def reweight(self, g):
         # Mandatory unit self-loops, which also raise every degree by 1.
         wgt, loop = _rescaled(g, g.degrees + 1.0, g.loop + 1.0)
-        return g.replace_weights(wgt, loop, aux=loop.copy(),
-                                 extra={"pretreated": self.id})
+        return wgt, loop, loop.copy(), {}
 
     def gain_fn(self, st):
         naux, size, sz, aux = st.g.aux, st.g.size, st.sz, st.aux
@@ -474,11 +482,9 @@ class Marcotorchino(Criterion):
             return 2.0 * dw - 0.5 * (naux[i] * sz[c] + aux[c] * size[i])
         return gain
 
-    def total(self, st):
-        c = st.g.consts
-        live = st.live()
-        per = np.sum(2.0 * st.in_w[live] - st.aux[live] * st.sz[live])
-        return float(per + c.n0 * st.aux[live].sum() - c.two_m)
+    def _total(self, c, in_w, tot, sz, aux):
+        per = np.sum(2.0 * in_w - aux * sz)
+        return per + c.n0 * aux.sum() - c.two_m
 
     def _relational(self, g0, labels):
         diag = g0.loop
@@ -502,11 +508,11 @@ class BalancedModularity(Criterion):
 
     id = "bm"
     label = "Balanced Modularity"
+    needs_edge_mass = True
 
     def check(self, g):
+        super().check(g)
         c = g.consts
-        if c.two_m <= 0:
-            raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
         if c.w_max * c.n0 ** 2 - c.two_m <= 0:
             raise ZeroEdgeMass(f"{self.id}: graph has no absent-link mass")
 
@@ -523,14 +529,10 @@ class BalancedModularity(Criterion):
                     + (w_n * si - di) * (w_n * sk - tk) / mbar)
         return gain
 
-    def total(self, st):
-        c = st.g.consts
+    def _total(self, c, in_w, tot, sz, aux):
         mbar = c.w_max * c.n0 ** 2 - c.two_m
-        live = st.live()
-        in_w, tot, sz = st.in_w[live], st.tot[live], st.sz[live]
-        return float(np.sum(
-            2.0 * in_w - tot ** 2 / c.two_m - c.w_max * sz ** 2.0
-            + (c.w_max * c.n0 * sz - tot) ** 2 / mbar))
+        return np.sum(2.0 * in_w - tot ** 2 / c.two_m - c.w_max * sz ** 2.0
+                      + (c.w_max * c.n0 * sz - tot) ** 2 / mbar)
 
     def _relational(self, g0, labels):
         c = g0.consts
@@ -552,10 +554,7 @@ class DeviationToIndetermination(Criterion):
 
     id = "di"
     label = "Deviation to Indetermination"
-
-    def check(self, g):
-        if g.consts.two_m <= 0:
-            raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
+    needs_edge_mass = True
 
     def gain_fn(self, st):
         deg, size, sz, tot = st.g.degrees, st.g.size, st.sz, st.tot
@@ -567,12 +566,9 @@ class DeviationToIndetermination(Criterion):
             return dw - (deg[i] * sc + tot[c] * si) / n0 + rho * si * sc
         return gain
 
-    def total(self, st):
-        c = st.g.consts
-        live = st.live()
-        return float(np.sum(
-            st.in_w[live] - 2.0 * st.tot[live] * st.sz[live] / c.n0
-            + (c.two_m / c.n0 ** 2) * st.sz[live] ** 2.0))
+    def _total(self, c, in_w, tot, sz, aux):
+        return np.sum(in_w - 2.0 * tot * sz / c.n0
+                      + (c.two_m / c.n0 ** 2) * sz ** 2.0)
 
     def _relational(self, g0, labels):
         c = g0.consts
@@ -588,10 +584,7 @@ class DeviationToUniformity(Criterion):
 
     id = "du"
     label = "Deviation to Uniformity"
-
-    def check(self, g):
-        if g.consts.two_m <= 0:
-            raise ZeroEdgeMass(f"{self.id}: graph has no edge mass")
+    needs_edge_mass = True
 
     def gain_fn(self, st):
         size, sz = st.g.size, st.sz
@@ -601,11 +594,8 @@ class DeviationToUniformity(Criterion):
             return dw - rho * size[i] * sz[c]
         return gain
 
-    def total(self, st):
-        c = st.g.consts
-        live = st.live()
-        return float(np.sum(st.in_w[live]
-                            - (c.two_m / c.n0 ** 2) * st.sz[live] ** 2.0))
+    def _total(self, c, in_w, tot, sz, aux):
+        return np.sum(in_w - (c.two_m / c.n0 ** 2) * sz ** 2.0)
 
     def _relational(self, g0, labels):
         c = g0.consts
@@ -630,9 +620,8 @@ class GoldbergDensity(Criterion):
     def gain_fn(self, st):
         return _density_gain(st, empty_base=0.0)
 
-    def total(self, st):
-        live = st.live()
-        return float(np.sum(st.in_w[live] / st.sz[live]))
+    def _total(self, c, in_w, tot, sz, aux):
+        return np.sum(in_w / sz)
 
     def _relational(self, g0, labels):
         return sum(_pair_sum(w * x * _inv_size(x))
@@ -654,31 +643,21 @@ class ProfileDifference(Criterion):
     id = "pd"
     label = "Profile Difference"
 
-    def check(self, g):
-        if g.consts.extra.get("pretreated") != self.id:
-            raise LouvainError(
-                "pd: graph must be transformed with pretreat() first")
-
-    def pretreat(self, g):
-        if g.consts.extra.get("pretreated") == self.id:
-            return g
+    def reweight(self, g):
         d = g.degrees
         if np.any(d == 0.0):
             raise ZeroDegreeNode(
                 "pd: degree-rescaled weights undefined for isolated nodes")
         wgt, loop = _rescaled(g, d, g.loop)
-        sq_sum = float(np.sum(wgt ** 2) + np.sum(loop ** 2))
-        return g.replace_weights(
-            wgt, loop, extra={"pretreated": self.id, "sq_sum": sq_sum})
+        return wgt, loop, None, {"sq_sum": float(np.sum(wgt ** 2)
+                                                 + np.sum(loop ** 2))}
 
     def gain_fn(self, st):
         # The empty target's base of 1/2 is the -1/2 kappa penalty.
         return _density_gain(st, empty_base=0.5)
 
-    def total(self, st):
-        live = st.live()
-        per = np.sum(st.in_w[live] / st.sz[live])
-        return float(2.0 * per - st.kappa - st.g.consts.extra["sq_sum"])
+    def _total(self, c, in_w, tot, sz, aux):
+        return 2.0 * np.sum(in_w / sz) - sz.size - c.extra["sq_sum"]
 
     def _relational(self, g0, labels):
         f = kappa = sq = 0.0

@@ -71,6 +71,8 @@ class RunConfig:
         if not (math.isfinite(self.precision) and self.precision > 0):
             raise ConfigError(
                 f"precision must be positive and finite, got {self.precision}")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha}")
         if self.max_levels is not None and self.max_levels < 1:
             raise ConfigError(
                 f"max_levels must be at least 1, got {self.max_levels}")

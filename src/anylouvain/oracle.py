@@ -61,7 +61,7 @@ def enumerate_partitions(n):
     return (row.astype(np.int64) for row in _growth_table(n))
 
 
-def exact_optimum(criterion, g0, *, alpha=None):
+def exact_optimum(criterion, g0):
     """Best partition of ``g0`` by exhaustive enumeration.
 
     Returns ``(labels, quality)``; ties go to the first partition in
@@ -70,7 +70,7 @@ def exact_optimum(criterion, g0, *, alpha=None):
     pretreated if the criterion needs it; above 10 nodes it raises
     :class:`TooLarge`.
     """
-    crit = as_criterion(criterion, alpha)
+    crit = as_criterion(criterion)
     table = _growth_table(g0.n)
     best, best_q = 0, -np.inf
     for lo in range(0, len(table), _BLOCK):
@@ -82,10 +82,10 @@ def exact_optimum(criterion, g0, *, alpha=None):
     return labels, crit.relational(g0, labels)
 
 
-def delta_oracle(criterion, g0, labels, i, c_new, *, alpha=None):
+def delta_oracle(criterion, g0, labels, i, c_new):
     """Quality change of moving node ``i`` to community ``c_new``,
     computed by full re-evaluation of both partitions."""
-    crit = as_criterion(criterion, alpha)
+    crit = as_criterion(criterion)
     labels = np.asarray(labels, dtype=np.int64)
     if labels[i] == SENTINEL:
         raise ValueError("node must belong to a community before the move")
@@ -95,7 +95,7 @@ def delta_oracle(criterion, g0, labels, i, c_new, *, alpha=None):
     return float(after_q - before_q)
 
 
-def improving_move(criterion, g0, labels, *, alpha=None):
+def improving_move(criterion, g0, labels):
     """The first single-node move that raises the quality of ``labels``
     on the small level-0 graph ``g0`` by more than 1e-9 relative, as
     ``(node, community)``, or None when ``labels`` is a level-0 local
@@ -106,7 +106,7 @@ def improving_move(criterion, g0, labels, *, alpha=None):
     largest).  They are tried node by node, each node's targets in
     ascending id, and scored in one batched ``relational`` call.
     """
-    crit = as_criterion(criterion, alpha)
+    crit = as_criterion(criterion)
     labels = np.asarray(labels, dtype=np.int64)
     empty = int(labels.max(initial=-1)) + 1
     moves = [(i, c) for i in range(g0.n) for c in sorted(

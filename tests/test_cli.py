@@ -128,6 +128,29 @@ def test_bench_oz_alpha_rejected_before_io(tmp_path, capsys):
     assert "oz requires alpha" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"),
+                                        ("--precision", "nan"),
+                                        ("--precision", "0")])
+def test_bench_bad_config_rejected_before_io(karate_file, tmp_path, capsys,
+                                            flag, value):
+    missing = str(tmp_path / "does-not-exist.edges")
+    for graph in (karate_file, missing):
+        assert main(["bench", graph, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag[2:]} must be")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_detect_non_finite_alpha_fails(karate_file, tmp_path, capsys):
+    summary = tmp_path / "s.json"
+    for value in ("nan", "inf"):
+        assert main(["detect", karate_file, "--alpha", value,
+                     "--summary-out", str(summary)]) == 1
+        captured = capsys.readouterr()
+        assert "alpha must be finite" in captured.err
+        assert captured.out == "" and not summary.exists()
+
+
 def test_not_pluggable_criteria_rejected(karate_file, capsys):
     for cid, why in (("mg", "not pluggable"), ("sm", "not pluggable"),
                      ("md", "not pluggable")):

@@ -7,18 +7,24 @@ partitions for all nine criteria (``wc`` on unweighted graphs only,
 ``gain_scale`` times a gain difference is the pairwise quality change,
 and a coarse graph's accumulator total is the level-0 pairwise sum.  A
 failure shrinks to a minimal graph and partition.
+
+The contract is also the plug-in surface: a criterion declared here, with
+``du``'s formulas and nothing else, reproduces ``du`` bit for bit.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from anylouvain import (aggregate, compact_labels, delta_oracle, Graph,
-                        make_criterion)
-from anylouvain.errors import LouvainError
+from anylouvain import (aggregate, compact_labels, Criterion, delta_oracle,
+                        Graph, make_criterion)
+from anylouvain.errors import LouvainError, ZeroEdgeMass
 
 from conftest import ALL_CRITERIA, neighbor_community_weights
+from test_golden import FIXTURE, SEEDS, golden_graphs, record
 
 IDS = [cid for cid, _ in ALL_CRITERIA]
 
@@ -135,3 +141,53 @@ def test_coarse_total_is_level0_pairwise_sum(cid, data):
     total = crit.state_from_labels(coarse, labels).total()
     expected = crit.relational(g, labels[fine])
     assert total == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+class PluggedUniformity(Criterion):
+    """``du`` written as a plug-in: its formulas and the edge-mass rule,
+    with a pairwise sum over the whole dense matrix."""
+
+    id = "du-plugged"
+    label = "Deviation to Uniformity, plugged in"
+    needs_edge_mass = True
+
+    def gain_fn(self, st):
+        size, sz = st.g.size, st.sz
+        rho = st.g.consts.two_m / st.g.consts.n0 ** 2
+
+        def gain(i, c, dw):
+            return dw - rho * size[i] * sz[c]
+        return gain
+
+    def _total(self, c, in_w, tot, sz, aux):
+        return np.sum(in_w - (c.two_m / c.n0 ** 2) * sz ** 2.0)
+
+    def _relational(self, g0, labels):
+        c = g0.consts
+        x = labels[..., :, None] == labels[..., None, :]
+        return np.sum((g0.dense() - c.two_m / c.n0 ** 2) * x, axis=(-2, -1))
+
+
+def test_plugged_criterion_reproduces_du():
+    expected = json.loads(FIXTURE.read_text())
+    plugged, du = PluggedUniformity(), make_criterion("du")
+    for name, g in golden_graphs().items():
+        for seed, want in zip(SEEDS, expected[f"{name}/du"]):
+            got = record(g, plugged, None, seed)
+            assert got == want, f"{name}, seed {seed}"
+            # The golden graphs fit in one row block of du's pairwise sum.
+            labels = np.array(got["flat"])
+            stack = np.stack([labels, np.zeros_like(labels), np.arange(g.n)])
+            assert plugged.relational(g, labels) == du.relational(g, labels)
+            assert (plugged.relational(g, stack).tobytes()
+                    == du.relational(g, stack).tobytes())
+
+
+def test_plugged_criterion_keeps_the_shared_rules():
+    plugged = PluggedUniformity()
+    with pytest.raises(ZeroEdgeMass, match="du-plugged: graph has no edge"):
+        plugged.init(Graph.from_edges(3, []))
+    g = Graph.from_edges(3, [(0, 1, 2.0), (1, 2, 1.0)])
+    assert plugged.pretreat(g) is g
+    with pytest.raises(ValueError, match="labels must assign"):
+        plugged.state_from_labels(g, [0, 0])

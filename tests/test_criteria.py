@@ -98,9 +98,18 @@ def test_pd_rejects_isolated_nodes():
         make_criterion("pd").pretreat(g)
 
 
-def test_pd_requires_pretreat():
-    with pytest.raises(LouvainError):
-        make_criterion("pd").init(triangle())
+@pytest.mark.parametrize("cid", ["wc", "pd"])
+def test_pd_requires_pretreat(cid):
+    crit = make_criterion(cid)
+    with pytest.raises(LouvainError, match=f"^{cid}: graph must be "
+                       r"transformed with pretreat\(\) first$"):
+        crit.init(triangle())
+    with pytest.raises(LouvainError, match="pretreat"):
+        crit.init(make_criterion("pd" if cid == "wc" else "wc")
+                  .pretreat(triangle()))
+    gw = crit.pretreat(triangle())
+    assert crit.pretreat(gw) is gw
+    crit.init(gw)
 
 
 def test_wc_rejects_weighted_input():
@@ -375,6 +384,17 @@ def test_relational_rejects_bad_label_arrays(shape, fill):
     g = two_triangles()
     with pytest.raises(ValueError):
         make_criterion("ng").relational(g, np.full(shape, fill))
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1],
+                                    [0, 0, 0, 1, 1, -1]],
+                         ids=["short", "long", "negative"])
+@pytest.mark.parametrize("path", ["state_from_labels", "relational"])
+def test_labels_rule_shared_by_both_paths(path, labels):
+    crit = make_criterion("ng")
+    with pytest.raises(ValueError,
+                       match="^labels must assign every node a community$"):
+        getattr(crit, path)(two_triangles(), labels)
 
 
 def test_relational_label_dtype_does_not_change_values(criterion):

@@ -26,7 +26,7 @@ def test_config_validation():
     {"precision": 0.0}, {"precision": float("nan")},
     {"precision": float("inf")},
     {"max_levels": 0}, {"max_levels": -1},
-    {"seed": -1}])
+    {"seed": -1}, {"alpha": float("nan")}, {"alpha": float("inf")}])
 def test_config_errors_are_louvain_errors(kwargs):
     with pytest.raises(LouvainError):
         RunConfig(**kwargs)
