@@ -255,9 +255,11 @@ class Criterion:
         built once per pass and sees every later ``remove`` / ``insert``;
         it only indexes them, so numpy arrays and the list copy of
         :meth:`CriterionState.as_lists` give bit-identical results.  Over
-        numpy accumulators ``c`` may also be an index array of non-empty
-        communities and ``dw`` the matching array, each gain then
-        bit-identical to the scalar call.  No range check.
+        numpy accumulators ``i``, ``c`` and ``dw`` may also be arrays
+        that broadcast together, ``c`` then of non-empty communities
+        (a scalar ``c`` may be empty), each gain bit-identical to the
+        scalar call.  It reads a community's accumulators at ``c``
+        only.  No range check.
         """
         raise NotImplementedError
 

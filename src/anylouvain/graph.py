@@ -137,6 +137,8 @@ class Graph:
         read, so ``w`` may be a read-only view such as
         ``np.broadcast_to(1.0, m)``.
         """
+        w = np.asarray(w, dtype=np.float64).view()
+        w.flags.writeable = False  # the caller's: the build copies it
         return _from_pairs(n, np.column_stack((src, dst)).astype(
             np.int64, copy=False), w)
 
@@ -286,7 +288,8 @@ def _row_terms(g, base, a, b):
 def _from_pairs(n, pairs, w):
     """:meth:`Graph.from_arrays` of the edges ``pairs[e] = (src, dst)``,
     a C-contiguous ``(m, 2)`` int64 array that the CSR build overwrites
-    with its keys (:func:`_csr`)."""
+    with its keys, weighted ``w``, which it overwrites too when it is
+    writeable (:func:`_csr`)."""
     src, dst = pairs[:, 0], pairs[:, 1]
     w = np.asarray(w, dtype=np.float64)
     # Reductions first; the scans that name the first bad edge run only
@@ -314,10 +317,12 @@ def _csr(n, pairs, w):
     """``(indptr, nbr, wgt, loop)`` of the edges ``pairs[e] =
     (src, dst)`` weighted ``w`` over nodes ``0..n-1``, summed as
     :meth:`Graph.from_arrays` states.  ``pairs`` is a C-contiguous
-    ``(m, 2)`` int64 array; when no edge is a loop, each edge's two keys
-    are written over its two ids, a chunk at a time, and the sorted keys
-    become ``nbr`` in place, so the build holds no second edge-sized
-    array.
+    ``(m, 2)`` int64 array.  The edges that are not loops are moved to
+    its front, and to the front of ``w`` when it is writeable (a
+    read-only ``w`` is copied, a broadcast cut short), a chunk at a
+    time.  Then each edge's two keys are written over its two ids, a
+    chunk at a time, and the sorted keys become ``nbr`` in place, so the
+    build holds no second edge-sized array.
 
     The edges are unit-weight when, loops dropped, every weight is 1
     (or there is none).  Then the sums are counts, exact in float64 in
@@ -328,7 +333,9 @@ def _csr(n, pairs, w):
     off = pairs[:, 0] != pairs[:, 1]
     loop = np.bincount(pairs[~off, 0], weights=w[~off], minlength=n)
     if not off.all():
-        pairs, w = pairs[off], w[off]
+        pairs = _compact(pairs, off)
+        w = (w[:len(pairs)] if w.strides == (0,)
+             else _compact(w, off) if w.flags.writeable else w[off])
     del off
     unit = not w.size or w.min() == 1.0 == w.max()
     # Each edge's two keys side by side, the row in the high bits: both
@@ -345,6 +352,17 @@ def _csr(n, pairs, w):
     indptr = keys.searchsorted(np.arange(n + 1) << bits)
     nbr = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
     return indptr, nbr, wgt, loop
+
+
+def _compact(a, keep):
+    """``a[keep]``, written over the front of ``a`` a chunk of
+    :data:`_CHUNK` rows at a time; returns that front."""
+    end = 0
+    for s in range(0, len(a), _CHUNK):
+        kept = a[s:s + _CHUNK][keep[s:s + _CHUNK]]
+        a[end:end + len(kept)] = kept
+        end += len(kept)
+    return a[:end]
 
 
 def _key_sums(keys, weights, size):

@@ -30,6 +30,23 @@ walks the mover's row and drops the dicts of its neighbours.  Rebuilt,
 a dict would add the same row, in the same order, over the same
 communities, so the kept one is equal to it bit for bit, and so are
 every gain, move and quality.
+
+A sweep starts where a move may happen.  After the shuffle, one
+vectorized check (:func:`_quiet_prefix`) finds the longest prefix of the
+visit order in which no node would move and no visit would change the
+state, and the loop starts after it; a sweep with no such node ends at
+once, and still counts.  A node is certified only when its visit would
+be a no-op bit for bit: its neighbour-community sums come from
+``np.bincount`` in row order (*same sums*); removing it and inserting it
+back restores its community's four accumulators, ``(x - y) + y == x``
+(*same state*), so by induction the state stays that of the sweep's
+start; and its own community, taken without it, keeps a node and no
+candidate's gain beats it, all gains finite (*same decision*).  The
+check scores one (node x live community) block, so it runs only while
+``n * kappa`` is at most the level's adjacency entries, which holds on a
+dense level once its first sweep has merged the singletons; there it
+saves the last sweep, which moves nothing.  It uses the contract alone:
+the accumulators, the node constants and the criterion's gain.
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import as_criterion
+from .criteria import _CELLS, CriterionState, as_criterion
 from .errors import ConfigError, SweepCapExceeded
 from .graph import Graph, aggregate, compact_labels
 
@@ -91,6 +108,9 @@ class Level:
     kappa: int
     sweeps: int
     moves: int
+    #: Node visits the pass made: ``n * sweeps`` less the visits that
+    #: :func:`one_pass`'s check proved would change nothing.
+    visits: int | None = None
 
 
 @dataclass
@@ -118,13 +138,14 @@ class Hierarchy:
         """The summary as JSON, keys in the README's documented order."""
         cfg = self.config
         return json.dumps({
-            "criterion": cfg.criterion,
+            "criterion": _criterion_id(cfg),
             "alpha": cfg.alpha,
             "seed": cfg.seed,
             "precision": cfg.precision,
             "levels": [{"n": lv.graph.n, "m": lv.graph.edge_count,
                         "quality": lv.quality, "kappa": lv.kappa,
-                        "sweeps": lv.sweeps} for lv in self.levels],
+                        "sweeps": lv.sweeps, "visits": lv.visits}
+                       for lv in self.levels],
             "kappa_final": self.kappa_final,
             "quality": self.quality,
             "elapsed": self.elapsed,
@@ -134,7 +155,7 @@ class Hierarchy:
         """The summary as a small human-readable block."""
         cfg = self.config
         lines = [
-            f"criterion: {cfg.criterion}"
+            f"criterion: {_criterion_id(cfg)}"
             + (f" (alpha={cfg.alpha})" if cfg.alpha is not None else ""),
             f"seed: {cfg.seed}   precision: {cfg.precision:g}",
             "level      n        m     kappa  sweeps  quality",
@@ -160,20 +181,27 @@ class Hierarchy:
             yield flat
 
     def levels_json(self):
-        """Per level as JSON: sizes, sweeps, quality and the membership
-        of every original node at that depth (:meth:`memberships`)."""
+        """Per level as JSON: sizes, sweeps, visits, quality and the
+        membership of every original node at that depth
+        (:meth:`memberships`)."""
         pairs = enumerate(zip(self.levels, self.memberships()))
         return json.dumps({"levels": [
             {"level": idx, "n": lv.graph.n, "m": lv.graph.edge_count,
-             "kappa": lv.kappa, "sweeps": lv.sweeps, "quality": lv.quality,
-             "membership": membership.tolist()}
+             "kappa": lv.kappa, "sweeps": lv.sweeps, "visits": lv.visits,
+             "quality": lv.quality, "membership": membership.tolist()}
             for idx, (lv, membership) in pairs]}, indent=2)
+
+
+def _criterion_id(cfg):
+    """The id of ``cfg``'s criterion, given as an id or an object."""
+    return getattr(cfg.criterion, "id", cfg.criterion)
 
 
 class PassResult(NamedTuple):
     labels: np.ndarray
     sweeps: int
     moves: int
+    visits: int | None = None
 
 
 #: Rows longer than this are scored in numpy, a fixed handful of calls
@@ -183,6 +211,10 @@ class PassResult(NamedTuple):
 #: planted graphs the two break even near degree 48 (``pd``), 56
 #: (``ng``) and 72 (``bm``), see BENCH_8.json.
 LONG_ROW = 64
+
+#: Nodes in the first block of :func:`_quiet_prefix`, so that a sweep
+#: whose first visits move stops checking after a few numpy calls.
+_PROBE = 32
 
 
 def _short_rows(g):
@@ -219,7 +251,15 @@ def one_pass(g, cfg, st, rng=None):
     empty slot of ``st`` unless the node just vacated its own.
     Sweeps repeat until one full sweep moves nothing; a pass still moving
     after ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
-    :class:`PassResult`.
+    :class:`PassResult`, whose ``visits`` counts the visits made.
+
+    Each sweep skips the prefix of its visit order that
+    :func:`_quiet_prefix` certifies: nodes that would stay put and leave
+    the state unchanged bit for bit (same sums, same state after the
+    remove / insert round trip, same decision under the tie rule).  The
+    check runs only while ``n * kappa <= nnz``, when the (node x live
+    community) block it scores is no larger than the adjacency; a sweep
+    whose every node is certified moves nothing and ends the pass.
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
@@ -270,6 +310,7 @@ def one_pass(g, cfg, st, rng=None):
 
     sweeps = 0
     total_moves = 0
+    visits = 0
     improved = n > 0
     try:
         while improved:
@@ -280,7 +321,15 @@ def one_pass(g, cfg, st, rng=None):
             improved = False
             if cfg.shuffle_nodes:
                 rng.shuffle(order)
-            for i in order.tolist():
+            start = 0
+            # The check scores one (node x live community) block, here no
+            # larger than the adjacency.
+            if n * (len(sz) - len(free)) <= g.nbr.size:
+                if not pairs:  # st's arrays are stale without long rows
+                    st.assign(ls)
+                start = _quiet_prefix(g, st, order, free[-1])
+            visits += n - start
+            for i in order[start:].tolist():
                 c_old = part[i]
                 row = rows[i]
                 if row is None:
@@ -350,7 +399,74 @@ def one_pass(g, cfg, st, rng=None):
             sweeps += 1
     finally:
         st.assign(ls)
-    return PassResult(st.part.copy(), sweeps, total_moves)
+    return PassResult(st.part.copy(), sweeps, total_moves, visits)
+
+
+# A non-finite gain ends the prefix, and an emptied own community may
+# divide by zero: neither is warned about.
+@np.errstate(all="ignore")
+def _quiet_prefix(g, st, order, spare):
+    """How many leading nodes of the visit ``order`` can be skipped: the
+    length of the longest prefix in which, visited in turn from ``st``,
+    no node would move and no visit would change ``st`` by a bit.
+
+    ``spare`` is the empty community a visit would offer.  Each node is
+    checked against ``st`` as it is, under the module docstring's three
+    conditions (same sums, same state, same decision); the second makes
+    ``st`` hold for the whole prefix by induction.  Nodes are checked in
+    blocks of the visit order: first :data:`_PROBE` of them, then as
+    many as keep each array of the block within :data:`criteria._CELLS`
+    cells, one per row entry or per (node, live community) pair.
+    """
+    live = np.flatnonzero(st.sz > 0)
+    kappa = live.size
+    cid = np.zeros(st.sz.size, dtype=np.int64)
+    cid[live] = np.arange(kappa)
+    cid = cid[st.part]  # each node's community among the live ones
+    lens = np.diff(g.indptr)
+    ends = np.cumsum(lens[order])  # row entries up to each visit
+    crit, n = st.crit, g.n
+    vgain = crit.gain_fn(st)
+    lo = 0
+    while lo < n:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = min(n, lo + (_PROBE if lo == 0 else max(1, _CELLS // kappa)),
+                 max(lo + 1, int(ends.searchsorted(base + _CELLS, "right"))))
+        nodes = order[lo:hi]
+        rl = lens[nodes]
+        # The block's row entries, row after row, and their cell keys.
+        at = np.repeat(g.indptr[nodes] - (ends[lo:hi] - base - rl), rl)
+        at += np.arange(at.size)
+        keys = np.repeat(np.arange(0, nodes.size * kappa, kappa), rl)
+        keys += cid[g.nbr[at]]
+        count = np.bincount(keys, minlength=nodes.size * kappa)
+        sums = (count.astype(np.float64) if g.unit_weights else
+                np.bincount(keys, g.wgt[at], minlength=count.size))
+        del at, keys
+        sums, count = sums.reshape(-1, kappa), count.reshape(-1, kappa)
+        c_old, rows = st.part[nodes], np.arange(nodes.size)
+        dw = sums[rows, cid[nodes]]
+        removed, ok = [], True
+        for acc, d in ((st.in_w, 2.0 * dw + g.loop[nodes]),
+                       (st.tot, g.degrees[nodes]), (st.sz, g.size[nodes]),
+                       (st.aux, g.aux[nodes])):
+            acc = acc[c_old]
+            removed.append(acc - d)
+            ok &= (removed[-1] + d).view(np.int64) == acc.view(np.int64)
+        own = crit.gain_fn(CriterionState(crit, g, None, *removed))(
+            nodes, rows, dw)
+        others = count > 0
+        others[rows, cid[nodes]] = False
+        x = vgain(nodes[:, None], live, sums)
+        top = np.where(others, x, -np.inf).max(axis=1)
+        fresh = vgain(nodes, spare, 0.0)
+        quiet = (ok & (removed[2] > 0) & np.isfinite(own)
+                 & np.isfinite(fresh) & (np.isfinite(x) | ~others).all(axis=1)
+                 & (top <= own) & (fresh <= own))
+        if not quiet.all():
+            return lo + int(quiet.argmin())
+        lo = hi
+    return n
 
 
 def run(g0, cfg):
@@ -374,7 +490,7 @@ def run(g0, cfg):
         quality = st.total()
         labels, kappa = compact_labels(res.labels)
         h.levels.append(Level(g, labels, quality, kappa,
-                              res.sweeps, res.moves))
+                              res.sweeps, res.moves, res.visits))
         done = (
             res.moves == 0
             or (prev_q is not None and quality - prev_q <= cfg.precision)

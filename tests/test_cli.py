@@ -63,7 +63,12 @@ def test_levels_out_and_summary_out_match_partition(karate_file, tmp_path):
     assert list(blob) == ["criterion", "alpha", "seed", "precision",
                           "levels", "kappa_final", "quality", "elapsed"]
     assert [list(lv) for lv in blob["levels"]] == (
-        [["n", "m", "quality", "kappa", "sweeps"]] * len(levels))
+        [["n", "m", "quality", "kappa", "sweeps", "visits"]] * len(levels))
+    assert [list(lv) for lv in levels] == (
+        [["level", "n", "m", "kappa", "sweeps", "visits", "quality",
+          "membership"]] * len(levels))
+    # karate's levels are too sparse for the check: every visit is made.
+    assert all(lv["visits"] == lv["n"] * lv["sweeps"] for lv in levels)
 
 
 def test_detect_eval_fixed_point(karate_file, tmp_path, capsys):

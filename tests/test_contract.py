@@ -19,8 +19,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from anylouvain import (aggregate, compact_labels, Criterion, delta_oracle,
-                        Graph, make_criterion)
+from anylouvain import (aggregate, compact_labels, Criterion, datasets,
+                        delta_oracle, detect, Graph, make_criterion,
+                        RunConfig)
 from anylouvain.errors import LouvainError, ZeroEdgeMass
 
 from conftest import ALL_CRITERIA, neighbor_community_weights
@@ -181,6 +182,13 @@ def test_plugged_criterion_reproduces_du():
             assert plugged.relational(g, labels) == du.relational(g, labels)
             assert (plugged.relational(g, stack).tobytes()
                     == du.relational(g, stack).tobytes())
+
+
+def test_plugged_criterion_names_itself_in_the_summary():
+    h = detect(datasets.karate_club()[0],
+               RunConfig(criterion=PluggedUniformity(), seed=0))
+    assert json.loads(h.to_json())["criterion"] == "du-plugged"
+    assert h.to_text().startswith("criterion: du-plugged\n")
 
 
 def test_plugged_criterion_keeps_the_shared_rules():

@@ -552,3 +552,32 @@ def test_aggregate_peak_memory(groups, size):
     assert peak <= (3 * 8 * graph._CHUNK if groups == 20
                     else 1.25 * 8 * g.nbr.size)
     assert_same_graph(meta, aggregate(_with_ones(g), labels, groups))
+
+
+def test_from_arrays_leaves_writeable_weights_alone():
+    # The build moves the edges that are not loops to the front of the
+    # weights it owns; the caller's are copied first.
+    src, dst = _unit_edges(50, 200, seed=4)
+    w = np.where(src % 3, 1.0, 2.5)
+    before = w.copy()
+    g = Graph.from_arrays(50, src, dst, w)
+    assert w.tobytes() == before.tobytes()
+    assert_same_graph(g, reference_csr(50, zip(src, dst, before)))
+
+
+def test_loops_compacted_in_place_peak_memory():
+    # A weighted build with a few loops moves the other edges to the
+    # front of its own pairs and weights, a chunk at a time.  Copying
+    # them (pairs[off], w[off]) peaked at 7.2 words per edge, against
+    # 4.2 with no loop.
+    src, dst = np.triu_indices(710, k=1)  # 251,695 edges
+    rng = np.random.default_rng(0)
+    pairs = np.column_stack((src, dst))[rng.permutation(src.size)]
+    loops = rng.choice(src.size, 20, replace=False)
+    pairs[loops, 1] = pairs[loops, 0]
+    w = rng.uniform(0.1, 5.0, src.size)
+    want = Graph.from_arrays(710, pairs[:, 0], pairs[:, 1], w)
+    g, peak, _ = traced_peak(lambda: graph._from_pairs(710, pairs, w))
+    assert np.count_nonzero(g.loop) == 20
+    assert peak <= 4.3 * 8 * src.size
+    assert_same_graph(g, want)

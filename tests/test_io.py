@@ -160,6 +160,8 @@ def test_summary_fields_and_json():
     assert s["kappa_final"] == h.kappa_final
     assert s["quality"] == h.quality
     assert [lv["kappa"] for lv in s["levels"]] == [lv.kappa for lv in h.levels]
+    assert [lv["visits"] for lv in s["levels"]] == [lv.visits
+                                                    for lv in h.levels]
     assert s["levels"][0]["n"] == 34
     assert s["levels"][0]["m"] == 78
     qs = [lv["quality"] for lv in s["levels"]]

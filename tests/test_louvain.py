@@ -7,7 +7,7 @@ import pytest
 
 from anylouvain import (Graph, LouvainError, RunConfig, compose_flat,
                         datasets, detect, exact_optimum, make_criterion,
-                        one_pass, relational_total, run)
+                        one_pass, relational_total, run, synth)
 from anylouvain import louvain
 from anylouvain.oracle import improving_move
 
@@ -247,3 +247,100 @@ def test_vector_branch_overflow_fails_without_warnings(monkeypatch, cid):
         warnings.simplefilter("error")
         with pytest.raises(LouvainError, match="overflow"):
             detect(g, RunConfig(criterion=cid))
+
+
+def _pass_record(g, crit, labels, seed):
+    """One pass from ``labels``: its labels, sweeps and moves and the
+    bytes of the four accumulators, and its visits."""
+    st = crit.state_from_labels(g, labels)
+    res = one_pass(g, RunConfig(seed=seed), st)
+    return ((res.labels.tobytes(), res.sweeps, res.moves)
+            + tuple(getattr(st, a).tobytes()
+                    for a in ("in_w", "tot", "sz", "aux")), res.visits)
+
+
+def _with_and_without_check(monkeypatch, g, crit, labels, seed=0):
+    """:func:`_pass_record` with the quiet-prefix check, then with the
+    check made to certify nothing."""
+    check = louvain._quiet_prefix
+    out = [_pass_record(g, crit, labels, seed)]
+    monkeypatch.setattr(louvain, "_quiet_prefix", lambda *args: 0)
+    out.append(_pass_record(g, crit, labels, seed))
+    monkeypatch.setattr(louvain, "_quiet_prefix", check)
+    return out
+
+
+@pytest.mark.parametrize("long_row", [8, louvain.LONG_ROW])
+def test_certified_pass_matches_every_visit(monkeypatch, criterion, long_row):
+    # Unweighted, weighted and looped graphs, started from random
+    # partitions of few communities (so the check's gate holds) up to
+    # ids past n; at LONG_ROW 8 rows fall on both sides of it.
+    monkeypatch.setattr(louvain, "LONG_ROW", long_row)
+    rng = np.random.default_rng(43)
+    skipped = 0
+    for _ in range(40):
+        g = criterion.pretreat(compatible_graph(criterion, rng, n_max=24,
+                                                p=0.5))
+        labels = rng.integers(0, rng.integers(1, g.n + 3), g.n)
+        (got, visits), (want, every) = _with_and_without_check(
+            monkeypatch, g, criterion, labels, int(rng.integers(100)))
+        assert got == want
+        assert every == g.n * want[1]
+        skipped += every - visits
+    assert skipped > 0
+
+
+def _two_cliques(weights):
+    """Two 5-cliques joined by one edge, weights cycling over
+    ``weights``, and the partition into the two cliques."""
+    edges = [(b + i, b + j) for b in (0, 5)
+             for i in range(5) for j in range(i + 1, 5)] + [(4, 5)]
+    return (Graph.from_edges(10, [(i, j, weights[k % len(weights)])
+                                  for k, (i, j) in enumerate(edges)]),
+            np.repeat([0, 1], 5))
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (0.1, 0.2, 0.7)])
+def test_check_refuses_an_inexact_round_trip(monkeypatch, weights):
+    # No node of the two cliques moves.  With unit weights every visit
+    # is certified; with 0.1 / 0.2 / 0.7, removing node 5 and inserting
+    # it back does not give its community's tot back bit for bit, so
+    # the prefix ends there.
+    g, labels = _two_cliques(weights)
+    crit = make_criterion("ng")
+    st = crit.state_from_labels(g, labels)
+    tot, d = st.tot[labels], g.degrees
+    exact = ((tot - d) + d == tot).tolist() + [False]
+    prefix = louvain._quiet_prefix(g, st, np.arange(g.n), g.n)
+    assert prefix == exact.index(False) == (g.n if weights == (1.0,) else 5)
+    (got, visits), (want, every) = _with_and_without_check(
+        monkeypatch, g, crit, labels)
+    assert got == want and want[2] == 0
+    assert (visits == 0) == (weights == (1.0,))
+
+
+def test_check_refuses_non_finite_gains(monkeypatch):
+    # Weights of 2**1020 add up exactly, but bm's gain overflows.
+    w = 2.0 ** 1020
+    g = Graph.from_edges(4, [(0, 1, w), (1, 2, w), (2, 3, w)])
+    crit = make_criterion("bm")
+    labels = np.zeros(4, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = crit.state_from_labels(g, labels)
+        assert louvain._quiet_prefix(g, st, np.arange(4), 4) == 0
+        (got, visits), (want, every) = _with_and_without_check(
+            monkeypatch, g, crit, labels)
+    assert got == want and visits == every == 4 * want[1]
+
+
+def test_visits_count_the_visits_made():
+    # On a dense planted graph the check skips the last sweep of level
+    # 0, which moves nothing; on karate it never certifies a node.
+    g, _ = synth.planted_partition_graph(400, 4, 0.5, 0.01, seed=3)
+    h = detect(g, RunConfig(seed=1))
+    lv = h.levels[0]
+    assert lv.sweeps >= 2 and lv.visits <= g.n * (lv.sweeps - 1)
+    for seed in range(3):
+        h = detect(datasets.karate_club()[0], RunConfig(seed=seed))
+        assert all(lv.visits == lv.graph.n * lv.sweeps for lv in h.levels)
