@@ -47,14 +47,31 @@ check scores one (node x live community) block, so it runs only while
 dense level once its first sweep has merged the singletons; there it
 saves the last sweep, which moves nothing.  It uses the contract alone:
 the accumulators, the node constants and the criterion's gain.
+
+On a level with a long row the check runs again after a move of such a
+sweep, on the rest of the visit order and from the state as the move
+left it, and the loop skips the nodes it certifies: a sweep that moves
+a few nodes visits little more than those.  Only there is the state's
+numpy copy current after every visit, and only there does a check cost
+as little as a few visits; on a level of short rows it would cost tens
+of them.  Even there a check that fails at once costs several visits,
+so it runs again only while the sweep's movers are sparse, more than
+:data:`_GAP` nodes of the order apart on average so far: where most
+nodes move, checking after each move would cost more than the visits
+it saves.  Its blocks double from a small probe and read only their own
+nodes, with the community columns kept current move by move
+(:class:`_Columns`), so a check that fails soon costs little however
+long the rest.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -111,12 +128,19 @@ class Level:
     #: Node visits the pass made: ``n * sweeps`` less the visits that
     #: :func:`one_pass`'s check proved would change nothing.
     visits: int | None = None
+    #: Moves and visits of each sweep, in order; they sum to ``moves``
+    #: and ``visits``.
+    sweep_moves: tuple[int, ...] | None = None
+    sweep_visits: tuple[int, ...] | None = None
 
 
 @dataclass
 class Hierarchy:
     """Result of a full run: every level, the composed flat partition of
-    the original nodes and the :class:`RunConfig` the run used.
+    the original nodes, the :class:`RunConfig` the run used and why the
+    run stopped: ``stop_reason`` is ``"no_moves"`` (the last pass moved
+    nothing), ``"precision"`` (the last level raised the quality by at
+    most ``precision``) or ``"max_levels"``.
 
     This is the run's only record.  :meth:`to_json` and :meth:`to_text`
     render the summary (``detect --summary-out`` and its stderr block),
@@ -129,6 +153,7 @@ class Hierarchy:
     kappa_final: int = 0
     elapsed: float = 0.0
     config: RunConfig | None = None
+    stop_reason: str | None = None
 
     @property
     def quality(self):
@@ -144,8 +169,11 @@ class Hierarchy:
             "precision": cfg.precision,
             "levels": [{"n": lv.graph.n, "m": lv.graph.edge_count,
                         "quality": lv.quality, "kappa": lv.kappa,
-                        "sweeps": lv.sweeps, "visits": lv.visits}
+                        "sweeps": lv.sweeps, "visits": lv.visits,
+                        "sweep_moves": lv.sweep_moves,
+                        "sweep_visits": lv.sweep_visits}
                        for lv in self.levels],
+            "stop_reason": self.stop_reason,
             "kappa_final": self.kappa_final,
             "quality": self.quality,
             "elapsed": self.elapsed,
@@ -158,15 +186,17 @@ class Hierarchy:
             f"criterion: {_criterion_id(cfg)}"
             + (f" (alpha={cfg.alpha})" if cfg.alpha is not None else ""),
             f"seed: {cfg.seed}   precision: {cfg.precision:g}",
-            "level      n        m     kappa  sweeps  quality",
+            "level      n        m     kappa  sweeps    visits  quality",
         ]
         for idx, lv in enumerate(self.levels):
             lines.append(f"{idx:>5}  {lv.graph.n:>7}  "
                          f"{lv.graph.edge_count:>7}  {lv.kappa:>6}"
-                         f"  {lv.sweeps:>6}  {lv.quality:.6f}")
+                         f"  {lv.sweeps:>6}  {lv.visits!s:>8}"
+                         f"  {lv.quality:.6f}")
         lines.append(f"communities: {self.kappa_final}   "
                      f"quality: {self.quality:.6f}   "
                      f"elapsed: {self.elapsed:.3f}s")
+        lines.append(f"stop_reason: {self.stop_reason}")
         return "\n".join(lines)
 
     def memberships(self):
@@ -181,13 +211,14 @@ class Hierarchy:
             yield flat
 
     def levels_json(self):
-        """Per level as JSON: sizes, sweeps, visits, quality and the
-        membership of every original node at that depth
-        (:meth:`memberships`)."""
+        """Per level as JSON: sizes, sweeps, visits (also per sweep, with
+        the moves), quality and the membership of every original node at
+        that depth (:meth:`memberships`)."""
         pairs = enumerate(zip(self.levels, self.memberships()))
         return json.dumps({"levels": [
             {"level": idx, "n": lv.graph.n, "m": lv.graph.edge_count,
              "kappa": lv.kappa, "sweeps": lv.sweeps, "visits": lv.visits,
+             "sweep_moves": lv.sweep_moves, "sweep_visits": lv.sweep_visits,
              "quality": lv.quality, "membership": membership.tolist()}
             for idx, (lv, membership) in pairs]}, indent=2)
 
@@ -202,6 +233,8 @@ class PassResult(NamedTuple):
     sweeps: int
     moves: int
     visits: int | None = None
+    sweep_moves: tuple[int, ...] | None = None
+    sweep_visits: tuple[int, ...] | None = None
 
 
 #: Rows longer than this are scored in numpy, a fixed handful of calls
@@ -212,9 +245,21 @@ class PassResult(NamedTuple):
 #: (``ng``) and 72 (``bm``), see BENCH_8.json.
 LONG_ROW = 64
 
-#: Nodes in the first block of :func:`_quiet_prefix`, so that a sweep
-#: whose first visits move stops checking after a few numpy calls.
+#: Nodes in the first block of :func:`_quiet_prefix`, so that a check
+#: whose first nodes may move stops after a few numpy calls; each later
+#: block is twice as long, up to the block budget.
 _PROBE = 32
+
+#: A move is followed by a check of the rest of its sweep only while the
+#: sweep has gone more than this many nodes of its order per move so far.
+#: A check that fails in its probe costs about six long visits (~0.13 ms
+#: against ~20 us on rows of ~100 entries), so where nodes move densely
+#: checking after every move made a pass 3x slower than never checking
+#: again.  Measured on planted graphs of such rows, started from a coarse
+#: partition or with weak structure, 8 and 16 were the fastest of 4, 8,
+#: 16 and 32, and 8 visits as few nodes as every move does on dense-ng;
+#: see BENCH_20.json.
+_GAP = 8
 
 
 def _short_rows(g):
@@ -259,7 +304,12 @@ def one_pass(g, cfg, st, rng=None):
     remove / insert round trip, same decision under the tie rule).  The
     check runs only while ``n * kappa <= nnz``, when the (node x live
     community) block it scores is no larger than the adjacency; a sweep
-    whose every node is certified moves nothing and ends the pass.
+    whose every node is certified moves nothing and ends the pass.  On
+    a graph with a long row, a move of such a sweep checks the rest of
+    the order again from the state it left, while the sweep has gone
+    more than :data:`_GAP` nodes per move, and the loop skips the nodes
+    certified there too.  ``sweep_moves`` and ``sweep_visits`` hold
+    each sweep's moves and visits.
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
@@ -308,15 +358,13 @@ def one_pass(g, cfg, st, rng=None):
     else:
         pairs = ()
 
-    sweeps = 0
-    total_moves = 0
-    visits = 0
+    sweep_moves, sweep_visits = [], []
     improved = n > 0
     try:
         while improved:
-            if sweeps >= 10 * max(n, 1):
+            if len(sweep_moves) >= 10 * max(n, 1):
                 raise SweepCapExceeded(
-                    f"no convergence after {sweeps} sweeps; gain "
+                    f"no convergence after {len(sweep_moves)} sweeps; gain "
                     f"implementation for {st.crit.id!r} is suspect")
             improved = False
             if cfg.shuffle_nodes:
@@ -324,12 +372,18 @@ def one_pass(g, cfg, st, rng=None):
             start = 0
             # The check scores one (node x live community) block, here no
             # larger than the adjacency.
-            if n * (len(sz) - len(free)) <= g.nbr.size:
+            check = n * (len(sz) - len(free)) <= g.nbr.size
+            if check:
                 if not pairs:  # st's arrays are stale without long rows
                     st.assign(ls)
-                start = _quiet_prefix(g, st, order, free[-1])
-            visits += n - start
-            for i in order[start:].tolist():
+                cols = _Columns(st)
+                start = _quiet_prefix(g, st, order, free[-1], cols)
+            # With long rows st is current after every visit, and a
+            # re-check costs as little as a few long visits.
+            recheck = check and pairs
+            moves, visits = 0, n - start
+            rest = iter(order[start:].tolist())
+            for i in rest:
                 c_old = part[i]
                 row = rows[i]
                 if row is None:
@@ -390,52 +444,95 @@ def one_pass(g, cfg, st, rng=None):
                         for j in nbr[indptr[i]:indptr[i + 1]].tolist():
                             kept[j] = None
                     part_np[i] = best
-                    improved = True
-                    total_moves += 1
+                    moves += 1
                     if best == spare:
                         free.pop()
                     if sz[c_old] == 0:
                         free.append(c_old)
-            sweeps += 1
+                    # While this sweep's movers are sparse, certify the
+                    # rest again from the state as it is now, and skip
+                    # the nodes that would stay put.
+                    if recheck:
+                        cols.move(i, best)
+                        left = operator.length_hint(rest)
+                        if left and n - left > _GAP * moves:
+                            k = _quiet_prefix(g, st, order[n - left:],
+                                              free[-1], cols)
+                            visits -= k
+                            next(islice(rest, k, k), None)
+            sweep_moves.append(moves)
+            sweep_visits.append(visits)
+            improved = moves > 0
     finally:
         st.assign(ls)
-    return PassResult(st.part.copy(), sweeps, total_moves, visits)
+    return PassResult(st.part.copy(), len(sweep_moves), sum(sweep_moves),
+                      sum(sweep_visits), tuple(sweep_moves),
+                      tuple(sweep_visits))
+
+
+class _Columns:
+    """Columns of :func:`_quiet_prefix`'s (node x community) blocks:
+    ``slots[k]`` is the community of column ``k``, ``of[c]`` the column of
+    community ``c`` (-1 for none) and ``node[i]`` the column of node
+    ``i``'s community.
+
+    Built from ``st``'s live communities in ascending order; :meth:`move`
+    keeps them current after a move at the cost of one node, so a check
+    of a sweep's rest does not rebuild them.  A community that empties
+    keeps its column, which no row then counts, and one that a move
+    opens takes the next column.
+    """
+
+    def __init__(self, st):
+        live = np.flatnonzero(st.sz > 0)
+        self.of = np.full(st.sz.size, -1, dtype=np.int64)
+        self.of[live] = np.arange(live.size)
+        self.slots = live.tolist()
+        self.node = self.of[st.part]
+
+    def move(self, i, c):
+        k = int(self.of[c])
+        if k < 0:
+            k = self.of[c] = len(self.slots)
+            self.slots.append(c)
+        self.node[i] = k
 
 
 # A non-finite gain ends the prefix, and an emptied own community may
 # divide by zero: neither is warned about.
 @np.errstate(all="ignore")
-def _quiet_prefix(g, st, order, spare):
-    """How many leading nodes of the visit ``order`` can be skipped: the
-    length of the longest prefix in which, visited in turn from ``st``,
-    no node would move and no visit would change ``st`` by a bit.
+def _quiet_prefix(g, st, order, spare, cols):
+    """How many leading nodes of ``order``, the rest of a sweep's visit
+    order, can be skipped: the length of the longest prefix in which,
+    visited in turn from ``st``, no node would move and no visit would
+    change ``st`` by a bit.
 
-    ``spare`` is the empty community a visit would offer.  Each node is
-    checked against ``st`` as it is, under the module docstring's three
-    conditions (same sums, same state, same decision); the second makes
-    ``st`` hold for the whole prefix by induction.  Nodes are checked in
-    blocks of the visit order: first :data:`_PROBE` of them, then as
-    many as keep each array of the block within :data:`criteria._CELLS`
-    cells, one per row entry or per (node, live community) pair.
+    ``spare`` is the empty community a visit would offer and ``cols``
+    the :class:`_Columns` of ``st``.  Each node is checked against
+    ``st`` as it is, under the module docstring's three conditions (same
+    sums, same state, same decision); the second makes ``st`` hold for
+    the whole prefix by induction.  Nodes are checked in blocks of the
+    order that double from :data:`_PROBE` nodes, up to as many as keep
+    each array of the block within :data:`criteria._CELLS` cells, one
+    per row entry or per (node, column) pair.  A block reads only its
+    own nodes and rows, so a check that fails soon costs little past the
+    failure, however long the order.
     """
-    live = np.flatnonzero(st.sz > 0)
-    kappa = live.size
-    cid = np.zeros(st.sz.size, dtype=np.int64)
-    cid[live] = np.arange(kappa)
-    cid = cid[st.part]  # each node's community among the live ones
-    lens = np.diff(g.indptr)
-    ends = np.cumsum(lens[order])  # row entries up to each visit
-    crit, n = st.crit, g.n
+    live = np.array(cols.slots)
+    kappa, cid = live.size, cols.node
+    crit, n = st.crit, order.size
     vgain = crit.gain_fn(st)
-    lo = 0
+    lo, step = 0, _PROBE
     while lo < n:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = min(n, lo + (_PROBE if lo == 0 else max(1, _CELLS // kappa)),
-                 max(lo + 1, int(ends.searchsorted(base + _CELLS, "right"))))
-        nodes = order[lo:hi]
-        rl = lens[nodes]
+        nodes = order[lo:lo + max(1, min(step, _CELLS // kappa))]
+        first = g.indptr[nodes]
+        rl = g.indptr[nodes + 1] - first
+        ends = np.cumsum(rl)  # the block's row entries up to each node
+        m = max(1, int(ends.searchsorted(_CELLS, "right")))
+        if m < nodes.size:
+            nodes, first, rl, ends = nodes[:m], first[:m], rl[:m], ends[:m]
         # The block's row entries, row after row, and their cell keys.
-        at = np.repeat(g.indptr[nodes] - (ends[lo:hi] - base - rl), rl)
+        at = np.repeat(first - (ends - rl), rl)
         at += np.arange(at.size)
         keys = np.repeat(np.arange(0, nodes.size * kappa, kappa), rl)
         keys += cid[g.nbr[at]]
@@ -465,7 +562,7 @@ def _quiet_prefix(g, st, order, spare):
                  & (top <= own) & (fresh <= own))
         if not quiet.all():
             return lo + int(quiet.argmin())
-        lo = hi
+        lo, step = lo + nodes.size, 2 * step
     return n
 
 
@@ -474,8 +571,9 @@ def run(g0, cfg):
 
     The graph must already be pretreated when the criterion requires it
     (see :func:`detect` for the turnkey version).  Levels are recorded
-    until a pass moves nothing or the level's quality improvement drops
-    to ``cfg.precision`` or below.  A level whose quality is NaN or
+    until a pass moves nothing, the level's quality improvement drops
+    to ``cfg.precision`` or below, or ``cfg.max_levels`` are recorded;
+    ``Hierarchy.stop_reason`` names which.  A level whose quality is NaN or
     infinite raises :class:`LouvainError` (:meth:`CriterionState.total`).
     """
     crit = as_criterion(cfg.criterion, cfg.alpha)
@@ -489,15 +587,16 @@ def run(g0, cfg):
         res = one_pass(g, cfg, st, rng)
         quality = st.total()
         labels, kappa = compact_labels(res.labels)
-        h.levels.append(Level(g, labels, quality, kappa,
-                              res.sweeps, res.moves, res.visits))
-        done = (
-            res.moves == 0
-            or (prev_q is not None and quality - prev_q <= cfg.precision)
-            or (cfg.max_levels is not None
-                and len(h.levels) >= cfg.max_levels)
-        )
-        if done:
+        # PassResult's fields after labels are Level's after kappa.
+        h.levels.append(Level(g, labels, quality, kappa, *res[1:]))
+        h.stop_reason = (
+            "no_moves" if res.moves == 0
+            else "precision" if (prev_q is not None
+                                 and quality - prev_q <= cfg.precision)
+            else "max_levels" if (cfg.max_levels is not None
+                                  and len(h.levels) >= cfg.max_levels)
+            else None)
+        if h.stop_reason:
             break
         prev_q = quality
         g = aggregate(g, labels, kappa)

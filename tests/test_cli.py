@@ -61,14 +61,21 @@ def test_levels_out_and_summary_out_match_partition(karate_file, tmp_path):
     # The key list the README documents under "Summary JSON".
     blob = json.loads(summ.read_text())
     assert list(blob) == ["criterion", "alpha", "seed", "precision",
-                          "levels", "kappa_final", "quality", "elapsed"]
+                          "levels", "stop_reason", "kappa_final", "quality",
+                          "elapsed"]
+    assert blob["stop_reason"] == "no_moves"
     assert [list(lv) for lv in blob["levels"]] == (
-        [["n", "m", "quality", "kappa", "sweeps", "visits"]] * len(levels))
+        [["n", "m", "quality", "kappa", "sweeps", "visits", "sweep_moves",
+          "sweep_visits"]] * len(levels))
     assert [list(lv) for lv in levels] == (
-        [["level", "n", "m", "kappa", "sweeps", "visits", "quality",
-          "membership"]] * len(levels))
+        [["level", "n", "m", "kappa", "sweeps", "visits", "sweep_moves",
+          "sweep_visits", "quality", "membership"]] * len(levels))
     # karate's levels are too sparse for the check: every visit is made.
     assert all(lv["visits"] == lv["n"] * lv["sweeps"] for lv in levels)
+    assert all(lv["sweep_visits"] == [lv["n"]] * lv["sweeps"]
+               for lv in levels)
+    assert [lv["sweep_moves"] for lv in levels] == [
+        lv["sweep_moves"] for lv in blob["levels"]]
 
 
 def test_detect_eval_fixed_point(karate_file, tmp_path, capsys):

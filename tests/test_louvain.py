@@ -1,5 +1,6 @@
 """Optimizer behavior: sweeps, hierarchy, determinism, quality bounds."""
 
+import json
 import warnings
 
 import numpy as np
@@ -259,6 +260,11 @@ def _pass_record(g, crit, labels, seed):
                     for a in ("in_w", "tot", "sz", "aux")), res.visits)
 
 
+def _check(g, st, order, spare):
+    """:func:`louvain._quiet_prefix` with columns fresh from ``st``."""
+    return louvain._quiet_prefix(g, st, order, spare, louvain._Columns(st))
+
+
 def _with_and_without_check(monkeypatch, g, crit, labels, seed=0):
     """:func:`_pass_record` with the quiet-prefix check, then with the
     check made to certify nothing."""
@@ -270,12 +276,26 @@ def _with_and_without_check(monkeypatch, g, crit, labels, seed=0):
     return out
 
 
-@pytest.mark.parametrize("long_row", [8, louvain.LONG_ROW])
+@pytest.mark.parametrize("long_row", [0, 8, louvain.LONG_ROW])
 def test_certified_pass_matches_every_visit(monkeypatch, criterion, long_row):
     # Unweighted, weighted and looped graphs, started from random
     # partitions of few communities (so the check's gate holds) up to
-    # ids past n; at LONG_ROW 8 rows fall on both sides of it.
+    # ids past n.  At LONG_ROW 0 every row is long, at 8 rows fall on
+    # both sides of it, and at 64 no row of these graphs is long, so
+    # only there no move is followed by a re-check of the rest.
     monkeypatch.setattr(louvain, "LONG_ROW", long_row)
+    check, rechecks = louvain._quiet_prefix, []
+
+    def counted(g, st, order, spare, cols):
+        # A re-check reads the columns the pass kept through its moves;
+        # fresh ones built from the state give the same answer.
+        got = check(g, st, order, spare, cols)
+        if order.size < g.n:
+            rechecks.append(True)
+            assert got == check(g, st, order, spare, louvain._Columns(st))
+        return got
+
+    monkeypatch.setattr(louvain, "_quiet_prefix", counted)
     rng = np.random.default_rng(43)
     skipped = 0
     for _ in range(40):
@@ -288,6 +308,60 @@ def test_certified_pass_matches_every_visit(monkeypatch, criterion, long_row):
         assert every == g.n * want[1]
         skipped += every - visits
     assert skipped > 0
+    # No row of these graphs has more than 23 entries.
+    assert bool(rechecks) == (long_row < 23)
+
+
+def test_check_of_a_suffix_matches_a_fresh_order(monkeypatch):
+    # Four planted groups of long rows; five nodes sit in the wrong
+    # group, so the check stops at them.  A suffix of the order is
+    # checked as the same nodes in a fresh array, and as the first
+    # failure of a node-by-node check.  Blocks double from 32 nodes,
+    # and the cell budget, cut to ~210 rows of ~94 entries, binds from
+    # the fourth block on; the failures fall in the first four blocks.
+    monkeypatch.setattr(louvain, "_CELLS", 20000)
+    g, truth = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    order = np.random.default_rng(5).permutation(g.n)
+    labels = truth.copy()
+    wrong = order[[40, 150, 151, 420, 530]]
+    labels[wrong] = (labels[wrong] + 1) % 4
+    st = make_criterion("ng").state_from_labels(g, labels)
+    spare = int(np.flatnonzero(st.sz == 0)[0])
+    quiet = [_check(g, st, order[j:j + 1], spare) == 1
+             for j in range(g.n)] + [False]
+    assert not any(quiet[j] for j in (40, 150, 151, 420, 530))
+    got = []
+    for k in (0, 1, 39, 40, 41, 100, 151, 152, 301, 421, 531, g.n - 1, g.n):
+        suffix = order[k:]
+        first = quiet.index(False, k) - k
+        assert _check(g, st, suffix, spare) == first
+        assert _check(g, st, suffix.copy(), spare) == first
+        got.append(first)
+    assert {0, 40, 109, 268} <= set(got)
+
+
+def test_columns_follow_moves():
+    # Node a moves to an empty community, which opens a column, and
+    # back, which leaves that column with no node; node b's move empties
+    # its singleton community.  After each move the kept columns check
+    # every suffix as fresh ones do.
+    g, truth = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    order = np.random.default_rng(5).permutation(g.n)
+    a, b = order[[50, 200]]
+    labels = truth.copy()
+    labels[b] = 4
+    crit = make_criterion("ng")
+    cols = louvain._Columns(crit.state_from_labels(g, labels))
+    for i, c in ((a, 5), (a, truth[a]), (b, truth[b])):
+        labels[i] = c
+        cols.move(i, c)
+        st = crit.state_from_labels(g, labels)
+        spare = int(np.flatnonzero(st.sz == 0)[0])
+        for k in (0, 49, 50, 51, 199, 200, 201, 500):
+            assert (louvain._quiet_prefix(g, st, order[k:], spare, cols)
+                    == _check(g, st, order[k:], spare))
+    assert cols.slots == [0, 1, 2, 3, 4, 5]
+    assert np.count_nonzero(st.sz) == 4
 
 
 def _two_cliques(weights):
@@ -311,7 +385,7 @@ def test_check_refuses_an_inexact_round_trip(monkeypatch, weights):
     st = crit.state_from_labels(g, labels)
     tot, d = st.tot[labels], g.degrees
     exact = ((tot - d) + d == tot).tolist() + [False]
-    prefix = louvain._quiet_prefix(g, st, np.arange(g.n), g.n)
+    prefix = _check(g, st, np.arange(g.n), g.n)
     assert prefix == exact.index(False) == (g.n if weights == (1.0,) else 5)
     (got, visits), (want, every) = _with_and_without_check(
         monkeypatch, g, crit, labels)
@@ -328,10 +402,87 @@ def test_check_refuses_non_finite_gains(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         st = crit.state_from_labels(g, labels)
-        assert louvain._quiet_prefix(g, st, np.arange(4), 4) == 0
+        assert _check(g, st, np.arange(4), 4) == 0
         (got, visits), (want, every) = _with_and_without_check(
             monkeypatch, g, crit, labels)
     assert got == want and visits == every == 4 * want[1]
+
+
+def test_sweeps_record_their_moves_and_visits(criterion):
+    rng = np.random.default_rng(47)
+    for _ in range(4):
+        g = compatible_graph(criterion, rng, n_max=40)
+        h = detect(g, RunConfig(criterion=criterion.id,
+                                alpha=getattr(criterion, "alpha", None),
+                                seed=int(rng.integers(100))))
+        for lv in h.levels:
+            assert len(lv.sweep_moves) == len(lv.sweep_visits) == lv.sweeps
+            assert sum(lv.sweep_moves) == lv.moves
+            assert sum(lv.sweep_visits) == lv.visits
+            assert lv.sweep_moves[-1] == 0
+
+
+def test_recheck_visits_only_the_movers(monkeypatch):
+    # Rows of ~94 entries, longer than LONG_ROW: level 0's second sweep
+    # moves few nodes, so after its moves the rest is certified again
+    # and that sweep visits little more than its movers.  Without the
+    # check it makes the same moves, in n visits.
+    g, _ = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    assert np.diff(g.indptr).min() > louvain.LONG_ROW
+    h = detect(g, RunConfig(seed=1))
+    lv = h.levels[0]
+    assert lv.sweeps >= 3 and lv.sweep_visits[1] < g.n // 4
+    assert lv.sweep_moves[1] > 0
+    monkeypatch.setattr(louvain, "_quiet_prefix", lambda *args: 0)
+    every = detect(g, RunConfig(seed=1))
+    assert every.levels[0].sweep_moves == lv.sweep_moves
+    assert every.levels[0].sweep_visits == (g.n,) * lv.sweeps
+    assert np.array_equal(every.flat, h.flat)
+
+
+def test_dense_movers_skip_the_recheck(monkeypatch):
+    # From eight random communities on rows of ~94 entries the check's
+    # gate holds from the first sweep, where most nodes move.  A move is
+    # followed by a re-check only while its sweep has gone more than
+    # _GAP nodes per move, so a sweep makes at most n // _GAP of them,
+    # far fewer than its moves.  The pass makes the moves and labels of
+    # the pass without the check.
+    g, _ = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    labels = np.random.default_rng(7).integers(0, 8, g.n)
+    crit = make_criterion("ng")
+    check, starts = louvain._quiet_prefix, []
+
+    def counted(g, st, order, spare, cols):
+        if order.size == g.n:
+            starts.append(0)
+        else:
+            starts[-1] += 1
+        return check(g, st, order, spare, cols)
+
+    monkeypatch.setattr(louvain, "_quiet_prefix", counted)
+    res = one_pass(g, RunConfig(seed=1), crit.state_from_labels(g, labels))
+    assert len(starts) == res.sweeps
+    assert max(starts) <= g.n // louvain._GAP < res.sweep_moves[0]
+    assert sum(starts) > 0
+    monkeypatch.setattr(louvain, "_quiet_prefix", lambda *args: 0)
+    every = one_pass(g, RunConfig(seed=1), crit.state_from_labels(g, labels))
+    assert every.sweep_moves == res.sweep_moves
+    assert np.array_equal(every.labels, res.labels)
+
+
+@pytest.mark.parametrize("kwargs,reason", [
+    ({"max_levels": 1}, "max_levels"), ({"precision": 1e9}, "precision"),
+    ({}, "no_moves")])
+def test_stop_reason(kwargs, reason):
+    g, _ = datasets.karate_club()
+    h = detect(g, RunConfig(seed=0, **kwargs))
+    assert h.stop_reason == reason
+    assert json.loads(h.to_json())["stop_reason"] == reason
+    assert h.to_text().endswith(f"stop_reason: {reason}")
+    last = h.levels[-1]
+    assert (last.moves == 0) == (reason == "no_moves")
+    if reason == "precision":
+        assert len(h.levels) == 2
 
 
 def test_visits_count_the_visits_made():
