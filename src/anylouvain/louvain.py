@@ -31,34 +31,36 @@ a dict would add the same row, in the same order, over the same
 communities, so the kept one is equal to it bit for bit, and so are
 every gain, move and quality.
 
-A sweep starts where a move may happen.  After the shuffle, one
-vectorized check (:func:`_quiet_prefix`) finds the longest prefix of the
-visit order in which no node would move and no visit would change the
-state, and the loop starts after it; a sweep with no such node ends at
-once, and still counts.  A node is certified only when its visit would
-be a no-op bit for bit: its neighbour-community sums come from
-``np.bincount`` in row order (*same sums*); removing it and inserting it
-back restores its community's four accumulators, ``(x - y) + y == x``
-(*same state*), so by induction the state stays that of the sweep's
-start; and its own community, taken without it, keeps a node and no
-candidate's gain beats it, all gains finite (*same decision*).  The
-check scores one (node x live community) block, so it runs only while
-``n * kappa`` is at most the level's adjacency entries, which holds on a
-dense level once its first sweep has merged the singletons; there it
-saves the last sweep, which moves nothing.  It uses the contract alone:
-the accumulators, the node constants and the criterion's gain.
+A sweep may skip the visits that would change nothing.  After the
+shuffle, one vectorized check (:func:`_quiet_prefix`) finds the longest
+prefix of the visit order in which no node would move and no visit
+would change the state, and the loop starts after it; a sweep with no
+such node ends at once, and still counts.  A node is certified only
+when its visit would be a no-op bit for bit: its neighbour-community
+sums come from ``np.bincount`` in row order (*same sums*); removing it
+and inserting it back restores its community's four accumulators,
+``(x - y) + y == x`` (*same state*), so by induction the state stays
+that of the sweep's start; and its own community, taken without it,
+keeps a node and no candidate's gain beats it, all gains finite (*same
+decision*).  It uses the contract alone: the accumulators, the node
+constants and the criterion's gain.
 
-On a level with a long row the check runs again after a move of such a
-sweep, on the rest of the visit order and from the state as the move
-left it, and the loop skips the nodes it certifies: a sweep that moves
-a few nodes visits little more than those.  Only there is the state's
-numpy copy current after every visit, and only there does a check cost
-as little as a few visits; on a level of short rows it would cost tens
-of them.  Even there a check that fails at once costs several visits,
-so it runs again only while the sweep's movers are sparse, more than
-:data:`_GAP` nodes of the order apart on average so far: where most
-nodes move, checking after each move would cost more than the visits
-it saves.  Its blocks double from a small probe and read only their own
+One rule says when a pass checks: only on a level with a row longer
+than :data:`LONG_ROW`, and only while ``n * kappa``, the (node x live
+community) block the check scores, is at most the level's adjacency
+entries.  On such a level the state's numpy copy is current after every
+visit, for the long rows' gain, and a check costs about as much as a
+few long visits; on a level of short rows it would cost tens of visits.
+The block bound holds on a dense level once its first sweep has merged
+the singletons, and there the check saves the last sweep, which moves
+nothing.  Under the same rule the check runs again after a move, on the
+rest of the visit order and from the state as the move left it, and the
+loop skips the nodes it certifies: a sweep that moves a few nodes visits
+little more than those.  A check that fails at once still costs several
+visits, so it runs again only while the sweep's movers are sparse, more
+than :data:`_GAP` nodes of the order apart on average so far: where most
+nodes move, checking after each move would cost more than the visits it
+saves.  Its blocks double from a small probe and read only their own
 nodes, with the community columns kept current move by move
 (:class:`_Columns`), so a check that fails soon costs little however
 long the rest.
@@ -292,24 +294,20 @@ def one_pass(g, cfg, st, rng=None):
     and re-inserts it into the candidate community of highest gain.
     Candidates are scored in a fixed order, and a later one wins only with
     a strictly higher gain: the node's own community first (so ties keep
-    it in place), then neighbouring communities by ascending id, then one
-    empty slot of ``st`` unless the node just vacated its own.
+    it in place), then neighbouring communities by ascending id, then,
+    unless the node just vacated its own, the spare: the empty slot of
+    ``st`` that a move emptied last, or else its lowest empty slot.
     Sweeps repeat until one full sweep moves nothing; a pass still moving
     after ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
     :class:`PassResult`, whose ``visits`` counts the visits made.
 
-    Each sweep skips the prefix of its visit order that
-    :func:`_quiet_prefix` certifies: nodes that would stay put and leave
-    the state unchanged bit for bit (same sums, same state after the
-    remove / insert round trip, same decision under the tie rule).  The
-    check runs only while ``n * kappa <= nnz``, when the (node x live
-    community) block it scores is no larger than the adjacency; a sweep
-    whose every node is certified moves nothing and ends the pass.  On
-    a graph with a long row, a move of such a sweep checks the rest of
-    the order again from the state it left, while the sweep has gone
-    more than :data:`_GAP` nodes per move, and the loop skips the nodes
-    certified there too.  ``sweep_moves`` and ``sweep_visits`` hold
-    each sweep's moves and visits.
+    A sweep skips the nodes that :func:`_quiet_prefix` certifies would
+    stay put and leave the state unchanged bit for bit (same sums, same
+    state after the remove / insert round trip, same decision under the
+    tie rule), at its start and after a move, under the module
+    docstring's one rule for when a pass checks.  A sweep whose every
+    node is certified moves nothing and ends the pass.  ``sweep_moves``
+    and ``sweep_visits`` hold each sweep's moves and visits.
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
@@ -351,7 +349,8 @@ def one_pass(g, cfg, st, rng=None):
     kept = [None] * n
     any_short = rows.count(None) < n
     if None in rows:
-        # st's arrays stay current slot by slot for the vector gain.
+        # st's arrays stay current slot by slot, for the vector gain and
+        # the check.
         pairs = tuple(zip((st.in_w, st.tot, st.sz, st.aux),
                           (ls.in_w, ls.tot, ls.sz, ls.aux)))
         vgain = st.crit.gain_fn(st)
@@ -370,17 +369,12 @@ def one_pass(g, cfg, st, rng=None):
             if cfg.shuffle_nodes:
                 rng.shuffle(order)
             start = 0
-            # The check scores one (node x live community) block, here no
-            # larger than the adjacency.
-            check = n * (len(sz) - len(free)) <= g.nbr.size
+            # The module docstring's rule: a long row, and a (node x live
+            # community) block no larger than the adjacency.
+            check = pairs and n * (len(sz) - len(free)) <= g.nbr.size
             if check:
-                if not pairs:  # st's arrays are stale without long rows
-                    st.assign(ls)
                 cols = _Columns(st)
                 start = _quiet_prefix(g, st, order, free[-1], cols)
-            # With long rows st is current after every visit, and a
-            # re-check costs as little as a few long visits.
-            recheck = check and pairs
             moves, visits = 0, n - start
             rest = iter(order[start:].tolist())
             for i in rest:
@@ -452,7 +446,7 @@ def one_pass(g, cfg, st, rng=None):
                     # While this sweep's movers are sparse, certify the
                     # rest again from the state as it is now, and skip
                     # the nodes that would stay put.
-                    if recheck:
+                    if check:
                         cols.move(i, best)
                         left = operator.length_hint(rest)
                         if left and n - left > _GAP * moves:

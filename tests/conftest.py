@@ -146,3 +146,52 @@ def traced_peak(call):
         return out, peak - base, held - base
     finally:
         tracemalloc.stop()
+
+
+# Overflowing weights give inf/NaN gains here as in one_pass; numpy's
+# scalars would warn where the pass's Python floats do not.
+@np.errstate(over="ignore", invalid="ignore")
+def reference_pass(g, st, rng):
+    """``(labels, sweeps, moves)`` of one greedy pass over ``st``, written
+    from ``louvain.one_pass``'s docstring with the state's own calls: the
+    reference for every fork of that kernel.
+
+    Each sweep shuffles the order once and visits every node: it sums the
+    node's neighbour communities in a dict in row order, removes the
+    node, and inserts it where the scalar gain is highest, its own
+    community first, then the others by ascending id, each winning only
+    with a strictly higher gain, then the spare unless the node vacated
+    its own.  The spare is the empty slot that a move emptied last, or
+    else the lowest one.  Sweeps stop after one that moves nothing.
+    """
+    gain = st.crit.gain_fn(st)
+    order, empty = np.arange(g.n), np.flatnonzero(st.sz == 0)[::-1].tolist()
+    sweeps = moves = 0
+    moved = g.n > 0
+    while moved:
+        rng.shuffle(order)
+        sweeps, moved = sweeps + 1, False
+        for i in order.tolist():
+            lo, hi = g.indptr[i], g.indptr[i + 1]
+            sums = {}
+            for j, w in zip(g.nbr[lo:hi].tolist(), g.wgt[lo:hi].tolist()):
+                c = int(st.part[j])
+                sums[c] = sums.get(c, 0.0) + w
+            c_old = int(st.part[i])
+            dw_old = sums.get(c_old, 0.0)
+            st.remove(i, c_old, dw_old)
+            best, top = c_old, gain(i, c_old, dw_old)
+            for c in sorted(sums.keys() - {c_old}):
+                x = gain(i, c, sums[c])
+                if x > top:
+                    best, top = c, x
+            if st.sz[c_old] > 0 and gain(i, empty[-1], 0.0) > top:
+                best = empty[-1]
+            st.insert(i, best, sums.get(best, 0.0))
+            if best != c_old:
+                moved, moves = True, moves + 1
+                if best == empty[-1]:
+                    empty.pop()
+                if st.sz[c_old] == 0:
+                    empty.append(c_old)
+    return st.part.copy(), sweeps, moves

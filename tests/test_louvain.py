@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from anylouvain import (Graph, LouvainError, RunConfig, compose_flat,
 from anylouvain import louvain
 from anylouvain.oracle import improving_move
 
-from conftest import compatible_graph, two_triangles
+from conftest import (compatible_graph, reference_pass, traced_peak,
+                      two_triangles)
 from test_golden import CASES as GOLDEN_CASES, golden_graphs
 
 
@@ -250,14 +252,19 @@ def test_vector_branch_overflow_fails_without_warnings(monkeypatch, cid):
             detect(g, RunConfig(criterion=cid))
 
 
-def _pass_record(g, crit, labels, seed):
-    """One pass from ``labels``: its labels, sweeps and moves and the
-    bytes of the four accumulators, and its visits."""
-    st = crit.state_from_labels(g, labels)
-    res = one_pass(g, RunConfig(seed=seed), st)
-    return ((res.labels.tobytes(), res.sweeps, res.moves)
-            + tuple(getattr(st, a).tobytes()
-                    for a in ("in_w", "tot", "sz", "aux")), res.visits)
+def _against_reference(g, crit, labels, seed=0):
+    """``one_pass`` and :func:`conftest.reference_pass` from ``labels``
+    (None: ``init``'s singletons), each as its labels, sweeps and moves
+    and the bytes of the four accumulators; then ``one_pass``'s result."""
+    def record(run_pass):
+        st = (crit.init(g) if labels is None
+              else crit.state_from_labels(g, labels))
+        res = run_pass(st, np.random.default_rng(seed))
+        return res, (res[0].tobytes(), res[1], res[2]) + tuple(
+            getattr(st, a).tobytes() for a in ("in_w", "tot", "sz", "aux"))
+
+    res, got = record(partial(one_pass, g, RunConfig()))
+    return got, record(partial(reference_pass, g))[1], res
 
 
 def _check(g, st, order, spare):
@@ -265,51 +272,40 @@ def _check(g, st, order, spare):
     return louvain._quiet_prefix(g, st, order, spare, louvain._Columns(st))
 
 
-def _with_and_without_check(monkeypatch, g, crit, labels, seed=0):
-    """:func:`_pass_record` with the quiet-prefix check, then with the
-    check made to certify nothing."""
-    check = louvain._quiet_prefix
-    out = [_pass_record(g, crit, labels, seed)]
-    monkeypatch.setattr(louvain, "_quiet_prefix", lambda *args: 0)
-    out.append(_pass_record(g, crit, labels, seed))
-    monkeypatch.setattr(louvain, "_quiet_prefix", check)
-    return out
-
-
 @pytest.mark.parametrize("long_row", [0, 8, louvain.LONG_ROW])
 def test_certified_pass_matches_every_visit(monkeypatch, criterion, long_row):
-    # Unweighted, weighted and looped graphs, started from random
-    # partitions of few communities (so the check's gate holds) up to
-    # ids past n.  At LONG_ROW 0 every row is long, at 8 rows fall on
-    # both sides of it, and at 64 no row of these graphs is long, so
-    # only there no move is followed by a re-check of the rest.
+    # One pass against the reference, which makes every visit: graphs of
+    # 3-60 nodes, unweighted, weighted and looped, sparse and dense,
+    # from singletons or from random partitions of few communities (so
+    # the check's block bound holds) up to ids past n.  At LONG_ROW 0
+    # every row is long, at 8 rows fall on both sides of it, and at 64
+    # no row is, so no check runs.  Blocks double from 4 nodes, not 32.
     monkeypatch.setattr(louvain, "LONG_ROW", long_row)
-    check, rechecks = louvain._quiet_prefix, []
+    monkeypatch.setattr(louvain, "_PROBE", 4)
+    check, calls = louvain._quiet_prefix, []
 
     def counted(g, st, order, spare, cols):
         # A re-check reads the columns the pass kept through its moves;
         # fresh ones built from the state give the same answer.
+        calls.append(order.size < g.n)
         got = check(g, st, order, spare, cols)
-        if order.size < g.n:
-            rechecks.append(True)
-            assert got == check(g, st, order, spare, louvain._Columns(st))
+        assert got == check(g, st, order, spare, louvain._Columns(st))
         return got
 
     monkeypatch.setattr(louvain, "_quiet_prefix", counted)
     rng = np.random.default_rng(43)
     skipped = 0
-    for _ in range(40):
-        g = criterion.pretreat(compatible_graph(criterion, rng, n_max=24,
-                                                p=0.5))
-        labels = rng.integers(0, rng.integers(1, g.n + 3), g.n)
-        (got, visits), (want, every) = _with_and_without_check(
-            monkeypatch, g, criterion, labels, int(rng.integers(100)))
+    for k in range(30):
+        g = criterion.pretreat(compatible_graph(
+            criterion, rng, n_max=60, p=float(rng.choice([0.1, 0.5]))))
+        labels = (None if k % 3 == 0 else
+                  rng.integers(0, rng.integers(1, g.n + 3), g.n))
+        got, want, res = _against_reference(g, criterion, labels, k)
         assert got == want
-        assert every == g.n * want[1]
-        skipped += every - visits
-    assert skipped > 0
-    # No row of these graphs has more than 23 entries.
-    assert bool(rechecks) == (long_row < 23)
+        skipped += g.n * res.sweeps - res.visits
+    # No row of these graphs has more than 59 entries: below that some
+    # visits are skipped, some at re-checks.
+    assert (skipped > 0) == bool(calls) == any(calls) == (long_row < 59)
 
 
 def test_check_of_a_suffix_matches_a_fresh_order(monkeypatch):
@@ -338,6 +334,18 @@ def test_check_of_a_suffix_matches_a_fresh_order(monkeypatch):
         assert _check(g, st, suffix.copy(), spare) == first
         got.append(first)
     assert {0, 40, 109, 268} <= set(got)
+
+
+def test_check_blocks_stay_within_the_cell_budget(monkeypatch):
+    # At 2000 cells a block holds ~21 rows of ~94 entries; not cut at its
+    # row entries it would reach 500 nodes: 5 words per cell against 50.
+    monkeypatch.setattr(louvain, "_CELLS", 2000)
+    g, truth = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    st = make_criterion("ng").state_from_labels(g, truth)
+    cols, order = louvain._Columns(st), np.arange(g.n)
+    prefix, peak, _ = traced_peak(
+        lambda: louvain._quiet_prefix(g, st, order, g.n, cols))
+    assert prefix == g.n and peak < 8 * 8 * 2000
 
 
 def test_columns_follow_moves():
@@ -379,7 +387,8 @@ def test_check_refuses_an_inexact_round_trip(monkeypatch, weights):
     # No node of the two cliques moves.  With unit weights every visit
     # is certified; with 0.1 / 0.2 / 0.7, removing node 5 and inserting
     # it back does not give its community's tot back bit for bit, so
-    # the prefix ends there.
+    # the prefix ends there.  The cliques' rows are short, so a pass
+    # checks only at LONG_ROW 0.
     g, labels = _two_cliques(weights)
     crit = make_criterion("ng")
     st = crit.state_from_labels(g, labels)
@@ -387,14 +396,17 @@ def test_check_refuses_an_inexact_round_trip(monkeypatch, weights):
     exact = ((tot - d) + d == tot).tolist() + [False]
     prefix = _check(g, st, np.arange(g.n), g.n)
     assert prefix == exact.index(False) == (g.n if weights == (1.0,) else 5)
-    (got, visits), (want, every) = _with_and_without_check(
-        monkeypatch, g, crit, labels)
-    assert got == want and want[2] == 0
-    assert (visits == 0) == (weights == (1.0,))
+    got, want, res = _against_reference(g, crit, labels)
+    assert got == want and res.moves == 0 and res.visits == g.n
+    monkeypatch.setattr(louvain, "LONG_ROW", 0)
+    got, want, res = _against_reference(g, crit, labels)
+    assert got == want and (res.visits == 0) == (weights == (1.0,))
 
 
 def test_check_refuses_non_finite_gains(monkeypatch):
-    # Weights of 2**1020 add up exactly, but bm's gain overflows.
+    # Weights of 2**1020 add up exactly, but bm's gain overflows.  At
+    # LONG_ROW 0 the pass checks, and certifies nothing.
+    monkeypatch.setattr(louvain, "LONG_ROW", 0)
     w = 2.0 ** 1020
     g = Graph.from_edges(4, [(0, 1, w), (1, 2, w), (2, 3, w)])
     crit = make_criterion("bm")
@@ -403,9 +415,8 @@ def test_check_refuses_non_finite_gains(monkeypatch):
         warnings.simplefilter("error")
         st = crit.state_from_labels(g, labels)
         assert _check(g, st, np.arange(4), 4) == 0
-        (got, visits), (want, every) = _with_and_without_check(
-            monkeypatch, g, crit, labels)
-    assert got == want and visits == every == 4 * want[1]
+        got, want, res = _against_reference(g, crit, labels)
+    assert got == want and res.visits == 4 * res.sweeps
 
 
 def test_sweeps_record_their_moves_and_visits(criterion):
@@ -422,22 +433,15 @@ def test_sweeps_record_their_moves_and_visits(criterion):
             assert lv.sweep_moves[-1] == 0
 
 
-def test_recheck_visits_only_the_movers(monkeypatch):
+def test_recheck_visits_only_the_movers():
     # Rows of ~94 entries, longer than LONG_ROW: level 0's second sweep
-    # moves few nodes, so after its moves the rest is certified again
-    # and that sweep visits little more than its movers.  Without the
-    # check it makes the same moves, in n visits.
+    # (seed 1) moves few nodes, so after its moves the rest is certified
+    # again and that sweep visits little more than its movers.
     g, _ = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
     assert np.diff(g.indptr).min() > louvain.LONG_ROW
-    h = detect(g, RunConfig(seed=1))
-    lv = h.levels[0]
-    assert lv.sweeps >= 3 and lv.sweep_visits[1] < g.n // 4
-    assert lv.sweep_moves[1] > 0
-    monkeypatch.setattr(louvain, "_quiet_prefix", lambda *args: 0)
-    every = detect(g, RunConfig(seed=1))
-    assert every.levels[0].sweep_moves == lv.sweep_moves
-    assert every.levels[0].sweep_visits == (g.n,) * lv.sweeps
-    assert np.array_equal(every.flat, h.flat)
+    got, want, res = _against_reference(g, make_criterion("ng"), None, 1)
+    assert got == want and res.sweeps >= 3 and res.sweep_moves[1] > 0
+    assert res.sweep_visits[1] < g.n // 4
 
 
 def test_dense_movers_skip_the_recheck(monkeypatch):
@@ -445,11 +449,9 @@ def test_dense_movers_skip_the_recheck(monkeypatch):
     # gate holds from the first sweep, where most nodes move.  A move is
     # followed by a re-check only while its sweep has gone more than
     # _GAP nodes per move, so a sweep makes at most n // _GAP of them,
-    # far fewer than its moves.  The pass makes the moves and labels of
-    # the pass without the check.
+    # far fewer than its moves.  The pass is the reference's.
     g, _ = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
     labels = np.random.default_rng(7).integers(0, 8, g.n)
-    crit = make_criterion("ng")
     check, starts = louvain._quiet_prefix, []
 
     def counted(g, st, order, spare, cols):
@@ -460,14 +462,10 @@ def test_dense_movers_skip_the_recheck(monkeypatch):
         return check(g, st, order, spare, cols)
 
     monkeypatch.setattr(louvain, "_quiet_prefix", counted)
-    res = one_pass(g, RunConfig(seed=1), crit.state_from_labels(g, labels))
-    assert len(starts) == res.sweeps
+    got, want, res = _against_reference(g, make_criterion("ng"), labels, 1)
+    assert got == want and len(starts) == res.sweeps
     assert max(starts) <= g.n // louvain._GAP < res.sweep_moves[0]
     assert sum(starts) > 0
-    monkeypatch.setattr(louvain, "_quiet_prefix", lambda *args: 0)
-    every = one_pass(g, RunConfig(seed=1), crit.state_from_labels(g, labels))
-    assert every.sweep_moves == res.sweep_moves
-    assert np.array_equal(every.labels, res.labels)
 
 
 @pytest.mark.parametrize("kwargs,reason", [
@@ -486,9 +484,11 @@ def test_stop_reason(kwargs, reason):
 
 
 def test_visits_count_the_visits_made():
-    # On a dense planted graph the check skips the last sweep of level
-    # 0, which moves nothing; on karate it never certifies a node.
+    # On a dense planted graph, with rows longer than LONG_ROW, the
+    # check skips the last sweep of level 0, which moves nothing; on
+    # karate, whose rows are all short, it never runs.
     g, _ = synth.planted_partition_graph(400, 4, 0.5, 0.01, seed=3)
+    assert np.diff(g.indptr).max() > louvain.LONG_ROW
     h = detect(g, RunConfig(seed=1))
     lv = h.levels[0]
     assert lv.sweeps >= 2 and lv.visits <= g.n * (lv.sweeps - 1)
