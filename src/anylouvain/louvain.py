@@ -16,10 +16,10 @@ visit takes one of two branches by the length of the node's row:
 - at most :data:`LONG_ROW` neighbours: a dict sums the neighbour
   communities and the scalar gain scores them one by one, with no numpy
   call;
-- longer rows: ``np.bincount`` sums the communities, a sort finds the
-  distinct ones, and one call of the same gain over an index array
-  scores them all, a fixed handful of numpy calls instead of a Python
-  loop over the row and its candidates.
+- longer rows: ``np.bincount`` sums the communities, a sort orders the
+  row's, and one call of the same gain over that index array scores
+  them all, a fixed handful of numpy calls instead of a Python loop
+  over the row and its candidates.
 
 Both add a row's weights in row order and evaluate the same formula, so
 a row gives bit-identical results on either branch.
@@ -37,20 +37,24 @@ prefix of the visit order in which no node would move and no visit
 would change the state, and the loop starts after it; a sweep with no
 such node ends at once, and still counts.  A node is certified only
 when its visit would be a no-op bit for bit: its neighbour-community
-sums come from ``np.bincount`` in row order (*same sums*); removing it
-and inserting it back restores its community's four accumulators,
-``(x - y) + y == x`` (*same state*), so by induction the state stays
-that of the sweep's start; and its own community, taken without it,
-keeps a node and no candidate's gain beats it, all gains finite (*same
-decision*).  It uses the contract alone: the accumulators, the node
-constants and the criterion's gain.
+sums equal a visit's (*same sums*): on a unit-weight level they are
+counts from a table that each move keeps current (:class:`_Columns`),
+exact in any order, and elsewhere ``np.bincount`` adds its row in row
+order; removing it and inserting it back restores its community's four
+accumulators, ``(x - y) + y == x`` (*same state*), so by induction the
+state stays that of the sweep's start; and its own community, taken
+without it, keeps a node and no candidate's gain beats it, all gains
+finite (*same decision*).  It uses the contract alone: the
+accumulators, the node constants and the criterion's gain.
 
 One rule says when a pass checks: only on a level with a row longer
 than :data:`LONG_ROW`, and only while ``n * kappa``, the (node x live
 community) block the check scores, is at most the level's adjacency
 entries.  On such a level the state's numpy copy is current after every
-visit, for the long rows' gain, and a check costs about as much as a
-few long visits; on a level of short rows it would cost tens of visits.
+visit, for the long rows' gain.  A check starts at the cost of a few
+long visits, where short rows would cost tens, and then costs per node
+one row of its block read from the table, or its row's entries summed:
+~1 us against ~5 us on dense-ng's rows of ~350, where a visit is ~30 us.
 The block bound holds on a dense level once its first sweep has merged
 the singletons, and there the check saves the last sweep, which moves
 nothing.  Under the same rule the check runs again after a move, on the
@@ -80,7 +84,7 @@ import numpy as np
 
 from .criteria import _CELLS, CriterionState, as_criterion
 from .errors import ConfigError, SweepCapExceeded
-from .graph import Graph, aggregate, compact_labels
+from .graph import _CHUNK, Graph, aggregate, compact_labels
 
 __all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "run", "detect",
            "compose_flat"]
@@ -254,13 +258,13 @@ _PROBE = 32
 
 #: A move is followed by a check of the rest of its sweep only while the
 #: sweep has gone more than this many nodes of its order per move so far.
-#: A check that fails in its probe costs about six long visits (~0.13 ms
-#: against ~20 us on rows of ~100 entries), so where nodes move densely
-#: checking after every move made a pass 3x slower than never checking
-#: again.  Measured on planted graphs of such rows, started from a coarse
-#: partition or with weak structure, 8 and 16 were the fastest of 4, 8,
-#: 16 and 32, and 8 visits as few nodes as every move does on dense-ng;
-#: see BENCH_20.json.
+#: A check that fails in its probe costs about six long visits (~0.12 ms
+#: against ~20 us on unit-weight rows of ~120 entries, read from the
+#: table), so where nodes move densely checking after every move made a
+#: pass ~2x slower than never checking again.  Measured on planted graphs
+#: of rows of ~100 entries, started from a coarse partition or with weak
+#: structure, 8 had the lowest median of 4, 8, 16 and 32, and on dense-ng
+#: all four were within ~5 % of every move; see BENCH_20/22.json.
 _GAP = 8
 
 
@@ -320,12 +324,12 @@ def one_pass(g, cfg, st, rng=None):
       visit; any move of a neighbour drops it (the mover walks its row),
       while the node's own move keeps it, as its neighbours stay put.
       The dicts live for one pass, one per short row at most;
-    - a longer row sums them with ``np.bincount``, finds the distinct
-      ones by a sort, and scores all but the own community with one call
-      of the same gain over an index array; the first maximum wins if it
-      beats the own community's gain.  ``st``'s numpy accumulators feed
-      that call; on a graph with a long row each visit writes the slots
-      it changed back into them.
+    - a longer row sums them with ``np.bincount``, sorts its entries'
+      communities and scores every entry with one call of the same gain;
+      the first maximum, the lowest id, wins if it beats the own
+      community's scalar gain, which that call repeats.  ``st``'s numpy
+      accumulators feed that call; on a graph with a long row each
+      remove and insert writes the slots it changed back into them.
 
     Both branches add a row's weights in row order and evaluate the same
     formula, so the result is bit-identical whichever branch a row takes;
@@ -357,6 +361,7 @@ def one_pass(g, cfg, st, rng=None):
     else:
         pairs = ()
 
+    cols = None  # built at the pass's first check, then kept current
     sweep_moves, sweep_visits = [], []
     improved = n > 0
     try:
@@ -373,7 +378,7 @@ def one_pass(g, cfg, st, rng=None):
             # community) block no larger than the adjacency.
             check = pairs and n * (len(sz) - len(free)) <= g.nbr.size
             if check:
-                cols = _Columns(st)
+                cols = cols or _Columns(st)
                 start = _quiet_prefix(g, st, order, free[-1], cols)
             moves, visits = 0, n - start
             rest = iter(order[start:].tolist())
@@ -388,9 +393,6 @@ def one_pass(g, cfg, st, rng=None):
                     sums = np.bincount(comms, wgt[lo:hi])
                     dw_old = float(sums[c_old]) if c_old < sums.size else 0.0
                     comms.sort()
-                    keep = comms != c_old
-                    keep[1:] &= comms[1:] != comms[:-1]
-                    cands = comms[keep]
                 else:
                     sums = kept[i]
                     if sums is None:
@@ -401,6 +403,8 @@ def one_pass(g, cfg, st, rng=None):
                     dw_old = sums.get(c_old, 0.0)
 
                 ls.remove(i, c_old, dw_old)
+                for arr, lst in pairs:
+                    arr[c_old] = lst[c_old]
 
                 best, best_dw = c_old, dw_old
                 top = gain(i, c_old, dw_old)
@@ -412,13 +416,14 @@ def one_pass(g, cfg, st, rng=None):
                         # Ties go to the lower id, never away from c_old.
                         if x > top or (x == top and c < best != c_old):
                             best, best_dw, top = c, dw, x
-                elif cands.size:
-                    # Ascending ids: the first maximum is the lowest id.
-                    dws = sums[cands]
-                    x = vgain(i, cands, dws)
+                else:
+                    # Ascending ids: the first maximum is the lowest id,
+                    # and c_old, taken without i, scores exactly top.
+                    dws = sums[comms]
+                    x = vgain(i, comms, dws)
                     k = x.argmax()
                     if x[k] > top:
-                        best, best_dw, top = (int(cands[k]), float(dws[k]),
+                        best, best_dw, top = (int(comms[k]), float(dws[k]),
                                               float(x[k]))
                 spare = free[-1] if sz[c_old] > 0 else -1
                 if spare >= 0 and gain(i, spare, 0.0) > top:
@@ -426,7 +431,6 @@ def one_pass(g, cfg, st, rng=None):
 
                 ls.insert(i, best, best_dw)
                 for arr, lst in pairs:
-                    arr[c_old] = lst[c_old]
                     arr[best] = lst[best]
 
                 if best != c_old:
@@ -443,11 +447,12 @@ def one_pass(g, cfg, st, rng=None):
                         free.pop()
                     if sz[c_old] == 0:
                         free.append(c_old)
+                    if cols is not None:
+                        cols.move(i, best)
                     # While this sweep's movers are sparse, certify the
                     # rest again from the state as it is now, and skip
                     # the nodes that would stay put.
                     if check:
-                        cols.move(i, best)
                         left = operator.length_hint(rest)
                         if left and n - left > _GAP * moves:
                             k = _quiet_prefix(g, st, order[n - left:],
@@ -471,24 +476,55 @@ class _Columns:
     ``i``'s community.
 
     Built from ``st``'s live communities in ascending order; :meth:`move`
-    keeps them current after a move at the cost of one node, so a check
-    of a sweep's rest does not rebuild them.  A community that empties
-    keeps its column, which no row then counts, and one that a move
-    opens takes the next column.
+    keeps them current after a move, so a pass builds them once.  A
+    community that empties keeps its column, which no row then counts,
+    and one that a move opens takes the next column.
+
+    On a unit-weight level (:attr:`Graph.unit_weights`) ``table[i, k]``
+    is also node ``i``'s count of neighbours in column ``k`` (int32),
+    built one row range of about :data:`graph._CHUNK` entries at a time,
+    so no edge-sized array is made.  A move adds -1 and +1 over the
+    mover's row, which names each neighbour once.  An opened column past
+    the table's width doubles it, while it holds no more cells than the
+    level's adjacency entries, the check's block bound; past that the
+    table is dropped and checks sum the rows again.
     """
 
     def __init__(self, st):
+        g = self.g = st.g
         live = np.flatnonzero(st.sz > 0)
         self.of = np.full(st.sz.size, -1, dtype=np.int64)
         self.of[live] = np.arange(live.size)
         self.slots = live.tolist()
         self.node = self.of[st.part]
+        kappa, ends = live.size, g.indptr[1:]
+        self.table = (np.zeros((g.n, kappa), dtype=np.int32)
+                      if g.unit_weights else None)
+        r0 = 0 if g.unit_weights else g.n  # the first row left to count
+        while r0 < g.n:
+            r1 = max(r0 + 1, int(ends.searchsorted(g.indptr[r0] + _CHUNK,
+                                                   "right")))
+            keys = np.repeat(np.arange(0, (r1 - r0) * kappa, kappa),
+                             np.diff(g.indptr[r0:r1 + 1]))
+            keys += self.node[g.nbr[g.indptr[r0]:g.indptr[r1]]]
+            self.table[r0:r1] = np.bincount(
+                keys, minlength=(r1 - r0) * kappa).reshape(r1 - r0, kappa)
+            r0 = r1
 
     def move(self, i, c):
         k = int(self.of[c])
         if k < 0:
             k = self.of[c] = len(self.slots)
             self.slots.append(c)
+        table, g = self.table, self.g
+        if table is not None and k == table.shape[1]:
+            width = min(2 * k, g.nbr.size // g.n)
+            table = self.table = (np.pad(table, ((0, 0), (0, width - k)))
+                                  if width > k else None)
+        if table is not None:
+            row = g.nbr[g.indptr[i]:g.indptr[i + 1]]
+            table[row, self.node[i]] -= 1
+            table[row, k] += 1
         self.node[i] = k
 
 
@@ -513,28 +549,31 @@ def _quiet_prefix(g, st, order, spare, cols):
     failure, however long the order.
     """
     live = np.array(cols.slots)
-    kappa, cid = live.size, cols.node
+    kappa, cid, table = live.size, cols.node, cols.table
     crit, n = st.crit, order.size
     vgain = crit.gain_fn(st)
     lo, step = 0, _PROBE
     while lo < n:
         nodes = order[lo:lo + max(1, min(step, _CELLS // kappa))]
-        first = g.indptr[nodes]
-        rl = g.indptr[nodes + 1] - first
-        ends = np.cumsum(rl)  # the block's row entries up to each node
-        m = max(1, int(ends.searchsorted(_CELLS, "right")))
-        if m < nodes.size:
+        if table is not None:
+            count = table[nodes, :kappa]
+            sums = count.astype(np.float64)
+        else:
+            first = g.indptr[nodes]
+            rl = g.indptr[nodes + 1] - first
+            ends = np.cumsum(rl)  # the block's row entries up to each node
+            m = max(1, int(ends.searchsorted(_CELLS, "right")))
             nodes, first, rl, ends = nodes[:m], first[:m], rl[:m], ends[:m]
-        # The block's row entries, row after row, and their cell keys.
-        at = np.repeat(first - (ends - rl), rl)
-        at += np.arange(at.size)
-        keys = np.repeat(np.arange(0, nodes.size * kappa, kappa), rl)
-        keys += cid[g.nbr[at]]
-        count = np.bincount(keys, minlength=nodes.size * kappa)
-        sums = (count.astype(np.float64) if g.unit_weights else
-                np.bincount(keys, g.wgt[at], minlength=count.size))
-        del at, keys
-        sums, count = sums.reshape(-1, kappa), count.reshape(-1, kappa)
+            # The block's row entries, row after row, and their cell keys.
+            at = np.repeat(first - (ends - rl), rl)
+            at += np.arange(at.size)
+            keys = np.repeat(np.arange(0, nodes.size * kappa, kappa), rl)
+            keys += cid[g.nbr[at]]
+            count = np.bincount(keys, minlength=nodes.size * kappa)
+            sums = (count.astype(np.float64) if g.unit_weights else
+                    np.bincount(keys, g.wgt[at], minlength=count.size))
+            del at, keys
+            sums, count = sums.reshape(-1, kappa), count.reshape(-1, kappa)
         c_old, rows = st.part[nodes], np.arange(nodes.size)
         dw = sums[rows, cid[nodes]]
         removed, ok = [], True

@@ -272,6 +272,33 @@ def _check(g, st, order, spare):
     return louvain._quiet_prefix(g, st, order, spare, louvain._Columns(st))
 
 
+def _assert_columns_follow(g, cols, labels):
+    """``cols`` gives each node the column of its community in
+    ``labels``, and its table, if any, holds in the column ``cols.of[c]``
+    of every community ``c`` with one each node's neighbour count in
+    ``c``; the columns past the last one opened are zero."""
+    assert np.array_equal(np.array(cols.slots)[cols.node], labels)
+    if cols.table is None:
+        return
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    for c in np.flatnonzero(cols.of >= 0):
+        want = np.bincount(rows[labels[g.nbr] == c], minlength=g.n)
+        assert np.array_equal(cols.table[:, cols.of[c]], want), c
+    assert not cols.table[:, len(cols.slots):].any()
+
+
+def _planted600(w=1.0):
+    """``planted_partition_graph(600, 4, 0.6, 0.01, seed=3)``, rows of ~94
+    entries, with every edge weighing ``w``, and its planted groups."""
+    g, truth = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    if w != 1.0:
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        upper = rows < g.nbr
+        g = Graph.from_arrays(g.n, rows[upper], g.nbr[upper],
+                              np.full(np.count_nonzero(upper), w))
+    return g, truth
+
+
 @pytest.mark.parametrize("long_row", [0, 8, louvain.LONG_ROW])
 def test_certified_pass_matches_every_visit(monkeypatch, criterion, long_row):
     # One pass against the reference, which makes every visit: graphs of
@@ -285,9 +312,11 @@ def test_certified_pass_matches_every_visit(monkeypatch, criterion, long_row):
     check, calls = louvain._quiet_prefix, []
 
     def counted(g, st, order, spare, cols):
-        # A re-check reads the columns the pass kept through its moves;
-        # fresh ones built from the state give the same answer.
+        # A check reads the columns the pass kept through its moves, in
+        # sweeps that check and sweeps that do not; fresh ones built from
+        # the state give the same answer.
         calls.append(order.size < g.n)
+        _assert_columns_follow(g, cols, st.part)
         got = check(g, st, order, spare, cols)
         assert got == check(g, st, order, spare, louvain._Columns(st))
         return got
@@ -312,57 +341,68 @@ def test_check_of_a_suffix_matches_a_fresh_order(monkeypatch):
     # Four planted groups of long rows; five nodes sit in the wrong
     # group, so the check stops at them.  A suffix of the order is
     # checked as the same nodes in a fresh array, and as the first
-    # failure of a node-by-node check.  Blocks double from 32 nodes,
-    # and the cell budget, cut to ~210 rows of ~94 entries, binds from
-    # the fourth block on; the failures fall in the first four blocks.
+    # failure of a node-by-node check.  Blocks double from 32 nodes.
+    # At unit weights the check reads counts from the table; at weight
+    # 0.5 it sums the rows, and the cell budget, cut to ~210 rows of ~94
+    # entries, binds from the fourth block on.  The failures fall in the
+    # first four blocks.
     monkeypatch.setattr(louvain, "_CELLS", 20000)
-    g, truth = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
-    order = np.random.default_rng(5).permutation(g.n)
-    labels = truth.copy()
-    wrong = order[[40, 150, 151, 420, 530]]
-    labels[wrong] = (labels[wrong] + 1) % 4
-    st = make_criterion("ng").state_from_labels(g, labels)
-    spare = int(np.flatnonzero(st.sz == 0)[0])
-    quiet = [_check(g, st, order[j:j + 1], spare) == 1
-             for j in range(g.n)] + [False]
-    assert not any(quiet[j] for j in (40, 150, 151, 420, 530))
-    got = []
-    for k in (0, 1, 39, 40, 41, 100, 151, 152, 301, 421, 531, g.n - 1, g.n):
-        suffix = order[k:]
-        first = quiet.index(False, k) - k
-        assert _check(g, st, suffix, spare) == first
-        assert _check(g, st, suffix.copy(), spare) == first
-        got.append(first)
-    assert {0, 40, 109, 268} <= set(got)
+    for w in (1.0, 0.5):
+        g, truth = _planted600(w)
+        order = np.random.default_rng(5).permutation(g.n)
+        labels = truth.copy()
+        wrong = order[[40, 150, 151, 420, 530]]
+        labels[wrong] = (labels[wrong] + 1) % 4
+        st = make_criterion("ng").state_from_labels(g, labels)
+        spare = int(np.flatnonzero(st.sz == 0)[0])
+        quiet = [_check(g, st, order[j:j + 1], spare) == 1
+                 for j in range(g.n)] + [False]
+        assert not any(quiet[j] for j in (40, 150, 151, 420, 530))
+        got = []
+        for k in (0, 1, 39, 40, 41, 100, 151, 152, 301, 421, 531, g.n - 1,
+                  g.n):
+            suffix = order[k:]
+            first = quiet.index(False, k) - k
+            assert _check(g, st, suffix, spare) == first
+            assert _check(g, st, suffix.copy(), spare) == first
+            got.append(first)
+        assert {0, 40, 109, 268} <= set(got)
 
 
 def test_check_blocks_stay_within_the_cell_budget(monkeypatch):
-    # At 2000 cells a block holds ~21 rows of ~94 entries; not cut at its
-    # row entries it would reach 500 nodes: 5 words per cell against 50.
+    # At 2000 cells a block that sums rows of ~94 entries (weight 0.5)
+    # holds ~21 of them; not cut at its row entries it would reach 500
+    # nodes: 5 words per cell against 50.  At unit weights a block reads
+    # the table's counts, 500 nodes x 4 columns.
     monkeypatch.setattr(louvain, "_CELLS", 2000)
-    g, truth = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
-    st = make_criterion("ng").state_from_labels(g, truth)
-    cols, order = louvain._Columns(st), np.arange(g.n)
-    prefix, peak, _ = traced_peak(
-        lambda: louvain._quiet_prefix(g, st, order, g.n, cols))
-    assert prefix == g.n and peak < 8 * 8 * 2000
+    for w in (1.0, 0.5):
+        g, truth = _planted600(w)
+        st = make_criterion("ng").state_from_labels(g, truth)
+        cols, order = louvain._Columns(st), np.arange(g.n)
+        prefix, peak, _ = traced_peak(
+            lambda: louvain._quiet_prefix(g, st, order, g.n, cols))
+        assert prefix == g.n and peak < 8 * 8 * 2000
+        assert (cols.table is None) == (w != 1.0)
 
 
 def test_columns_follow_moves():
-    # Node a moves to an empty community, which opens a column, and
-    # back, which leaves that column with no node; node b's move empties
-    # its singleton community.  After each move the kept columns check
-    # every suffix as fresh ones do.
-    g, truth = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    # Node a moves to an empty community, which opens a column past the
+    # table's five, and back, which leaves that column with no node;
+    # node b's move empties its singleton community.  After each move
+    # the kept table holds the counts of the labels, and the kept
+    # columns check every suffix as fresh ones do.
+    g, truth = _planted600()
     order = np.random.default_rng(5).permutation(g.n)
     a, b = order[[50, 200]]
     labels = truth.copy()
     labels[b] = 4
     crit = make_criterion("ng")
     cols = louvain._Columns(crit.state_from_labels(g, labels))
+    assert cols.table.shape == (g.n, 5)
     for i, c in ((a, 5), (a, truth[a]), (b, truth[b])):
         labels[i] = c
         cols.move(i, c)
+        _assert_columns_follow(g, cols, labels)
         st = crit.state_from_labels(g, labels)
         spare = int(np.flatnonzero(st.sz == 0)[0])
         for k in (0, 49, 50, 51, 199, 200, 201, 500):
@@ -370,6 +410,66 @@ def test_columns_follow_moves():
                     == _check(g, st, order[k:], spare))
     assert cols.slots == [0, 1, 2, 3, 4, 5]
     assert np.count_nonzero(st.sz) == 4
+    assert cols.table.shape == (g.n, 10)
+    assert not cols.table[:, [4, 5]].any()
+
+
+def test_columns_outlive_a_sweep_that_does_not_check(monkeypatch):
+    # zc splits the few random communities of the start: the first sweep
+    # checks; the second, over more communities than the block bound
+    # allows, does not, and still moves nodes; the third checks again.
+    # The columns built at the first check followed every move, so each
+    # check reads the state's communities.  The pass is the reference's.
+    monkeypatch.setattr(louvain, "LONG_ROW", 0)
+    g, _ = synth.planted_partition_graph(60, 3, 0.6, 0.05, seed=0)
+    labels = np.random.default_rng(0).integers(0, g.nbr.size // g.n, g.n)
+    check, starts = louvain._quiet_prefix, []
+
+    def counted(g, st, order, spare, cols):
+        starts.append(order.size == g.n)
+        _assert_columns_follow(g, cols, st.part)
+        return check(g, st, order, spare, cols)
+
+    monkeypatch.setattr(louvain, "_quiet_prefix", counted)
+    got, want, res = _against_reference(g, make_criterion("zc"), labels)
+    assert got == want and res.sweeps == 3 and res.sweep_moves[1] > 0
+    assert starts[0] and sum(starts) == 2
+
+
+def test_table_drops_past_the_adjacency_size():
+    # Rows of ~94 entries: a table of 94 columns holds as many cells as
+    # the adjacency has entries.  Moves to singletons open columns and
+    # double the table from 4 columns up to 94; the one that opens
+    # column 94 cannot widen it, so the table goes, and the check sums
+    # the rows again, with the same answer.
+    g, truth = _planted600()
+    crit = make_criterion("ng")
+    labels = truth.copy()
+    cols = louvain._Columns(crit.state_from_labels(g, labels))
+    width = g.nbr.size // g.n
+    for i in range(width - 3):
+        assert cols.table is not None and cols.table.shape[1] <= width
+        labels[i] = 4 + i
+        cols.move(i, 4 + i)
+    assert cols.table is None
+    st = crit.state_from_labels(g, labels)
+    order, spare = np.arange(g.n), int(np.flatnonzero(st.sz == 0)[0])
+    assert (louvain._quiet_prefix(g, st, order, spare, cols)
+            == _check(g, st, order, spare))
+
+
+def test_table_build_holds_no_edge_sized_array(monkeypatch):
+    # The table is counted one row range of about _CHUNK entries at a
+    # time, so the build peaks at what the columns keep and about two
+    # words per entry of one range, not per entry of all ~56,000
+    # adjacency entries (~0.9 MB when unchunked).
+    monkeypatch.setattr(louvain, "_CHUNK", 2048)
+    g, truth = _planted600()
+    st = make_criterion("ng").state_from_labels(g, truth)
+    cols, peak, held = traced_peak(lambda: louvain._Columns(st))
+    _assert_columns_follow(g, cols, truth)
+    assert held >= cols.table.nbytes
+    assert peak - held < 3 * 8 * 2048 < 8 * g.nbr.size
 
 
 def _two_cliques(weights):
@@ -437,7 +537,7 @@ def test_recheck_visits_only_the_movers():
     # Rows of ~94 entries, longer than LONG_ROW: level 0's second sweep
     # (seed 1) moves few nodes, so after its moves the rest is certified
     # again and that sweep visits little more than its movers.
-    g, _ = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    g, _ = _planted600()
     assert np.diff(g.indptr).min() > louvain.LONG_ROW
     got, want, res = _against_reference(g, make_criterion("ng"), None, 1)
     assert got == want and res.sweeps >= 3 and res.sweep_moves[1] > 0
@@ -450,7 +550,7 @@ def test_dense_movers_skip_the_recheck(monkeypatch):
     # followed by a re-check only while its sweep has gone more than
     # _GAP nodes per move, so a sweep makes at most n // _GAP of them,
     # far fewer than its moves.  The pass is the reference's.
-    g, _ = synth.planted_partition_graph(600, 4, 0.6, 0.01, seed=3)
+    g, _ = _planted600()
     labels = np.random.default_rng(7).integers(0, 8, g.n)
     check, starts = louvain._quiet_prefix, []
 
