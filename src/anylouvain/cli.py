@@ -93,8 +93,8 @@ def _cmd_bench(args):
             wanted.extend(EXPERIMENT_CRITERIA)
         elif tok:
             wanted.append(tok)
-    for crit_id in wanted:
-        as_criterion(crit_id, args.alpha)  # validate before I/O
+    # Validate before I/O; a row is labelled with the criterion's id.
+    wanted = [as_criterion(crit_id, args.alpha).id for crit_id in wanted]
     base = RunConfig(alpha=args.alpha, precision=args.precision,
                      seed=args.seed, shuffle_nodes=not args.no_shuffle)
     g, _ = _read_graph(args.graph)

@@ -129,10 +129,16 @@ def _joined(lines):
 
 def _blocks(source):
     r"""Blocks of a path (read as UTF-8, universal newlines) or of a text
-    file object.  Lines end at ``\n``."""
-    if hasattr(source, "read"):
-        return _file_blocks(source)
-    return _path_blocks(source)
+    file object.  Lines end at ``\n``.  A U+FEFF that is the stream's
+    first character, a byte-order mark, is dropped; anywhere else it is
+    a label character."""
+    blocks = (_file_blocks(source) if hasattr(source, "read")
+              else _path_blocks(source))
+    bom = "\ufeff"  # "" once the stream's first character is seen
+    for line_no, text in blocks:
+        yield line_no, text.removeprefix(bom)
+        if text:
+            bom = ""
 
 
 def _lines(source):

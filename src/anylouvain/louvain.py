@@ -31,43 +31,52 @@ a dict would add the same row, in the same order, over the same
 communities, so the kept one is equal to it bit for bit, and so are
 every gain, move and quality.
 
-A sweep may skip the visits that would change nothing.  After the
-shuffle, one vectorized check (:func:`_quiet_prefix`) finds the longest
-prefix of the visit order in which no node would move and no visit
-would change the state, and the loop starts after it; a sweep with no
-such node ends at once, and still counts.  A node is certified only
-when its visit would be a no-op bit for bit: its neighbour-community
-sums equal a visit's (*same sums*): on a unit-weight level they are
-counts from a table that each move keeps current (:class:`_Columns`),
-exact in any order, and elsewhere ``np.bincount`` adds its row in row
-order; removing it and inserting it back restores its community's four
-accumulators, ``(x - y) + y == x`` (*same state*), so by induction the
-state stays that of the sweep's start; and its own community, taken
-without it, keeps a node and no candidate's gain beats it, all gains
-finite (*same decision*).  It uses the contract alone: the
-accumulators, the node constants and the criterion's gain.
+The quiet check.  This is the one statement of its rules; the
+docstrings of :func:`one_pass`, :class:`_Columns` and
+:func:`_quiet_prefix` and the README refer to it.
 
-One rule says when a pass checks: only on a level with a row longer
-than :data:`LONG_ROW`, and only while ``n * kappa``, the (node x live
-community) block the check scores, is at most the level's adjacency
-entries.  On such a level the state's numpy copy is current after every
-visit, for the long rows' gain.  A check starts at the cost of a few
-long visits, where short rows would cost tens, and then costs per node
-one row of its block read from the table, or its row's entries summed:
-~1 us against ~5 us on dense-ng's rows of ~350, where a visit is ~30 us.
-The block bound holds on a dense level once its first sweep has merged
-the singletons, and there the check saves the last sweep, which moves
-nothing.  Under the same rule the check runs again after a move, on the
-rest of the visit order and from the state as the move left it, and the
-loop skips the nodes it certifies: a sweep that moves a few nodes visits
-little more than those.  A check that fails at once still costs several
-visits, so it runs again only while the sweep's movers are sparse, more
-than :data:`_GAP` nodes of the order apart on average so far: where most
-nodes move, checking after each move would cost more than the visits it
-saves.  Its blocks double from a small probe and read only their own
-nodes, with the community columns kept current move by move
-(:class:`_Columns`), so a check that fails soon costs little however
-long the rest.
+- *What it does.*  One vectorized check (:func:`_quiet_prefix`) finds
+  the longest prefix of a sweep's visit order in which no node would
+  move and no visit would change the state, and the loop skips it; a
+  sweep whose every node is certified moves nothing, still counts, and
+  ends the pass.
+- *When it runs.*  Only on a level with a row longer than
+  :data:`LONG_ROW`, and only while ``n * kappa``, the (node x live
+  community) block it scores, is at most the level's adjacency entries.
+  It runs after each sweep's shuffle, and again after a move, on the
+  rest of the order and from the state the move left, while the sweep's
+  movers are sparse: more than :data:`_GAP` nodes of the order apart on
+  average so far.
+- *The three conditions.*  A node is certified only when its visit
+  would be a no-op bit for bit: its neighbour-community sums equal a
+  visit's (*same sums*); removing it and inserting it back restores its
+  community's four accumulators, ``(x - y) + y == x`` (*same state*),
+  so by induction the state stays that of the check's start; and its
+  own community, taken without it, keeps a node and no candidate's gain
+  beats it, all gains finite (*same decision*).  It uses the contract
+  alone: the accumulators, the node constants and the criterion's gain.
+- *Where the sums come from.*  The check's columns (:class:`_Columns`)
+  are a snapshot of the live communities, built at a checking sweep
+  when there are none and kept current by every move after it.  A move
+  into a community without a column discards them: its sweep makes its
+  remaining visits unchecked, and the next sweep whose gate holds builds
+  fresh ones.  On a unit-weight level the columns hold a table of each
+  node's neighbour count per column, exact in any order.  It is built
+  only under the gate and has that build's ``kappa`` columns, so it
+  holds at most one int32 per adjacency entry.  On other levels
+  ``np.bincount`` adds each row's weights in row order, as a visit does.
+- *What a check costs.*  On a level with a long row the state's numpy
+  copy is current after every visit, for the long rows' gain, so a
+  check starts at the cost of a few long visits, where short rows would
+  cost tens.  Per node it then reads one row of the table, ~1 us on
+  dense-ng's rows of ~350, or sums its row's entries, ~5 us, where a
+  visit is ~30 us.  Its blocks double from :data:`_PROBE` nodes and read
+  only their own nodes and rows, so a check that fails soon costs
+  little however long the rest; one that fails at once still costs
+  several visits, hence the :data:`_GAP` rule.  The gate holds on a
+  dense level once its first sweep has merged the singletons: there the
+  check saves the last sweep, which moves nothing, and a sweep that
+  moves a few nodes visits little more than those.
 """
 
 from __future__ import annotations
@@ -173,12 +182,7 @@ class Hierarchy:
             "alpha": cfg.alpha,
             "seed": cfg.seed,
             "precision": cfg.precision,
-            "levels": [{"n": lv.graph.n, "m": lv.graph.edge_count,
-                        "quality": lv.quality, "kappa": lv.kappa,
-                        "sweeps": lv.sweeps, "visits": lv.visits,
-                        "sweep_moves": lv.sweep_moves,
-                        "sweep_visits": lv.sweep_visits}
-                       for lv in self.levels],
+            "levels": [_level_json(lv) for lv in self.levels],
             "stop_reason": self.stop_reason,
             "kappa_final": self.kappa_final,
             "quality": self.quality,
@@ -222,16 +226,22 @@ class Hierarchy:
         that depth (:meth:`memberships`)."""
         pairs = enumerate(zip(self.levels, self.memberships()))
         return json.dumps({"levels": [
-            {"level": idx, "n": lv.graph.n, "m": lv.graph.edge_count,
-             "kappa": lv.kappa, "sweeps": lv.sweeps, "visits": lv.visits,
-             "sweep_moves": lv.sweep_moves, "sweep_visits": lv.sweep_visits,
-             "quality": lv.quality, "membership": membership.tolist()}
+            {"level": idx, **_level_json(lv),
+             "membership": membership.tolist()}
             for idx, (lv, membership) in pairs]}, indent=2)
 
 
+def _level_json(lv):
+    """A level's keys in the summary and the levels dump."""
+    return {"n": lv.graph.n, "m": lv.graph.edge_count, "quality": lv.quality,
+            "kappa": lv.kappa, "sweeps": lv.sweeps, "visits": lv.visits,
+            "sweep_moves": lv.sweep_moves, "sweep_visits": lv.sweep_visits}
+
+
 def _criterion_id(cfg):
-    """The id of ``cfg``'s criterion, given as an id or an object."""
-    return getattr(cfg.criterion, "id", cfg.criterion)
+    """The id of ``cfg``'s criterion, given as an object or as an id in
+    any case."""
+    return as_criterion(cfg.criterion, cfg.alpha).id
 
 
 class PassResult(NamedTuple):
@@ -305,13 +315,9 @@ def one_pass(g, cfg, st, rng=None):
     after ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
     :class:`PassResult`, whose ``visits`` counts the visits made.
 
-    A sweep skips the nodes that :func:`_quiet_prefix` certifies would
-    stay put and leave the state unchanged bit for bit (same sums, same
-    state after the remove / insert round trip, same decision under the
-    tie rule), at its start and after a move, under the module
-    docstring's one rule for when a pass checks.  A sweep whose every
-    node is certified moves nothing and ends the pass.  ``sweep_moves``
-    and ``sweep_visits`` hold each sweep's moves and visits.
+    A sweep skips the nodes that the quiet check certifies, by the rules
+    the module docstring states.  ``sweep_moves`` and ``sweep_visits``
+    hold each sweep's moves and visits.
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
@@ -361,7 +367,7 @@ def one_pass(g, cfg, st, rng=None):
     else:
         pairs = ()
 
-    cols = None  # built at the pass's first check, then kept current
+    cols = None  # the check's columns, kept while their snapshot holds
     sweep_moves, sweep_visits = [], []
     improved = n > 0
     try:
@@ -447,8 +453,8 @@ def one_pass(g, cfg, st, rng=None):
                         free.pop()
                     if sz[c_old] == 0:
                         free.append(c_old)
-                    if cols is not None:
-                        cols.move(i, best)
+                    if cols is not None and not cols.move(i, best):
+                        cols = check = None
                     # While this sweep's movers are sparse, certify the
                     # rest again from the state as it is now, and skip
                     # the nodes that would stay put.
@@ -470,32 +476,23 @@ def one_pass(g, cfg, st, rng=None):
 
 
 class _Columns:
-    """Columns of :func:`_quiet_prefix`'s (node x community) blocks:
-    ``slots[k]`` is the community of column ``k``, ``of[c]`` the column of
-    community ``c`` (-1 for none) and ``node[i]`` the column of node
-    ``i``'s community.
-
-    Built from ``st``'s live communities in ascending order; :meth:`move`
-    keeps them current after a move, so a pass builds them once.  A
-    community that empties keeps its column, which no row then counts,
-    and one that a move opens takes the next column.
+    """The columns of :func:`_quiet_prefix`'s (node x community) blocks,
+    a snapshot of ``st``'s live communities in ascending order (see the
+    module docstring): ``live[k]`` is the community of column ``k``,
+    ``of[c]`` the column of community ``c`` (-1 for none) and
+    ``node[i]`` the column of node ``i``'s community.
 
     On a unit-weight level (:attr:`Graph.unit_weights`) ``table[i, k]``
     is also node ``i``'s count of neighbours in column ``k`` (int32),
     built one row range of about :data:`graph._CHUNK` entries at a time,
-    so no edge-sized array is made.  A move adds -1 and +1 over the
-    mover's row, which names each neighbour once.  An opened column past
-    the table's width doubles it, while it holds no more cells than the
-    level's adjacency entries, the check's block bound; past that the
-    table is dropped and checks sum the rows again.
+    so no edge-sized array is made.
     """
 
     def __init__(self, st):
         g = self.g = st.g
-        live = np.flatnonzero(st.sz > 0)
+        live = self.live = np.flatnonzero(st.sz > 0)
         self.of = np.full(st.sz.size, -1, dtype=np.int64)
         self.of[live] = np.arange(live.size)
-        self.slots = live.tolist()
         self.node = self.of[st.part]
         kappa, ends = live.size, g.indptr[1:]
         self.table = (np.zeros((g.n, kappa), dtype=np.int32)
@@ -512,20 +509,18 @@ class _Columns:
             r0 = r1
 
     def move(self, i, c):
+        """Move node ``i`` into community ``c``: -1 and +1 over its row
+        in the table, which names each neighbour once.  False, and
+        nothing changed, when ``c`` has no column."""
         k = int(self.of[c])
         if k < 0:
-            k = self.of[c] = len(self.slots)
-            self.slots.append(c)
-        table, g = self.table, self.g
-        if table is not None and k == table.shape[1]:
-            width = min(2 * k, g.nbr.size // g.n)
-            table = self.table = (np.pad(table, ((0, 0), (0, width - k)))
-                                  if width > k else None)
-        if table is not None:
-            row = g.nbr[g.indptr[i]:g.indptr[i + 1]]
-            table[row, self.node[i]] -= 1
-            table[row, k] += 1
+            return False
+        if self.table is not None:
+            row = self.g.nbr[self.g.indptr[i]:self.g.indptr[i + 1]]
+            self.table[row, self.node[i]] -= 1
+            self.table[row, k] += 1
         self.node[i] = k
+        return True
 
 
 # A non-finite gain ends the prefix, and an emptied own community may
@@ -535,28 +530,23 @@ def _quiet_prefix(g, st, order, spare, cols):
     """How many leading nodes of ``order``, the rest of a sweep's visit
     order, can be skipped: the length of the longest prefix in which,
     visited in turn from ``st``, no node would move and no visit would
-    change ``st`` by a bit.
+    change ``st`` by a bit, under the module docstring's three
+    conditions.
 
     ``spare`` is the empty community a visit would offer and ``cols``
-    the :class:`_Columns` of ``st``.  Each node is checked against
-    ``st`` as it is, under the module docstring's three conditions (same
-    sums, same state, same decision); the second makes ``st`` hold for
-    the whole prefix by induction.  Nodes are checked in blocks of the
-    order that double from :data:`_PROBE` nodes, up to as many as keep
-    each array of the block within :data:`criteria._CELLS` cells, one
-    per row entry or per (node, column) pair.  A block reads only its
-    own nodes and rows, so a check that fails soon costs little past the
-    failure, however long the order.
+    the :class:`_Columns` of ``st``.  Blocks of the order double from
+    :data:`_PROBE` nodes, up to as many as keep each array of the block
+    within :data:`criteria._CELLS` cells, one per row entry or per
+    (node, column) pair.
     """
-    live = np.array(cols.slots)
-    kappa, cid, table = live.size, cols.node, cols.table
-    crit, n = st.crit, order.size
+    live, cid, table = cols.live, cols.node, cols.table
+    crit, n, kappa = st.crit, order.size, live.size
     vgain = crit.gain_fn(st)
     lo, step = 0, _PROBE
     while lo < n:
         nodes = order[lo:lo + max(1, min(step, _CELLS // kappa))]
         if table is not None:
-            count = table[nodes, :kappa]
+            count = table[nodes]
             sums = count.astype(np.float64)
         else:
             first = g.indptr[nodes]
@@ -570,8 +560,7 @@ def _quiet_prefix(g, st, order, spare, cols):
             keys = np.repeat(np.arange(0, nodes.size * kappa, kappa), rl)
             keys += cid[g.nbr[at]]
             count = np.bincount(keys, minlength=nodes.size * kappa)
-            sums = (count.astype(np.float64) if g.unit_weights else
-                    np.bincount(keys, g.wgt[at], minlength=count.size))
+            sums = np.bincount(keys, g.wgt[at], minlength=count.size)
             del at, keys
             sums, count = sums.reshape(-1, kappa), count.reshape(-1, kappa)
         c_old, rows = st.part[nodes], np.arange(nodes.size)

@@ -22,12 +22,15 @@ from anylouvain.errors import LouvainError, NegativeWeight, ParseError
 
 def lines(source):
     """Yield ``(line_no, line)`` from a path (read as UTF-8) or a text
-    file object; bytes that do not decode raise :class:`ParseError`."""
+    file object; bytes that do not decode raise :class:`ParseError`.  A
+    U+FEFF that starts the first line, a byte-order mark, is dropped."""
     with (nullcontext(source) if hasattr(source, "read")
           else open(source, "r", encoding="utf-8")) as fh:
         count = itertools.count(1)
         try:
-            yield from zip(count, fh)
+            for line_no, line in zip(count, fh):
+                yield line_no, (line.removeprefix("\ufeff") if line_no == 1
+                                else line)
         except UnicodeDecodeError as exc:
             line_no = next(count) - 1
             if fh is not source:

@@ -68,8 +68,8 @@ def test_levels_out_and_summary_out_match_partition(karate_file, tmp_path):
         [["n", "m", "quality", "kappa", "sweeps", "visits", "sweep_moves",
           "sweep_visits"]] * len(levels))
     assert [list(lv) for lv in levels] == (
-        [["level", "n", "m", "kappa", "sweeps", "visits", "sweep_moves",
-          "sweep_visits", "quality", "membership"]] * len(levels))
+        [["level", "n", "m", "quality", "kappa", "sweeps", "visits",
+          "sweep_moves", "sweep_visits", "membership"]] * len(levels))
     # karate's levels are too sparse for the check: every visit is made.
     assert all(lv["visits"] == lv["n"] * lv["sweeps"] for lv in levels)
     assert all(lv["sweep_visits"] == [lv["n"]] * lv["sweeps"]
@@ -122,6 +122,19 @@ def test_invalid_criterion_rejected_before_io(tmp_path, capsys):
                "--criterion", "nope"])
     assert rc == 1
     assert "unknown criterion" in capsys.readouterr().err
+
+
+def test_criterion_is_named_by_its_id(karate_file, tmp_path, capsys):
+    # make_criterion lowercases what it is given; the summary, the stderr
+    # block and bench's rows name the criterion by its id.
+    summ = tmp_path / "s.json"
+    assert main(["detect", karate_file, "--criterion", "NG", "--output",
+                 str(tmp_path / "p.tsv"), "--summary-out", str(summ)]) == 0
+    assert json.loads(summ.read_text())["criterion"] == "ng"
+    assert "criterion: ng\n" in capsys.readouterr().err
+    assert main(["bench", karate_file, "--criteria", "NG,Du"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["ng", "du"]
 
 
 def test_oz_alpha_rejected_before_io(tmp_path, capsys):

@@ -132,6 +132,31 @@ def test_read_partition_rejects_ids_beyond_int64():
     assert err.value.line_no == 2
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    # A U+FEFF that starts the stream is a byte-order mark, from a path
+    # (also with CRLF line ends) and from a text object; anywhere else
+    # it is a label character.
+    path = tmp_path / "bom.edges"
+    path.write_bytes("\ufeffa b\r\nb c\r\nc a\r\n".encode("utf-8"))
+    for source in (path, io.StringIO("\ufeffa b\nb c\nc a\n")):
+        g, labels = read_edge_list(source)
+        assert (g.n, labels) == (3, ["a", "b", "c"])
+    g, labels = read_edge_list(io.StringIO("a b\n\ufeffc a\n"))
+    assert labels == ["a", "b", "\ufeffc"]
+    # Small blocks: the mark is dropped once, from the first text.
+    with mock.patch.object(reader, "_BLOCK", 1):
+        assert read_edge_list(path)[1] == ["a", "b", "c"]
+    # A mark before numeric labels is dropped too.
+    path.write_bytes(b"\xef\xbb\xbf10 2\n2 7\n")
+    assert read_edge_list(path)[1] == ["10", "2", "7"]
+
+
+def test_partition_file_byte_order_mark_is_dropped(tmp_path):
+    part = tmp_path / "p.tsv"
+    part.write_text("\ufeffa\t1\nb\t1\nc\t0\n", encoding="utf-8")
+    assert read_partition(part, ["a", "b", "c"]).tolist() == [1, 1, 0]
+
+
 def test_non_utf8_input_is_parse_error(tmp_path):
     edges = tmp_path / "bad.edges"
     edges.write_bytes(b"\xffa b\n")

@@ -274,17 +274,18 @@ def _check(g, st, order, spare):
 
 def _assert_columns_follow(g, cols, labels):
     """``cols`` gives each node the column of its community in
-    ``labels``, and its table, if any, holds in the column ``cols.of[c]``
-    of every community ``c`` with one each node's neighbour count in
-    ``c``; the columns past the last one opened are zero."""
-    assert np.array_equal(np.array(cols.slots)[cols.node], labels)
+    ``labels``, and its table, if any, has one column per community of
+    the snapshot, holding each node's neighbour count in that community
+    (zero for one that has emptied)."""
+    assert np.array_equal(cols.live[cols.node], labels)
+    assert np.array_equal(np.flatnonzero(cols.of >= 0), cols.live)
     if cols.table is None:
         return
+    assert cols.table.shape == (g.n, cols.live.size)
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    for c in np.flatnonzero(cols.of >= 0):
+    for k, c in enumerate(cols.live):
         want = np.bincount(rows[labels[g.nbr] == c], minlength=g.n)
-        assert np.array_equal(cols.table[:, cols.of[c]], want), c
-    assert not cols.table[:, len(cols.slots):].any()
+        assert np.array_equal(cols.table[:, k], want), c
 
 
 def _planted600(w=1.0):
@@ -386,11 +387,12 @@ def test_check_blocks_stay_within_the_cell_budget(monkeypatch):
 
 
 def test_columns_follow_moves():
-    # Node a moves to an empty community, which opens a column past the
-    # table's five, and back, which leaves that column with no node;
-    # node b's move empties its singleton community.  After each move
-    # the kept table holds the counts of the labels, and the kept
-    # columns check every suffix as fresh ones do.
+    # Node b's move empties its singleton community 4, whose column stays
+    # and then counts no neighbour; node a's move into 4 and back takes
+    # that column again.  A move into community 5, which has no column,
+    # returns False and changes nothing.  After each move the kept table
+    # holds the counts of the labels, and the kept columns check every
+    # suffix as fresh ones do.
     g, truth = _planted600()
     order = np.random.default_rng(5).permutation(g.n)
     a, b = order[[50, 200]]
@@ -399,63 +401,58 @@ def test_columns_follow_moves():
     crit = make_criterion("ng")
     cols = louvain._Columns(crit.state_from_labels(g, labels))
     assert cols.table.shape == (g.n, 5)
-    for i, c in ((a, 5), (a, truth[a]), (b, truth[b])):
+    node, table = cols.node.copy(), cols.table.copy()
+    assert not cols.move(a, 5)
+    assert np.array_equal(cols.node, node)
+    assert np.array_equal(cols.table, table)
+    for i, c in ((b, truth[b]), (a, 4), (a, truth[a])):
         labels[i] = c
-        cols.move(i, c)
+        assert cols.move(i, c)
         _assert_columns_follow(g, cols, labels)
         st = crit.state_from_labels(g, labels)
         spare = int(np.flatnonzero(st.sz == 0)[0])
         for k in (0, 49, 50, 51, 199, 200, 201, 500):
             assert (louvain._quiet_prefix(g, st, order[k:], spare, cols)
                     == _check(g, st, order[k:], spare))
-    assert cols.slots == [0, 1, 2, 3, 4, 5]
+    assert cols.live.tolist() == [0, 1, 2, 3, 4]
     assert np.count_nonzero(st.sz) == 4
-    assert cols.table.shape == (g.n, 10)
-    assert not cols.table[:, [4, 5]].any()
+    assert not cols.table[:, 4].any()
 
 
-def test_columns_outlive_a_sweep_that_does_not_check(monkeypatch):
+def test_columns_are_rebuilt_after_a_move_opens_a_community(monkeypatch):
     # zc splits the few random communities of the start: the first sweep
-    # checks; the second, over more communities than the block bound
-    # allows, does not, and still moves nodes; the third checks again.
-    # The columns built at the first check followed every move, so each
-    # check reads the state's communities.  The pass is the reference's.
+    # checks on 12 columns; the second, over more communities than the
+    # block bound allows, does not, and a move into a community without
+    # a column discards the columns; the third checks again on 9 columns
+    # built afresh.  g from three communities: three moves open a
+    # community in sweeps that check, and each ends its sweep's checks
+    # (a check on discarded columns would read stale ones).  Each check
+    # reads the state's communities, and each pass is the reference's.
     monkeypatch.setattr(louvain, "LONG_ROW", 0)
     g, _ = synth.planted_partition_graph(60, 3, 0.6, 0.05, seed=0)
     labels = np.random.default_rng(0).integers(0, g.nbr.size // g.n, g.n)
-    check, starts = louvain._quiet_prefix, []
+    check, starts, builds = louvain._quiet_prefix, [], []
 
     def counted(g, st, order, spare, cols):
         starts.append(order.size == g.n)
         _assert_columns_follow(g, cols, st.part)
         return check(g, st, order, spare, cols)
 
+    class Built(louvain._Columns):
+        def __init__(self, st):
+            super().__init__(st)
+            builds.append(self.live.size)
+
     monkeypatch.setattr(louvain, "_quiet_prefix", counted)
+    monkeypatch.setattr(louvain, "_Columns", Built)
     got, want, res = _against_reference(g, make_criterion("zc"), labels)
     assert got == want and res.sweeps == 3 and res.sweep_moves[1] > 0
     assert starts[0] and sum(starts) == 2
-
-
-def test_table_drops_past_the_adjacency_size():
-    # Rows of ~94 entries: a table of 94 columns holds as many cells as
-    # the adjacency has entries.  Moves to singletons open columns and
-    # double the table from 4 columns up to 94; the one that opens
-    # column 94 cannot widen it, so the table goes, and the check sums
-    # the rows again, with the same answer.
-    g, truth = _planted600()
-    crit = make_criterion("ng")
-    labels = truth.copy()
-    cols = louvain._Columns(crit.state_from_labels(g, labels))
-    width = g.nbr.size // g.n
-    for i in range(width - 3):
-        assert cols.table is not None and cols.table.shape[1] <= width
-        labels[i] = 4 + i
-        cols.move(i, 4 + i)
-    assert cols.table is None
-    st = crit.state_from_labels(g, labels)
-    order, spare = np.arange(g.n), int(np.flatnonzero(st.sz == 0)[0])
-    assert (louvain._quiet_prefix(g, st, order, spare, cols)
-            == _check(g, st, order, spare))
+    assert builds == [12, 9]
+    builds.clear()
+    labels = np.random.default_rng(0).integers(0, 3, g.n)
+    got, want, res = _against_reference(g, make_criterion("g"), labels)
+    assert got == want and builds == [3, 4, 5, 6]
 
 
 def test_table_build_holds_no_edge_sized_array(monkeypatch):
