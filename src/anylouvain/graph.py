@@ -79,7 +79,8 @@ class Graph:
         which declares the graph to be level 0: ``w_max`` is then the
         maximum over ``wgt`` and the positive loops (a NaN loop is not
         positive), taken from the two arrays' maxima without copying
-        them, and 1 when both are empty.
+        them, and 1 when both are empty.  Over unit weights no pass
+        reads ``wgt``: its sum and maximum are its size and 1.
     """
 
     __slots__ = ("n", "indptr", "nbr", "wgt", "loop", "size", "aux",
@@ -93,7 +94,8 @@ class Graph:
         self.loop = np.asarray(loop, dtype=np.float64)
         self.size = np.asarray(size, dtype=np.int64)
         self.aux = np.asarray(aux, dtype=np.float64)
-        if self.unit_weights:  # the row sums are the row lengths
+        unit = self.unit_weights  # row sums are then the row lengths
+        if unit:
             row_sums = np.diff(self.indptr)
         else:
             rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -103,9 +105,10 @@ class Graph:
         with np.errstate(over="ignore"):
             self.degrees = row_sums + self.loop
             if consts is None:
-                two_m = float(self.wgt.sum() + self.loop.sum())
-                tops = [a.max() for a in (self.wgt, self.loop[self.loop > 0])
-                        if a.size]
+                two_m = float((self.wgt.size if unit else self.wgt.sum())
+                              + self.loop.sum())
+                tops = [a.max() for a in (self.wgt[:1] if unit else self.wgt,
+                                          self.loop[self.loop > 0]) if a.size]
                 w_max = float(np.max(tops)) if tops else 1.0
                 consts = Level0Constants(n0=self.n, two_m=two_m,
                                          w_max=w_max)
@@ -139,8 +142,25 @@ class Graph:
         """
         w = np.asarray(w, dtype=np.float64).view()
         w.flags.writeable = False  # the caller's: the build copies it
-        return _from_pairs(n, np.column_stack((src, dst)).astype(
-            np.int64, copy=False), w)
+        pairs = np.column_stack((src, dst)).astype(np.int64, copy=False)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        # Reductions first; the scans that name the first bad edge run
+        # only when one is out of range.
+        if src.size and not (min(src.min(), dst.min()) >= 0
+                             and max(src.max(), dst.max()) < n):
+            out = np.flatnonzero((np.minimum(src, dst) < 0)
+                                 | (np.maximum(src, dst) >= n))
+            k = out[0]
+            raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
+                               f"outside 0..{n - 1}")
+        if w.size and not (w.min() >= 0 and w.max() < np.inf):
+            neg = np.flatnonzero(w < 0)
+            if neg.size:
+                k = neg[0]
+                raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has "
+                                     f"weight {w[k]}")
+            raise LouvainError("edge weights must be finite")
+        return _from_pairs(n, pairs, w)
 
     def replace_weights(self, wgt, loop, *, aux=None, extra=None):
         """Same topology with new edge weights, for pretreatments: a
@@ -286,28 +306,12 @@ def _row_terms(g, base, a, b):
 
 
 def _from_pairs(n, pairs, w):
-    """:meth:`Graph.from_arrays` of the edges ``pairs[e] = (src, dst)``,
-    a C-contiguous ``(m, 2)`` int64 array that the CSR build overwrites
+    """The level-0 graph of the edges ``pairs[e] = (src, dst)``, a
+    C-contiguous ``(m, 2)`` int64 array that the CSR build overwrites
     with its keys, weighted ``w``, which it overwrites too when it is
-    writeable (:func:`_csr`)."""
-    src, dst = pairs[:, 0], pairs[:, 1]
-    w = np.asarray(w, dtype=np.float64)
-    # Reductions first; the scans that name the first bad edge run only
-    # when one is out of range.
-    if src.size and not (min(src.min(), dst.min()) >= 0
-                         and max(src.max(), dst.max()) < n):
-        out = np.flatnonzero((np.minimum(src, dst) < 0)
-                             | (np.maximum(src, dst) >= n))
-        k = out[0]
-        raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
-                           f"outside 0..{n - 1}")
-    if w.size and not (w.min() >= 0 and w.max() < np.inf):
-        neg = np.flatnonzero(w < 0)
-        if neg.size:
-            k = neg[0]
-            raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has "
-                                 f"weight {w[k]}")
-        raise LouvainError("edge weights must be finite")
+    writeable (:func:`_csr`).  Ids and weights are taken as valid:
+    :meth:`Graph.from_arrays` checks a caller's, and the edge-list reader
+    makes its own."""
     indptr, nbr, wgt, loop = _csr(n, pairs, w)
     return Graph(n, indptr, nbr, wgt, loop, np.ones(n, dtype=np.int64),
                  np.zeros(n, dtype=np.float64))
@@ -327,9 +331,13 @@ def _csr(n, pairs, w):
     The edges are unit-weight when, loops dropped, every weight is 1
     (or there is none).  Then the sums are counts, exact in float64 in
     any order: :func:`_key_sums` counts the bare keys, and with no
-    duplicate pair ``wgt`` is a broadcast of 1.0.  Otherwise each edge's
-    two keys share its one weight in ``w``, which :func:`_key_sums`
-    gathers per key through the stable sort order."""
+    duplicate pair ``wgt`` is a broadcast of 1.0.  When it sorts them
+    (their range ``n << bits`` is longer than the keys) and that range is
+    below 2**31, the keys are int32 in the front half of the ids' buffer,
+    which halves the sort, and ``nbr`` widens them over the buffer from
+    its end, a chunk at a time.  Otherwise each edge's two keys share its
+    one weight in ``w``, which :func:`_key_sums` gathers per key through
+    the stable sort order."""
     off = pairs[:, 0] != pairs[:, 1]
     loop = np.bincount(pairs[~off, 0], weights=w[~off], minlength=n)
     if not off.all():
@@ -337,10 +345,16 @@ def _csr(n, pairs, w):
         w = (w[:len(pairs)] if w.strides == (0,)
              else _compact(w, off) if w.flags.writeable else w[off])
     del off
-    unit = not w.size or w.min() == 1.0 == w.max()
+    # A stride-0 w, such as the reader's broadcast, holds one value.
+    unit = not w.size or (w[0] == 1.0 if w.strides == (0,)
+                          else w.min() == 1.0 == w.max())
     # Each edge's two keys side by side, the row in the high bits: both
     # rows see the edges of a pair in array order.
     bits = int(max(n - 1, 0)).bit_length()
+    size = n << bits
+    keys = pairs.reshape(-1)
+    if unit and keys.size < size < 1 << 31:
+        keys = keys.view(np.int32)[:keys.size]
     for a in range(0, len(pairs), _CHUNK):
         chunk = pairs[a:a + _CHUNK]
         src = chunk[:, 0].copy()
@@ -348,9 +362,19 @@ def _csr(n, pairs, w):
         chunk[:, 0] |= chunk[:, 1]
         chunk[:, 1] <<= bits
         chunk[:, 1] |= src
-    keys, wgt = _key_sums(pairs.ravel(), None if unit else w, n << bits)
-    indptr = keys.searchsorted(np.arange(n + 1) << bits)
-    nbr = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
+        if keys.dtype == np.int32:
+            keys[2 * a:2 * a + chunk.size] = chunk.ravel().astype(np.int32)
+    keys, wgt = _key_sums(keys, None if unit else w, size)
+    indptr = keys.searchsorted((np.arange(n + 1) << bits).astype(keys.dtype))
+    mask = (1 << bits) - 1
+    if keys.dtype == np.int64:
+        nbr = np.bitwise_and(keys, mask, out=keys)
+    elif not np.may_share_memory(keys, pairs):  # a fold's distinct keys
+        nbr = np.bitwise_and(keys, mask, dtype=np.int64)
+    else:  # each chunk's int64 lands on keys already read
+        nbr = pairs.reshape(-1)
+        for b in range(keys.size, 0, -_CHUNK):
+            nbr[max(b - _CHUNK, 0):b] = keys[max(b - _CHUNK, 0):b] & mask
     return indptr, nbr, wgt, loop
 
 

@@ -9,12 +9,16 @@ ids never appear in files.
 
 Edge lists are read in blocks of whole lines.  A numpy scan of a block's
 code points counts the tokens of each line, so no Python loop runs per
-line or per edge.  A block whose lines are all ``src dst``, whose bytes
-are all ASCII digits, `` ``, ``\t`` or ``\n``, and whose tokens are all
-canonical decimals (no leading zero unless the token is ``0``, at most 18
-digits) is parsed in C with one ``np.fromstring``, and only its distinct
-labels meet the label dict.  Every other block is split into tokens
-once.  Ids and ``Graph`` arrays are the same either way.
+line or per edge; on an ASCII block it is one ``bytes.translate`` into
+byte classes (:data:`_CLASS`), whose line ends also number the lines.  A
+block whose lines are all ``src dst``, whose bytes are all ASCII digits,
+`` ``, ``\t`` or ``\n``, and whose tokens are all canonical decimals (no
+leading zero unless the token is ``0``, at most 18 digits) is parsed in
+C with one ``np.fromstring``, and only its distinct labels meet the
+label dict.  Every other block is split into tokens once.  Ids and
+``Graph`` arrays are the same either way.  The ids the reader makes are
+valid and its weights are checked per block, so the graph build does
+not check them again.
 """
 
 from __future__ import annotations
@@ -37,8 +41,11 @@ _BLOCK = 1 << 20
 _SPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, 8192,
           8193, 8194, 8195, 8196, 8197, 8198, 8199, 8200, 8201, 8202, 8232,
           8233, 8239, 8287, 12288)
-#: ``bytes.translate`` table: 1 for an ASCII whitespace byte, else 0.
-_ASCII_SPACE = bytes(c < 128 and c in _SPACE for c in range(256))
+#: ``bytes.translate`` table of byte classes: 0 an ASCII digit, 1 `` `` or
+#: ``\t``, 3 ``\n``, 5 other ASCII whitespace, 4 anything else.  Bit 0
+#: marks whitespace, and classes below 4 are the bytes of a numeric block.
+_CLASS = bytes(0 if 48 <= c <= 57 else 1 if c in (9, 32) else 3 if c == 10
+               else 5 if c < 128 and c in _SPACE else 4 for c in range(256))
 
 
 def _newlines(text):
@@ -48,15 +55,15 @@ def _newlines(text):
     return text
 
 
-def _path_blocks(path):
-    """Yield ``(line_no, text)`` blocks of whole lines of a UTF-8 file.
+def _path_blocks(path, line):
+    """Yield blocks of whole lines of a UTF-8 file.
 
-    ``line_no`` is the number of the block's first line.  Bytes that do
-    not decode raise :class:`ParseError` naming their line, after the
-    lines before them have been yielded.
+    Bytes that do not decode raise :class:`ParseError` naming their
+    line, after the lines before them have been yielded: ``line()`` is
+    the number of the line after the blocks the caller has read.
     """
     with open(path, "rb") as fh:
-        line_no, rest = 1, b""
+        rest = b""
         while True:
             data = fh.read(_BLOCK)
             buf = rest + data
@@ -70,48 +77,47 @@ def _path_blocks(path):
             try:
                 text = _newlines(buf.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                head, error = _undecodable(line_no, exc)
-                yield line_no, head
-                raise error from None
-            yield line_no, text
-            line_no += text.count("\n")
+                yield _undecodable(exc)
+                error = f"not UTF-8 text ({exc.reason})"
+                raise ParseError(line(), error) from None
+            yield text
 
 
-def _undecodable(line_no, exc):
-    r"""``(head, error)`` for the decode error ``exc`` in bytes whose
-    first line is number ``line_no``: ``head`` is the text of the whole
-    lines before the bad byte, and ``error`` the :class:`ParseError`
-    naming the bad byte's line.  Line ends are counted after universal
-    newline translation, so a lone ``\r`` ends a line."""
+def _undecodable(exc):
+    r"""The text of the whole lines before the bad byte of the decode
+    error ``exc``, after universal newline translation, so a lone ``\r``
+    ends a line."""
     head = _newlines(exc.object[:exc.start].decode("utf-8"))
-    return head[:head.rfind("\n") + 1], ParseError(
-        line_no + head.count("\n"), f"not UTF-8 text ({exc.reason})")
+    return head[:head.rfind("\n") + 1]
 
 
-def _file_blocks(fh):
-    """Yield ``(line_no, text)`` blocks of the lines a text file object
-    hands out; a decode error raises :class:`ParseError` as in
-    :func:`_path_blocks`.  The file object decodes a chunk before it
-    hands out the chunk's lines, so the lines that share a chunk with a
-    bad byte are never seen."""
-    line_no = 1
+def _file_blocks(fh, line):
+    """Yield blocks of the lines a text file object hands out; a decode
+    error raises :class:`ParseError` as in :func:`_path_blocks`.  The
+    file object decodes a chunk before it hands out the chunk's lines,
+    so the lines that share a chunk with a bad byte are never seen."""
+    size = _BLOCK // 16 + 1
+    lines = []  # extend() keeps the lines read before an error
     while True:
-        lines = []  # extend() keeps the lines read before an error
         try:
-            lines.extend(itertools.islice(fh, _BLOCK // 16 + 1))
+            lines.extend(itertools.islice(fh, size + 1 - len(lines)))
         except UnicodeDecodeError as exc:
-            yield line_no, _joined(lines)
+            yield _joined(lines, True)
             # The decoder fails on a whole chunk, which starts on the
             # line being read.
-            raise _undecodable(line_no + len(lines), exc)[1] from None
+            raise ParseError(line() + _undecodable(exc).count("\n"),
+                             f"not UTF-8 text ({exc.reason})") from None
         if not lines:
             return
-        yield line_no, _joined(lines)
-        line_no += len(lines)
+        # A line read past the block shows that its last line ended.
+        yield _joined(lines[:size], len(lines) > size)
+        lines = lines[size:]
 
 
-def _joined(lines):
-    r"""The text of ``lines``, in which each line ends at a ``\n``.
+def _joined(lines, ended):
+    r"""The text of ``lines``, in which each line ends at a ``\n``, the
+    last one only when it ends in ``\n`` or ``ended`` says that a line
+    followed it; so the text holds one ``\n`` per line that ended.
 
     A file object opened with ``newline=''`` hands out lines that may end
     in a lone ``\r``, and with ``newline='\r'`` or ``'\r\n'`` lines that
@@ -120,31 +126,35 @@ def _joined(lines):
     (both are whitespace to ``str.split``).  Other lines keep their text.
     """
     text = "".join(lines)
-    if "\r" in text or text.count("\n") != len(lines) - (
-            not text.endswith("\n")):
+    if lines and ("\r" in text or text.count("\n") != len(lines) - (
+            not text.endswith("\n"))):
+        end = "\n" * (ended or text.endswith("\n"))
         text = "\n".join(line.removesuffix("\n").replace("\n", " ")
-                         for line in lines) + "\n" * text.endswith("\n")
+                         for line in lines) + end
     return text
 
 
-def _blocks(source):
+def _blocks(source, line):
     r"""Blocks of a path (read as UTF-8, universal newlines) or of a text
-    file object.  Lines end at ``\n``.  A U+FEFF that is the stream's
-    first character, a byte-order mark, is dropped; anywhere else it is
-    a label character."""
-    blocks = (_file_blocks(source) if hasattr(source, "read")
-              else _path_blocks(source))
+    file object.  Lines end at ``\n``; the caller counts them, and
+    ``line()`` returns its count so far plus one, which a decode error
+    reads.  A U+FEFF that is the stream's first character, a byte-order
+    mark, is dropped; anywhere else it is a label character."""
+    blocks = (_file_blocks(source, line) if hasattr(source, "read")
+              else _path_blocks(source, line))
     bom = "\ufeff"  # "" once the stream's first character is seen
-    for line_no, text in blocks:
-        yield line_no, text.removeprefix(bom)
+    for text in blocks:
+        yield text.removeprefix(bom)
         if text:
             bom = ""
 
 
 def _lines(source):
     """Yield ``(line_no, line)`` from a path or a text file object."""
-    for line_no, text in _blocks(source):
-        yield from zip(itertools.count(line_no), io.StringIO(text))
+    line_no = 0  # the last line's number
+    for text in _blocks(source, lambda: line_no + 1):
+        for line_no, line in enumerate(io.StringIO(text), line_no + 1):
+            yield line_no, line
 
 
 class _Ids(dict):
@@ -156,16 +166,12 @@ class _Ids(dict):
         return i
 
 
-def _numeric_ids(enc, count, ids):
-    """The ids of the ``count`` tokens of the ASCII block ``enc``, parsed
-    in C when they are canonical decimals as the module docstring
-    states; None otherwise.  Only the distinct values, as ``str(v)`` in
-    order of first appearance, meet ``ids``."""
-    digits = enc.translate(None, b" \t\n")
-    if not digits.isdigit():
-        return None
-    n_digits = len(digits)
-    del digits
+def _numeric_ids(enc, count, n_digits, ids):
+    r"""The ids of the ``count`` tokens of the ASCII block ``enc``, whose
+    bytes are ASCII digits, `` ``, ``\t`` and ``\n``, ``n_digits`` of
+    them digits; parsed in C when they are canonical decimals as the
+    module docstring states, None otherwise.  Only the distinct values,
+    as ``str(v)`` in order of first appearance, meet ``ids``."""
     vals = np.fromstring(enc, dtype=np.int64, sep=" ")
     n = vals.size
     if n != count:
@@ -194,38 +200,43 @@ def _numeric_ids(enc, count, ids):
 
 
 def _parse_block(text, line_no, ids):
-    """The edges of one block as ``(pairs, w)``: ``pairs`` holds the
-    ids of ``src, dst`` of each edge in turn, ``w`` the weights, or the
-    edge count when no line of the block has a weight.
+    r"""The edges of one block as ``(pairs, w, lines)``: ``pairs`` holds
+    the ids of ``src, dst`` of each edge in turn, ``w`` the weights, or
+    the edge count when no line of the block has a weight, and ``lines``
+    the block's ``\n`` count.
 
     The block's first faulty line raises, as :func:`read_edge_list`
     describes.  ``line_no`` is the number of the block's first line.
     """
     enc = text.isascii() and text.encode("ascii")
-    if enc:
+    if enc:  # one class scan: the whitespace, and whether it is numeric
         cp = np.frombuffer(enc, dtype=np.uint8)
-        space = np.frombuffer(enc.translate(_ASCII_SPACE), dtype=bool)
+        cls = np.frombuffer(enc.translate(_CLASS), dtype=np.uint8)
+        numeric, space = cls.max() < 4, np.bitwise_and(cls, 1).view(bool)
+        del cls
     else:
         cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                            dtype=np.uint32)
-        space = np.isin(cp, _SPACE)
+        numeric, space = False, np.isin(cp, _SPACE)
     start = ~space
     start[1:] &= space[:-1]
     starts = np.flatnonzero(start)  # where each token begins
     del start  # each scan array is dropped once used
     ends = np.flatnonzero(cp == 10)  # line k ends at ends[k]
     n_ends = ends.size
-    if (starts.size == 2 * n_ends and "#" not in text
+    if (starts.size == 2 * n_ends and (numeric or "#" not in text)
             and (starts[1::2] < ends).all()
             and (starts[2::2] > ends[:-1]).all()):
         # Every line is "src dst": line k holds tokens 2k and 2k + 1.
+        n_digits = len(text) - np.count_nonzero(space)
         del cp, space, starts, ends
-        pairs = _numeric_ids(enc, 2 * n_ends, ids) if enc and n_ends else None
+        pairs = (_numeric_ids(enc, 2 * n_ends, n_digits, ids)
+                 if numeric and n_ends else None)
         if pairs is None:
             tokens = text.split()
             pairs = np.fromiter(map(ids.__getitem__, tokens),
                                 dtype=np.int64, count=len(tokens))
-        return pairs, n_ends
+        return pairs, n_ends, n_ends
     del space
     counts = np.bincount(np.searchsorted(ends, starts),
                          minlength=n_ends + 1)
@@ -281,7 +292,7 @@ def _parse_block(text, line_no, ids):
 
     wgt = np.ones(lines.size)
     wgt[weighted] = w
-    return pairs, wgt
+    return pairs, wgt, n_ends
 
 
 def read_edge_list(source):
@@ -302,17 +313,25 @@ def read_edge_list(source):
     its keys, sorted in place, instead of summing weights.  Such a read
     peaks at about four 8-byte words per edge line, the blocks' id arrays
     and their join (two each).  The CSR build writes each edge's two keys
-    over its two ids and sorts them in place into the neighbor ids, so
-    the graph holds two; its weights stay the broadcast unless a pair is
-    given twice.  A file with weights also holds its weights (one) and
-    the stable sort's order and gathered weights (four), about ten words
-    per line at the build.  Its blocks are split into token strings,
+    over its two ids (as int32 in their front half when the keys are
+    sorted and their range ``n << bits`` is below ``2**31``) and sorts
+    them in place into the neighbor ids, so the graph holds two; its
+    weights stay the broadcast unless a pair is given twice.  A file
+    with weights also holds its weights (one) and the stable sort's
+    order and gathered weights (four), about ten words per line at the
+    build.  Its blocks are split into token strings,
     about 20 bytes per byte of a block's text while that block is parsed.
     """
-    ids = _Ids()
-    blocks = (_parse_block(text, line_no, ids)
-              for line_no, text in _blocks(source))
-    pairs, weights = zip((np.zeros(0, dtype=np.int64), 0), *blocks)
+    ids, line_no = _Ids(), 1
+
+    def blocks():
+        nonlocal line_no
+        for text in _blocks(source, lambda: line_no):
+            pairs, w, lines = _parse_block(text, line_no, ids)
+            line_no += lines
+            yield pairs, w
+
+    pairs, weights = zip((np.zeros(0, dtype=np.int64), 0), *blocks())
     pairs = np.concatenate(pairs)
     if all(isinstance(w, int) for w in weights):
         weights = np.broadcast_to(1.0, pairs.size // 2)

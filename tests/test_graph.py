@@ -133,11 +133,12 @@ CSR_SHAPES = {"bincount": (12, 300), "sort": (400, 300)}
 
 
 def _key_sums_branch(build):
-    """``build()`` and the branch of its one ``_key_sums`` call."""
+    """``build()`` and the branch of its one ``_key_sums`` call with the
+    keys' dtype."""
     with mock.patch.object(graph, "_key_sums", wraps=graph._key_sums) as ks:
         out = build()
     (keys, _, size), = [c.args for c in ks.call_args_list]
-    return out, "bincount" if size <= keys.size else "sort"
+    return out, ("bincount" if size <= keys.size else "sort", keys.dtype)
 
 
 @pytest.mark.parametrize("shape", CSR_SHAPES)
@@ -151,18 +152,64 @@ def test_from_arrays_matches_reference_csr(shape, weights):
          "broadcast": np.broadcast_to(1.0, src.size),
          "weighted": rng.choice([0.0, 0.1, 0.2, 0.3, 1.0], src.size),
          "unit-edges-weighted-loops": np.where(src == dst, 0.3, 1.0)}[weights]
-    g, branch = _key_sums_branch(lambda: Graph.from_arrays(n, src, dst, w))
+    g, (branch, _) = _key_sums_branch(
+        lambda: Graph.from_arrays(n, src, dst, w))
     assert branch == shape
     assert_same_graph(g, reference_csr(n, zip(src, dst, w)))
     assert g.degrees[-2:].tolist() == [0.0, 0.0]  # isolated nodes
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 3, 2 ** 15])
 def test_from_arrays_empty_input(n):
     for w in (np.zeros(0), np.broadcast_to(1.0, 0)):
         g = Graph.from_arrays(n, np.zeros(0, dtype=np.int64),
                               np.zeros(0, dtype=np.int64), w)
         assert_same_graph(g, reference_csr(n, []))
+
+
+@pytest.mark.parametrize("n,width", [(2 ** 15, np.int32),
+                                     (2 ** 15 + 1, np.int64)])
+@pytest.mark.parametrize("pairs", ["duplicates", "distinct"])
+def test_unit_keys_are_int32_below_2_31(n, width, pairs):
+    # n << bits is 2**30 at n = 2**15 and 2**31 + 2**16 one node later.
+    # Sorted unit keys below 2**31 are int32 over the ids' buffer: folded
+    # when a pair is given twice, else widened in place into nbr from the
+    # buffer's end.
+    src, dst = _unit_edges(n, 3000, seed=8)
+    if pairs == "distinct":  # each pair once, either way round
+        _, first = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                             return_index=True)
+        src, dst = src[first], dst[first]
+    w = np.broadcast_to(1.0, src.size)
+    with mock.patch.object(graph, "_CHUNK", 500):  # keys in many chunks
+        g, branch = _key_sums_branch(lambda: Graph.from_arrays(n, src, dst, w))
+    assert branch == ("sort", width)
+    assert g.unit_weights == (pairs == "distinct")
+    assert np.count_nonzero(g.loop) and g.degrees[-1] == 0.0
+    assert_same_graph(g, reference_csr(n, zip(src, dst, np.ones(src.size))))
+
+
+@pytest.mark.parametrize("loops", [(), (0.5, 3.0), (0.0,)],
+                         ids=["no-loops", "loops", "zero-loop"])
+def test_unit_constants_match_explicit_ones(loops):
+    # Over the 1.0 broadcast, two_m and w_max are read from nnz and 1
+    # without a pass over wgt: the same bits as over an array of ones.
+    src, dst = _unit_edges(60, 200, seed=9)
+    _, first = np.unique(np.minimum(src, dst) * 60 + np.maximum(src, dst),
+                         return_index=True)
+    keep = first[src[first] != dst[first]]
+    src = np.concatenate([src[keep], np.arange(len(loops))])
+    dst = np.concatenate([dst[keep], np.arange(len(loops))])
+    w = np.concatenate([np.ones(keep.size), loops])
+    g = Graph.from_arrays(60, src, dst, w)
+    assert g.unit_weights
+    ones = _with_ones(g)
+    assert not ones.unit_weights
+    assert g.degrees.tobytes() == ones.degrees.tobytes()
+    assert (g.consts.two_m.hex(), g.consts.w_max.hex()) == (
+        ones.consts.two_m.hex(), ones.consts.w_max.hex())
+    assert g.consts.w_max == max((1.0, *loops))
+    assert_same_graph(g, reference_csr(60, zip(src, dst, w)))
 
 
 def test_unit_weights_skip_the_stable_sort():

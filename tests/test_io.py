@@ -230,10 +230,10 @@ def test_parse_block_peak_memory():
     rng = np.random.default_rng(0)
     text = "".join(f"{a} {b}\n" for a, b in
                    rng.integers(0, 10_000, (135_000, 2)).tolist())
-    (pairs, lines), peak, _ = traced_peak(
+    (pairs, edges, lines), peak, _ = traced_peak(
         lambda: reader._parse_block(text, 1, reader._Ids()))
     assert peak <= 6.5 * len(text)
-    assert (pairs.size, lines) == (270_000, 135_000)
+    assert (pairs.size, edges, lines) == (270_000, 135_000, 135_000)
 
 
 def test_weighted_block_peak_memory():
@@ -244,10 +244,10 @@ def test_weighted_block_peak_memory():
     rng = np.random.default_rng(0)
     text = "".join(f"{a} {b} 0.5\n" for a, b in
                    rng.integers(0, 1000, (89_703, 2)).tolist())
-    (pairs, w), peak, _ = traced_peak(
+    (pairs, w, lines), peak, _ = traced_peak(
         lambda: reader._parse_block(text, 1, reader._Ids()))
     assert peak <= 21.5 * len(text)
-    assert pairs.size == 2 * w.size == 2 * 89_703
+    assert pairs.size == 2 * w.size == 2 * lines == 2 * 89_703
     assert np.all(w == 0.5)
 
 

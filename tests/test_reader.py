@@ -194,8 +194,28 @@ def test_numeric_blocks_are_read_in_c(tmp_path, digits, block):
             mock.patch.object(np, "fromstring", wraps=np.fromstring) as c, \
             mock.patch.object(np, "unique", wraps=np.unique) as by_sort:
         read_edge_list(path)
-        assert c.call_count == len(list(reader._blocks(path)))
+        assert c.call_count == len(list(reader._blocks(path, None)))
     assert by_sort.called == (digits == 17)
+
+
+@pytest.mark.parametrize("odd", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x1f", "#", "+", "-", "\u0663"])
+def test_one_odd_byte_leaves_only_its_block_in_python(tmp_path, odd):
+    # Other ASCII whitespace separates a line's labels; the rest start
+    # its first label (a comment line for "#").  The block holding that
+    # line is split into tokens; every other block is parsed in C.
+    rows = [f"{a} {b}" for a, b in
+            np.random.default_rng(3).integers(0, 50, (60, 2)).tolist()]
+    a, b = rows[30].split()
+    rows[30] = a + odd + b if odd.isspace() else odd + rows[30]
+    data = "".join(row + "\n" for row in rows).encode()
+    check_same(data, 64, tmp_path)
+    path = tmp_path / "odd.edges"
+    path.write_bytes(data)
+    with mock.patch.object(reader, "_BLOCK", 64), \
+            mock.patch.object(np, "fromstring", wraps=np.fromstring) as c:
+        read_edge_list(path)
+        assert c.call_count == len(list(reader._blocks(path, None))) - 1
 
 
 def without_echo(out):
@@ -234,7 +254,9 @@ def test_unbalanced_columns_are_parse_errors(text, line):
 def test_whitespace_literal_is_str_isspace():
     assert set(reader._SPACE) == {c for c in range(sys.maxunicode + 1)
                                   if chr(c).isspace()}
-    assert list(np.flatnonzero(np.frombuffer(reader._ASCII_SPACE, bool))) \
+    # Bit 0 of a byte's class marks the ASCII whitespace.
+    classes = np.frombuffer(reader._CLASS, np.uint8)
+    assert list(np.flatnonzero(classes[:128] & 1)) \
         == [c for c in range(128) if chr(c).isspace()]
 
 
