@@ -1,7 +1,7 @@
 """Command-line interface: detect / eval / optimum / bench.
 
-Graph inputs are edge-list files ("-" reads stdin).  The criterion id and
-alpha are validated before any file is touched.
+Graph inputs are edge-list files ("-" reads stdin's bytes).  The
+criterion id and alpha are validated before any file is touched.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ _AGREE_TOL = 1e-9
 
 def _read_graph(path):
     """The graph and node labels of the edge list at ``path`` ("-" reads
-    stdin); a graph with no nodes raises :class:`LouvainError`."""
-    g, labels = read_edge_list(sys.stdin if path == "-" else path)
+    stdin's bytes); a graph with no nodes raises :class:`LouvainError`."""
+    g, labels = read_edge_list(getattr(sys.stdin, "buffer", sys.stdin)
+                               if path == "-" else path)
     if g.n == 0:
         raise LouvainError(f"graph {path!r} has no nodes")
     return g, labels
@@ -149,7 +150,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("detect", help="detect communities in a graph")
-    p.add_argument("graph", help="edge list file ('-' for stdin)")
+    p.add_argument("graph", help="edge list file ('-' reads stdin's bytes)")
     _add_common(p, precision=1e-6)
     p.add_argument("--output", help="partition file (default: stdout)")
     p.add_argument("--levels-out", help="per-level JSON dump")

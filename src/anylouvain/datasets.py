@@ -13,5 +13,5 @@ def karate_club():
     Returns ``(Graph, labels)``.
     """
     ref = resources.files("anylouvain").joinpath("data/karate.edges")
-    with ref.open("r", encoding="utf-8") as fh:
+    with ref.open("rb") as fh:
         return read_edge_list(fh)

@@ -7,6 +7,14 @@ self-loop.  Partition format: ``label<TAB>community`` with community ids
 dense from 0.  Labels survive round trips untouched; internal dense node
 ids never appear in files.
 
+Both files are read from a path, a binary or a text file object by one
+rule: their bytes (a text object's lines encoded back to UTF-8) are
+decoded as UTF-8 in lines that end at ``\n``, ``\r\n`` or a lone
+``\r``; a leading U+FEFF is dropped; bytes that are not UTF-8, and so a
+text object's lone surrogates, raise :class:`ParseError` on their line.
+A text object decodes a chunk before it hands out the chunk's lines, so
+its own decode error is reported before a faulty line in that chunk.
+
 Edge lists are read in blocks of whole lines.  A numpy scan of a block's
 code points counts the tokens of each line, so no Python loop runs per
 line or per edge; on an ASCII block it is one ``bytes.translate`` into
@@ -32,8 +40,8 @@ import numpy as np
 from .errors import NegativeWeight, ParseError, UnknownLabel
 from .graph import _from_pairs, compact_labels
 
-#: Bytes per block read from a path; a text file object is read
-#: ``_BLOCK // 16 + 1`` lines at a time.
+#: Bytes per read of a path or a binary file object; a text file object
+#: hands over ``_BLOCK // 16 + 1`` lines at a time.
 _BLOCK = 1 << 20
 
 #: The code points ``str.isspace`` (and so ``str.split``) treats as
@@ -55,32 +63,34 @@ def _newlines(text):
     return text
 
 
-def _path_blocks(path, line):
-    """Yield blocks of whole lines of a UTF-8 file.
+def _reads(source):
+    r"""The bytes of ``source`` in pieces, the last one ``b""``.
 
-    Bytes that do not decode raise :class:`ParseError` naming their
-    line, after the lines before them have been yielded: ``line()`` is
-    the number of the line after the blocks the caller has read.
+    A path or a binary file object is read ``_BLOCK`` bytes at a time.
+    A text file object (one whose ``read`` returns ``str``) hands over
+    its lines in batches, encoded to UTF-8 with a lone surrogate kept as
+    its three bytes, which do not decode.  When the object's own decoder
+    fails, a ``b""`` follows the lines it handed out, and then the error
+    is raised.
     """
-    with open(path, "rb") as fh:
-        rest = b""
-        while True:
-            data = fh.read(_BLOCK)
-            buf = rest + data
-            if not buf:
-                return
-            # Cut after the last line end; a trailing \r may be half of
-            # a \r\n, so it waits for the next read.
-            cut = (max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1))
-                   + 1 if data else len(buf))
-            buf, rest = buf[:cut], buf[cut:]
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
+            yield from _reads(fh)
+        return
+    text, data = isinstance(source.read(0), str), None
+    while data != b"":
+        if text:
+            lines = []  # extend() keeps the lines read before an error
             try:
-                text = _newlines(buf.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                yield _undecodable(exc)
-                error = f"not UTF-8 text ({exc.reason})"
-                raise ParseError(line(), error) from None
-            yield text
+                lines.extend(itertools.islice(source, _BLOCK // 16 + 1))
+            except UnicodeDecodeError:
+                yield "".join(lines).encode("utf-8", "surrogatepass")
+                yield b""
+                raise
+            data = "".join(lines).encode("utf-8", "surrogatepass")
+        else:
+            data = source.read(_BLOCK)
+        yield data
 
 
 def _undecodable(exc):
@@ -91,66 +101,42 @@ def _undecodable(exc):
     return head[:head.rfind("\n") + 1]
 
 
-def _file_blocks(fh, line):
-    """Yield blocks of the lines a text file object hands out; a decode
-    error raises :class:`ParseError` as in :func:`_path_blocks`.  The
-    file object decodes a chunk before it hands out the chunk's lines,
-    so the lines that share a chunk with a bad byte are never seen."""
-    size = _BLOCK // 16 + 1
-    lines = []  # extend() keeps the lines read before an error
-    while True:
-        try:
-            lines.extend(itertools.islice(fh, size + 1 - len(lines)))
-        except UnicodeDecodeError as exc:
-            yield _joined(lines, True)
-            # The decoder fails on a whole chunk, which starts on the
-            # line being read.
-            raise ParseError(line() + _undecodable(exc).count("\n"),
-                             f"not UTF-8 text ({exc.reason})") from None
-        if not lines:
-            return
-        # A line read past the block shows that its last line ended.
-        yield _joined(lines[:size], len(lines) > size)
-        lines = lines[size:]
-
-
-def _joined(lines, ended):
-    r"""The text of ``lines``, in which each line ends at a ``\n``, the
-    last one only when it ends in ``\n`` or ``ended`` says that a line
-    followed it; so the text holds one ``\n`` per line that ended.
-
-    A file object opened with ``newline=''`` hands out lines that may end
-    in a lone ``\r``, and with ``newline='\r'`` or ``'\r\n'`` lines that
-    may hold a ``\n``.  Only then, one Python step per line, does a
-    ``\n`` follow each line and a ``\n`` inside a line become a space
-    (both are whitespace to ``str.split``).  Other lines keep their text.
-    """
-    text = "".join(lines)
-    if lines and ("\r" in text or text.count("\n") != len(lines) - (
-            not text.endswith("\n"))):
-        end = "\n" * (ended or text.endswith("\n"))
-        text = "\n".join(line.removesuffix("\n").replace("\n", " ")
-                         for line in lines) + end
-    return text
-
-
 def _blocks(source, line):
-    r"""Blocks of a path (read as UTF-8, universal newlines) or of a text
-    file object.  Lines end at ``\n``; the caller counts them, and
-    ``line()`` returns its count so far plus one, which a decode error
-    reads.  A U+FEFF that is the stream's first character, a byte-order
-    mark, is dropped; anywhere else it is a label character."""
-    blocks = (_file_blocks(source, line) if hasattr(source, "read")
-              else _path_blocks(source, line))
-    bom = "\ufeff"  # "" once the stream's first character is seen
-    for text in blocks:
-        yield text.removeprefix(bom)
-        if text:
-            bom = ""
+    r"""Blocks of whole lines of a path or a binary or text file object,
+    decoded as UTF-8 with universal newlines, so that lines end at
+    ``\n``.  The caller counts them, and ``line()`` returns its count so
+    far plus one.  Bytes that do not decode raise :class:`ParseError`
+    naming their line, after the lines before them have been yielded.  A
+    U+FEFF that is the stream's first character, a byte-order mark, is
+    dropped; anywhere else it is a label character."""
+    rest, bom = b"", "\ufeff"  # "" once the first character is seen
+    try:
+        for data in _reads(source):
+            buf = rest + data
+            # Cut after the last line end; a trailing \r may be half of
+            # a \r\n, so it waits for the next read.
+            cut = (max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1))
+                   + 1 if data else len(buf))
+            buf, rest = buf[:cut], buf[cut:]
+            try:
+                text = _newlines(buf.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                yield _undecodable(exc).removeprefix(bom)
+                raise ParseError(line(),
+                                 f"not UTF-8 text ({exc.reason})") from None
+            if text:
+                yield text.removeprefix(bom)
+                bom = ""
+    except UnicodeDecodeError as exc:
+        # A text object's decoder fails on a whole chunk, which starts on
+        # the line after those it handed out.
+        raise ParseError(line() + _undecodable(exc).count("\n"),
+                         f"not UTF-8 text ({exc.reason})") from None
 
 
 def _lines(source):
-    """Yield ``(line_no, line)`` from a path or a text file object."""
+    """Yield ``(line_no, line)`` from a path or a binary or text file
+    object."""
     line_no = 0  # the last line's number
     for text in _blocks(source, lambda: line_no + 1):
         for line_no, line in enumerate(io.StringIO(text), line_no + 1):
@@ -298,13 +284,13 @@ def _parse_block(text, line_no, ids):
 def read_edge_list(source):
     """Parse an edge list into ``(Graph, labels)``.
 
-    ``source`` is a path (read as UTF-8 with universal newlines) or a
-    text file object.  ``labels[i]`` is the original token of dense node
-    id ``i``, assigned by first appearance.  Raises :class:`ParseError`
-    (with the line number) on malformed lines, NaN or infinite weights
-    and bytes that are not UTF-8, and :class:`NegativeWeight` on a
-    negative weight; the first faulty line in the file is the one
-    reported.
+    ``source`` is a path, a binary or a text file object, read as the
+    module docstring states.  ``labels[i]`` is the original token of
+    dense node id ``i``, assigned by first appearance.  Raises
+    :class:`ParseError` (with the line number) on malformed lines, NaN or
+    infinite weights and bytes that are not UTF-8, and
+    :class:`NegativeWeight` on a negative weight; the first faulty line
+    in the file is the one reported.
 
     The blocks' id arrays are joined into one and dropped before the
     graph is built.  A block of ``src dst`` lines makes no weight array:
@@ -357,10 +343,12 @@ def write_partition(target, flat, labels):
 def read_partition(source, labels):
     """Read a partition file back against a graph's ``labels``.
 
-    A line whose first token starts with ``#`` is a comment unless that
-    token is one of ``labels``.  Every node must appear exactly once;
-    unknown labels raise :class:`UnknownLabel`, negative community ids
-    :class:`ParseError`.  Community ids are compacted to ``0..kappa-1``.
+    ``source`` is a path, a binary or a text file object, read as the
+    module docstring states.  A line whose first token starts with ``#``
+    is a comment unless that token is one of ``labels``.  Every node
+    must appear exactly once; unknown labels raise :class:`UnknownLabel`,
+    negative community ids :class:`ParseError`.  Community ids are
+    compacted to ``0..kappa-1``.
     """
     ids = {name: i for i, name in enumerate(labels)}
     flat = np.full(len(labels), -1, dtype=np.int64)

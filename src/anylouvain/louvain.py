@@ -283,7 +283,9 @@ def _short_rows(g):
     most ``LONG_ROW`` entries, ``None`` for longer rows."""
     row_len = np.diff(g.indptr)
     short = row_len <= LONG_ROW
-    keep = np.repeat(short, row_len)
+    if not short.any():
+        return [None] * g.n
+    keep = slice(None) if short.all() else np.repeat(short, row_len)
     nbr, wgt = g.nbr[keep].tolist(), g.wgt[keep].tolist()
     rows = []
     lo = 0

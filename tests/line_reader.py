@@ -8,7 +8,7 @@ same exception on the same line.
 
 from __future__ import annotations
 
-import itertools
+import io
 import math
 import re
 from contextlib import nullcontext
@@ -21,32 +21,43 @@ from anylouvain.errors import LouvainError, NegativeWeight, ParseError
 
 
 def lines(source):
-    """Yield ``(line_no, line)`` from a path (read as UTF-8) or a text
-    file object; bytes that do not decode raise :class:`ParseError`.  A
-    U+FEFF that starts the first line, a byte-order mark, is dropped."""
+    r"""Yield ``(line_no, line)`` of a path or a binary or text file
+    object (one whose ``read`` returns ``str``), by one rule for all
+    three.
+
+    The content is the source's bytes; a text object's are its lines
+    joined and encoded to UTF-8, a lone surrogate kept as its three
+    bytes.  It is split with universal newlines: ``\n``, ``\r\n`` and a
+    lone ``\r`` end a line, whatever lines a text object hands out.  A
+    U+FEFF that starts it, a byte-order mark, is dropped.  Bytes that
+    do not decode raise :class:`ParseError` on their line, after the
+    lines before it.  So does a text object's own decode error, after
+    the lines it handed out: it decodes a chunk before it hands out the
+    chunk's lines.
+    """
+    failed = None
     with (nullcontext(source) if hasattr(source, "read")
-          else open(source, "r", encoding="utf-8")) as fh:
-        count = itertools.count(1)
-        try:
-            for line_no, line in zip(count, fh):
-                yield line_no, (line.removeprefix("\ufeff") if line_no == 1
-                                else line)
-        except UnicodeDecodeError as exc:
-            line_no = next(count) - 1
-            if fh is not source:
-                # A path: count from the file's start, because the text
-                # layer may hold back a lone \r that ends the last chunk
-                # and is then in neither the lines nor ``exc.object``.
-                with open(source, "rb") as raw:
-                    try:
-                        raw.read().decode("utf-8")
-                    except UnicodeDecodeError as whole:
-                        exc, line_no = whole, 1
-            # Universal newlines: \r\n, a lone \r and \n end a line.
-            head = exc.object[:exc.start].decode("utf-8")
-            line_no += len(re.findall(r"\r\n?|\n", head))
-            raise ParseError(line_no,
-                             f"not UTF-8 text ({exc.reason})") from None
+          else open(source, "rb")) as fh:
+        if isinstance(fh.read(0), str):
+            handed = []
+            try:
+                handed.extend(fh)
+            except UnicodeDecodeError as exc:
+                failed = exc
+            data = "".join(handed).encode("utf-8", "surrogatepass")
+            head = data + (failed.object[:failed.start] if failed else b"")
+        else:
+            data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        failed, head = exc, data[:exc.start]
+        data = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+    text = re.sub(r"\r\n?", "\n", data.decode("utf-8"))
+    yield from enumerate(io.StringIO(text.removeprefix("\ufeff")), 1)
+    if failed:
+        line_no = 1 + len(re.findall(r"\r\n?|\n", head.decode("utf-8")))
+        raise ParseError(line_no, f"not UTF-8 text ({failed.reason})")
 
 
 def graph_from_edges(n, edges):

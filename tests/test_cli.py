@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import io
 import json
 import os
 import subprocess
@@ -281,12 +282,21 @@ def test_overflowing_quality_fails(tmp_path, capsys, cid, command, weights):
     assert err.count("\n") == 1
 
 
-def test_non_utf8_edge_list_fails(tmp_path, capsys):
+def test_non_utf8_edge_list_fails(tmp_path, capsys, monkeypatch):
+    # "-" reads the bytes under stdin's text wrapper, which turns a bad
+    # byte into a lone surrogate and ends lines at \n only, so a path and
+    # stdin fail on the same line.
     graph = tmp_path / "bad.edges"
-    graph.write_bytes(b"\xffa b\n")
-    assert main(["detect", str(graph)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "line 1" in err
+    for data, line in [(b"\xffa b\n", 1), (b"a b\nb \xff\n\xff a\n", 2),
+                       (b"a b\n" * 2047 + b"a b\r" + b"\xff c\n", 2049)]:
+        graph.write_bytes(data)
+        for src in (str(graph), "-"):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                newline="\n"))
+            assert main(["detect", src]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {line}: not UTF-8 text"), err
 
 
 def test_eval_negative_community_id_fails(tmp_path, capsys):
@@ -358,9 +368,8 @@ def test_bench_reports_per_row_errors(tmp_path, capsys):
 
 
 def test_stdin_input(karate_file, capsys, monkeypatch):
-    import io as _io
     data = open(karate_file).read()
-    monkeypatch.setattr("sys.stdin", _io.StringIO(data))
+    monkeypatch.setattr("sys.stdin", io.StringIO(data))
     rc = main(["detect", "-", "--criterion", "ng", "--seed", "0"])
     assert rc == 0
     out = capsys.readouterr().out
