@@ -11,7 +11,7 @@ guarantees everything else rests on:
 
 import numpy as np
 
-from anylouvain import Graph, delta_oracle, make_criterion, relational_total
+from anylouvain import Graph, as_criterion, delta_oracle, relational_total
 
 # Two tight squares joined by one bridge edge.
 g = Graph.from_edges(8, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
@@ -20,7 +20,7 @@ g = Graph.from_edges(8, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
 labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 
 for cid in ("ng", "zc", "pd"):
-    crit = make_criterion(cid)
+    crit = as_criterion(cid)
     gw = crit.pretreat(g)          # identity for ng/zc, rescaling for pd
     st = crit.state_from_labels(gw, labels)
 

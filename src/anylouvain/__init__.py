@@ -20,7 +20,6 @@ from .criteria import (
     LINEAR_CRITERIA,
     Criterion,
     as_criterion,
-    make_criterion,
     relational_total,
 )
 from .errors import (
@@ -57,7 +56,6 @@ from .louvain import (
     compose_flat,
     detect,
     one_pass,
-    run,
 )
 from .oracle import (
     BELL_NUMBERS,

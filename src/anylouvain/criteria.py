@@ -719,15 +719,18 @@ NOT_PLUGGABLE = {
 }
 
 
-def make_criterion(crit_id, alpha=None):
-    """Resolve a criterion id (``ng``, ``zc``, ``oz``, ``wc``, ``bm``,
-    ``di``, ``du``, ``g``, ``pd``) to a criterion object.
+def as_criterion(criterion, alpha=None):
+    """Resolve ``criterion`` to a criterion object: a :class:`Criterion`
+    is returned unchanged, an id (``ng``, ``zc``, ``oz``, ``wc``, ``bm``,
+    ``di``, ``du``, ``g``, ``pd``, in any case) builds one.
 
     ``alpha`` is required for ``oz`` (0 < alpha < 1) and ignored
     otherwise.  Ids of known non-pluggable criteria raise
     :class:`NotPluggable` with the reason.
     """
-    crit_id = crit_id.lower()
+    if isinstance(criterion, Criterion):
+        return criterion
+    crit_id = criterion.lower()
     if crit_id in NOT_PLUGGABLE:
         raise NotPluggable(NOT_PLUGGABLE[crit_id])
     cls = CRITERIA.get(crit_id)
@@ -739,13 +742,6 @@ def make_criterion(crit_id, alpha=None):
             raise LouvainError("oz requires alpha in (0, 1)")
         return cls(alpha)
     return cls()
-
-
-def as_criterion(criterion, alpha=None):
-    """Accept either a criterion object or an id string."""
-    if isinstance(criterion, Criterion):
-        return criterion
-    return make_criterion(criterion, alpha)
 
 
 def relational_total(criterion, g0, labels, *, alpha=None):

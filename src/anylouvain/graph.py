@@ -134,25 +134,35 @@ class Graph:
         and ``j`` in array order, whichever way round each edge is
         given, so the adjacency is symmetric to the bit.  ``src == dst``
         goes to the self-loop weight, and zero-weight entries are
-        dropped.  Raises :class:`NegativeWeight` on a negative weight
-        (the first one) and :class:`LouvainError` on a node id outside
+        dropped.  Ids may be integers or whole floats.  Raises
+        :class:`NegativeWeight` on a negative weight (the first one) and
+        :class:`LouvainError` on arrays that are not 1-D of one length,
+        a negative ``n``, a node id that is not an integer in
         ``0..n-1`` or a NaN or infinite weight.  The arrays are only
         read, so ``w`` may be a read-only view such as
         ``np.broadcast_to(1.0, m)``.
         """
+        src, dst = np.asarray(src), np.asarray(dst)
         w = np.asarray(w, dtype=np.float64).view()
         w.flags.writeable = False  # the caller's: the build copies it
-        pairs = np.column_stack((src, dst)).astype(np.int64, copy=False)
-        src, dst = pairs[:, 0], pairs[:, 1]
+        if not src.shape == dst.shape == w.shape == (w.size,):
+            raise LouvainError(f"src, dst and w must be 1-D arrays of one "
+                               f"length, got shapes {src.shape}, "
+                               f"{dst.shape} and {w.shape}")
+        if n < 0:
+            raise LouvainError(f"node count must be non-negative, got {n}")
+        pairs = np.column_stack((src, dst))
         # Reductions first; the scans that name the first bad edge run
-        # only when one is out of range.
-        if src.size and not (min(src.min(), dst.min()) >= 0
-                             and max(src.max(), dst.max()) < n):
-            out = np.flatnonzero((np.minimum(src, dst) < 0)
-                                 | (np.maximum(src, dst) >= n))
-            k = out[0]
+        # only when an id is out of range or, for float ids, not whole.
+        if pairs.size and not (pairs.min() >= 0 and pairs.max() < n and (
+                pairs.dtype.kind in "biu"
+                or np.array_equal(np.floor(pairs), pairs))):
+            bad = (pairs < 0) | (pairs >= n) | (np.floor(pairs) != pairs)
+            k = np.flatnonzero(bad.any(axis=1))[0]
             raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
                                f"outside 0..{n - 1}")
+        pairs = pairs.astype(np.int64, copy=False)
+        src, dst = pairs[:, 0], pairs[:, 1]
         if w.size and not (w.min() >= 0 and w.max() < np.inf):
             neg = np.flatnonzero(w < 0)
             if neg.size:

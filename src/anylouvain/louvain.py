@@ -4,9 +4,9 @@ hierarchical coarsen-and-repeat driver.
 ``one_pass`` repeatedly visits every node, takes it out of its community
 and re-inserts it where the criterion's gain is highest; candidates are
 the communities of its neighbors, its own community, and one empty
-community (so communities can split).  ``run`` alternates passes with
-graph coarsening until a level stops improving the quality by more than
-the configured precision.
+community (so communities can split).  ``detect`` alternates passes
+with graph coarsening until a level stops improving the quality by more
+than the configured precision.
 
 A pass works on Python-list copies of the criterion state and the node
 constants, made at its start and written back at its end, and scores
@@ -95,7 +95,7 @@ from .criteria import _CELLS, CriterionState, as_criterion
 from .errors import ConfigError, SweepCapExceeded
 from .graph import _CHUNK, Graph, aggregate, compact_labels
 
-__all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "run", "detect",
+__all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "detect",
            "compose_flat"]
 
 
@@ -117,6 +117,13 @@ class RunConfig:
     max_levels: int | None = None
 
     def __post_init__(self):
+        try:
+            self.seed = operator.index(self.seed)
+            if self.max_levels is not None:
+                self.max_levels = operator.index(self.max_levels)
+        except TypeError:
+            raise ConfigError("seed and max_levels must be integers, got "
+                              f"{self.seed!r}, {self.max_levels!r}") from None
         if not (math.isfinite(self.precision) and self.precision > 0):
             raise ConfigError(
                 f"precision must be positive and finite, got {self.precision}")
@@ -160,7 +167,7 @@ class Hierarchy:
     This is the run's only record.  :meth:`to_json` and :meth:`to_text`
     render the summary (``detect --summary-out`` and its stderr block),
     :meth:`levels_json` the ``detect --levels-out`` dump; the first two
-    need ``config``, which :func:`run` sets.
+    need ``config``, which :func:`detect` sets.
     """
 
     levels: list[Level] = field(default_factory=list)
@@ -323,26 +330,9 @@ def one_pass(g, cfg, st, rng=None):
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
-    when the pass ends (also when it raises).  A visit takes one of two
-    branches:
-
-    - a row of at most :data:`LONG_ROW` neighbours sums its neighbour
-      communities in a dict and scores them one by one with the
-      criterion's scalar gain.  The node keeps that dict for its next
-      visit; any move of a neighbour drops it (the mover walks its row),
-      while the node's own move keeps it, as its neighbours stay put.
-      The dicts live for one pass, one per short row at most;
-    - a longer row sums them with ``np.bincount``, sorts its entries'
-      communities and scores every entry with one call of the same gain;
-      the first maximum, the lowest id, wins if it beats the own
-      community's scalar gain, which that call repeats.  ``st``'s numpy
-      accumulators feed that call; on a graph with a long row each
-      remove and insert writes the slots it changed back into them.
-
-    Both branches add a row's weights in row order and evaluate the same
-    formula, so the result is bit-identical whichever branch a row takes;
-    and a kept dict holds exactly what a rebuild would sum, since no
-    neighbour's community changed since it was built.
+    when the pass ends (also when it raises).  A visit takes one of the
+    two branches, short row or long row, that the module docstring
+    states.
     """
     n = g.n
     order = np.arange(n)
@@ -590,21 +580,24 @@ def _quiet_prefix(g, st, order, spare, cols):
     return n
 
 
-def run(g0, cfg):
+def detect(g0, cfg):
     """Full hierarchical optimization of ``g0`` under ``cfg``.
 
-    The graph must already be pretreated when the criterion requires it
-    (see :func:`detect` for the turnkey version).  Levels are recorded
+    ``g0`` is pretreated first when the criterion needs it; a graph
+    already pretreated for it is kept as it is.  Levels are recorded
     until a pass moves nothing, the level's quality improvement drops
     to ``cfg.precision`` or below, or ``cfg.max_levels`` are recorded;
-    ``Hierarchy.stop_reason`` names which.  A level whose quality is NaN or
-    infinite raises :class:`LouvainError` (:meth:`CriterionState.total`).
+    ``Hierarchy.stop_reason`` names which.  A level whose quality is NaN
+    or infinite raises :class:`LouvainError`
+    (:meth:`CriterionState.total`).  Returns the :class:`Hierarchy`; its
+    first level holds the working level-0 graph, i.e. the pretreated one
+    for ``wc``/``pd``, and its ``elapsed`` covers the pretreatment too.
     """
+    t0 = time.perf_counter()
     crit = as_criterion(cfg.criterion, cfg.alpha)
     rng = np.random.default_rng(cfg.seed)
-    t0 = time.perf_counter()
     h = Hierarchy(config=cfg)
-    g = g0
+    g = crit.pretreat(g0)
     prev_q = None
     while True:
         st = crit.init(g)
@@ -628,16 +621,6 @@ def run(g0, cfg):
     h.kappa_final = int(h.flat.max()) + 1 if h.flat.size else 0
     h.elapsed = time.perf_counter() - t0
     return h
-
-
-def detect(g0, cfg):
-    """Pretreat (when the criterion needs it) and run.
-
-    Returns the :class:`Hierarchy`; its first level holds the working
-    level-0 graph, i.e. the pretreated one for ``wc``/``pd``.
-    """
-    crit = as_criterion(cfg.criterion, cfg.alpha)
-    return run(crit.pretreat(g0), cfg)
 
 
 def compose_flat(h):

@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import CRITERIA, as_criterion, make_criterion
+from .criteria import CRITERIA, as_criterion
 from .errors import LouvainError, TooLarge, WeightedInputNotSupported
 from .graph import SENTINEL
-from .louvain import RunConfig, run
+from .louvain import RunConfig, detect
 
 #: Bell numbers B(0)..B(10): number of set partitions of n elements.
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
@@ -133,10 +133,10 @@ class Attainment(NamedTuple):
 
 
 def attainment_table(graphs):
-    """Per criterion id, an :class:`Attainment` of ``run`` with the
-    default :class:`RunConfig` on each of the small level-0 ``graphs``,
-    pretreated here; a graph the criterion refuses as weighted is
-    skipped, and ``oz`` runs at alpha 0.3.
+    """Per criterion id, an :class:`Attainment` of :func:`detect` with
+    the default :class:`RunConfig` on each of the small level-0
+    ``graphs``, pretreated here; a graph the criterion refuses as
+    weighted is skipped, and ``oz`` runs at alpha 0.3.
 
     A run hits when its quality is within 1e-9 relative of the
     enumerated optimum; its gap is ``(optimum - quality) / |optimum|``
@@ -148,7 +148,7 @@ def attainment_table(graphs):
     table = {}
     for cid in CRITERIA:
         cfg = RunConfig(criterion=cid, alpha=0.3)  # only oz reads alpha
-        crit = make_criterion(cid, cfg.alpha)
+        crit = as_criterion(cid, cfg.alpha)
         runs = hits = local = 0
         max_gap = 0.0
         for g in graphs:
@@ -157,7 +157,7 @@ def attainment_table(graphs):
             except WeightedInputNotSupported:
                 continue
             _, best = exact_optimum(crit, g)
-            h = run(g, cfg)
+            h = detect(g, cfg)
             miss, tol = best - h.quality, 1e-9 * max(1.0, abs(best))
             if miss < -tol:
                 raise LouvainError(f"{cid}: run quality {h.quality!r} "

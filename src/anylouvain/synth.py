@@ -1,5 +1,6 @@
 """Random test-graph generators (Erdos-Renyi style and planted
-partitions).  All generators are deterministic given a seed."""
+partitions).  All generators are deterministic given a ``seed``, which
+may also be a numpy ``Generator`` to draw from."""
 
 from __future__ import annotations
 
@@ -8,26 +9,25 @@ import numpy as np
 from .graph import Graph, compact_labels
 
 
-def random_graph(n, p, *, weighted=False, w_max=5.0, loops=False,
-                 seed=None, rng=None):
+def random_graph(n, p, *, weighted=False, loops=False, seed=None):
     """Erdos-Renyi graph with edge probability ``p``.
 
-    Weights are 1, or uniform in ``(0, w_max]`` when ``weighted``; with
+    Weights are 1, or uniform in ``(0, 5]`` when ``weighted``; with
     ``loops`` each node gets a self-loop with probability ``p``.
     """
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
     iu, ju = iu[mask], ju[mask]
     if weighted:
-        ws = rng.uniform(0.0, w_max, iu.size)
-        ws[ws == 0.0] = w_max  # keep weights strictly positive
+        ws = rng.uniform(0.0, 5.0, iu.size)
+        ws[ws == 0.0] = 5.0  # keep weights strictly positive
     else:
         ws = np.ones(iu.size)
     if loops:
         li = np.flatnonzero(rng.random(n) < p)
         iu, ju = np.concatenate([iu, li]), np.concatenate([ju, li])
-        ws = np.concatenate([ws, rng.uniform(0.0, w_max, li.size)
+        ws = np.concatenate([ws, rng.uniform(0.0, 5.0, li.size)
                              if weighted else np.ones(li.size)])
     return Graph.from_arrays(n, iu, ju, ws)
 
@@ -47,10 +47,10 @@ def small_graphs(count, *, seed):
     return graphs
 
 
-def random_labels(n, *, max_kappa=None, seed=None, rng=None):
+def random_labels(n, *, max_kappa=None, seed=None):
     """Random partition of ``n`` nodes into at most ``max_kappa``
     communities, compacted to dense ids."""
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     if max_kappa is None:
         max_kappa = max(1, n // 2)
     labels = rng.integers(0, max_kappa, size=n)

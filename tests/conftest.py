@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anylouvain import Graph, make_criterion, synth
+from anylouvain import Graph, as_criterion, synth
 from anylouvain.graph import SENTINEL, Level0Constants
 
 # (id, alpha) pairs covering every shipped criterion.
@@ -24,7 +24,7 @@ CRITERION_IDS = [f"{cid}" if a is None else f"{cid}{a}"
 @pytest.fixture(params=ALL_CRITERIA, ids=CRITERION_IDS)
 def criterion(request):
     cid, alpha = request.param
-    return make_criterion(cid, alpha)
+    return as_criterion(cid, alpha)
 
 
 def triangle():

@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from anylouvain import (RunConfig, aggregate, datasets, delta_oracle,
-                        detect, exact_optimum, make_criterion,
-                        run, singleton_labels, synth)
+from anylouvain import (RunConfig, aggregate, as_criterion, datasets,
+                        delta_oracle, detect, exact_optimum,
+                        singleton_labels, synth)
 from anylouvain.criteria import LINEAR_CRITERIA
 from anylouvain.errors import NotPluggable, WeightedInputNotSupported
 
@@ -55,12 +55,12 @@ def test_evaluator_equivalence():
     """Accumulator total vs pairwise total on 200 random graphs each."""
     t0 = time.perf_counter()
     for cid, alpha in ALL:
-        crit = make_criterion(cid, alpha)
+        crit = as_criterion(cid, alpha)
         rng = np.random.default_rng(101)
         worst = 0.0
         for _ in range(200):
             g = crit.pretreat(_graph_for(crit, rng))
-            labels = synth.random_labels(g.n, rng=rng)
+            labels = synth.random_labels(g.n, seed=rng)
             t = crit.state_from_labels(g, labels).total()
             r = crit.relational(g, labels)
             worst = max(worst, _rel_err(t, r))
@@ -75,14 +75,14 @@ def test_gain_consistency():
     """1000 probe moves per criterion: quality change equals a fixed
     per-criterion multiple of the gain difference."""
     for cid, alpha in ALL:
-        crit = make_criterion(cid, alpha)
+        crit = as_criterion(cid, alpha)
         rng = np.random.default_rng(202)
         lam = None
         worst = 0.0
         probes = 0
         while probes < 1000:
             g = crit.pretreat(_graph_for(crit, rng, n_max=12))
-            labels = synth.random_labels(g.n, rng=rng)
+            labels = synth.random_labels(g.n, seed=rng)
             st = crit.state_from_labels(g, labels)
             for _ in range(min(40, 1000 - probes)):
                 i = int(rng.integers(g.n))
@@ -126,13 +126,13 @@ def test_oracle_bound():
     attains it (soft 60% target)."""
     graphs = _oracle_graphs()
     for cid, alpha in ALL:
-        crit = make_criterion(cid, alpha)
+        crit = as_criterion(cid, alpha)
         violations = 0
         attained = 0
         for g in graphs:
             gw = crit.pretreat(g)
             _, q_opt = exact_optimum(crit, gw)
-            h = run(gw, RunConfig(criterion=cid, alpha=alpha, seed=7))
+            h = detect(gw, RunConfig(criterion=cid, alpha=alpha, seed=7))
             tol = REL_TOL * max(1.0, abs(q_opt))
             if h.quality > q_opt + tol:
                 violations += 1
@@ -186,18 +186,18 @@ def test_monotonicity_and_termination():
     rng = np.random.default_rng(404)
     cases = []
     for cid, alpha in ALL:
-        crit = make_criterion(cid, alpha)
+        crit = as_criterion(cid, alpha)
         for _ in range(12):
             cases.append((cid, alpha, crit.pretreat(_graph_for(crit, rng))))
     karate, _ = datasets.karate_club()
     for cid, alpha in ALL:
-        crit = make_criterion(cid, alpha)
+        crit = as_criterion(cid, alpha)
         cases.append((cid, alpha, crit.pretreat(karate)))
     bad = 0
     for cid, alpha, g in cases:
         cfg = RunConfig(criterion=cid, alpha=alpha,
                         seed=int(rng.integers(1000)))
-        h = run(g, cfg)  # raises SweepCapExceeded on non-termination
+        h = detect(g, cfg)  # raises SweepCapExceeded on non-termination
         qs = [lv.quality for lv in h.levels]
         if not all(b >= a - REL_TOL * max(1.0, abs(a))
                    for a, b in zip(qs, qs[1:])):
@@ -211,12 +211,12 @@ def test_monotonicity_and_termination():
 def test_aggregation_invariance():
     """F(coarse graph, singletons) == F(original, partition)."""
     for cid, alpha in ALL:
-        crit = make_criterion(cid, alpha)
+        crit = as_criterion(cid, alpha)
         rng = np.random.default_rng(505)
         worst = 0.0
         for _ in range(100):
             g = crit.pretreat(_graph_for(crit, rng, n_max=40))
-            labels = synth.random_labels(g.n, rng=rng)
+            labels = synth.random_labels(g.n, seed=rng)
             f_orig = crit.state_from_labels(g, labels).total()
             meta = aggregate(g, labels)
             f_meta = crit.state_from_labels(
@@ -230,11 +230,11 @@ def test_negative_boundary():
     """Non-pluggable criteria and invalid inputs are turned away."""
     for cid in ("mg", "sm", "md"):
         with pytest.raises(NotPluggable) as err:
-            make_criterion(cid)
+            as_criterion(cid)
         _report(f"non-pluggable rejection [{cid}]",
                 "not pluggable" in str(err.value), str(err.value))
     from anylouvain import Graph
     weighted = Graph.from_edges(2, [(0, 1, 2.0)])
     with pytest.raises(WeightedInputNotSupported):
-        make_criterion("wc").pretreat(weighted)
+        as_criterion("wc").pretreat(weighted)
     _report("wc weighted-input rejection", True)

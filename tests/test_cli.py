@@ -126,7 +126,7 @@ def test_invalid_criterion_rejected_before_io(tmp_path, capsys):
 
 
 def test_criterion_is_named_by_its_id(karate_file, tmp_path, capsys):
-    # make_criterion lowercases what it is given; the summary, the stderr
+    # as_criterion lowercases what it is given; the summary, the stderr
     # block and bench's rows name the criterion by its id.
     summ = tmp_path / "s.json"
     assert main(["detect", karate_file, "--criterion", "NG", "--output",

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from anylouvain import (aggregate, compact_labels, Criterion, datasets,
-                        delta_oracle, detect, Graph, make_criterion,
-                        RunConfig)
+from anylouvain import (aggregate, as_criterion, compact_labels, Criterion,
+                        datasets, delta_oracle, detect, Graph, RunConfig)
 from anylouvain.errors import LouvainError, ZeroEdgeMass
 
 from conftest import ALL_CRITERIA, neighbor_community_weights
@@ -53,7 +52,7 @@ def setup(data, cid):
     if cid == "oz":
         alpha = data.draw(st.floats(0, 1, exclude_min=True, exclude_max=True),
                           label="alpha")
-    crit = make_criterion(cid, alpha)
+    crit = as_criterion(cid, alpha)
     g = crit.pretreat(data.draw(graphs(not crit.weighted_ok), label="graph"))
     try:
         crit.check(g)
@@ -171,7 +170,7 @@ class PluggedUniformity(Criterion):
 
 def test_plugged_criterion_reproduces_du():
     expected = json.loads(FIXTURE.read_text())
-    plugged, du = PluggedUniformity(), make_criterion("du")
+    plugged, du = PluggedUniformity(), as_criterion("du")
     for name, g in golden_graphs().items():
         for seed, want in zip(SEEDS, expected[f"{name}/du"]):
             got = record(g, plugged, None, seed)

@@ -4,8 +4,8 @@ evaluator, checked against hand values and the brute-force oracle."""
 import numpy as np
 import pytest
 
-from anylouvain import (Graph, RunConfig, aggregate, compact_labels, datasets,
-                        delta_oracle, detect, make_criterion,
+from anylouvain import (Graph, RunConfig, aggregate, as_criterion,
+                        compact_labels, datasets, delta_oracle, detect,
                         relational_total, singleton_labels, synth)
 from anylouvain.errors import (LouvainError, NodeAlreadyPlaced,
                                NodeNotInCommunity, NotPluggable,
@@ -21,7 +21,7 @@ from conftest import (compatible_graph, neighbor_community_weights,
 
 def test_init_karate_ng():
     g, _ = datasets.karate_club()
-    st = make_criterion("ng").init(g)
+    st = as_criterion("ng").init(g)
     assert st.tot.sum() == pytest.approx(156.0)
     assert np.all(st.in_w == 0.0)
     assert st.kappa == 34
@@ -29,7 +29,7 @@ def test_init_karate_ng():
 
 def test_init_single_node_with_loop():
     g = Graph.from_edges(1, [(0, 0, 3.0)])
-    st = make_criterion("zc").init(g)
+    st = as_criterion("zc").init(g)
     assert st.in_w[0] == pytest.approx(3.0)
     assert st.sz[0] == 1
 
@@ -41,7 +41,7 @@ def test_init_equals_state_from_singletons(criterion):
     graphs = []
     for _ in range(12):
         g = criterion.pretreat(compatible_graph(criterion, rng))
-        labels = synth.random_labels(g.n, rng=rng)
+        labels = synth.random_labels(g.n, seed=rng)
         graphs += [g, aggregate(g, *compact_labels(labels))]
     assert any(g.loop.any() for g in graphs[0::2])
     for g in graphs:
@@ -54,13 +54,13 @@ def test_init_equals_state_from_singletons(criterion):
 
 
 def test_pd_pretreat_triangle():
-    g = make_criterion("pd").pretreat(triangle())
+    g = as_criterion("pd").pretreat(triangle())
     assert np.allclose(g.wgt, 0.5)
     assert g.consts.extra["sq_sum"] == pytest.approx(1.5)
 
 
 def test_wc_pretreat_triangle_adds_loops():
-    g = make_criterion("wc").pretreat(triangle())
+    g = as_criterion("wc").pretreat(triangle())
     assert np.allclose(g.wgt, 1.0 / 3.0)
     assert np.allclose(g.loop, 1.0 / 3.0)  # unit loop over degree 3
     assert np.allclose(g.aux, g.loop)
@@ -69,8 +69,8 @@ def test_wc_pretreat_triangle_adds_loops():
 @pytest.mark.parametrize("cid", ["wc", "pd"])
 def test_detect_on_pretreated_graph_repeats_run(cid):
     g, _ = datasets.karate_club()
-    gw = make_criterion(cid).pretreat(g)
-    assert make_criterion(cid).pretreat(gw) is gw
+    gw = as_criterion(cid).pretreat(g)
+    assert as_criterion(cid).pretreat(gw) is gw
     cfg = RunConfig(criterion=cid, seed=1)
     a, b = detect(g, cfg), detect(gw, cfg)
     assert np.array_equal(a.flat, b.flat)
@@ -79,33 +79,33 @@ def test_detect_on_pretreated_graph_repeats_run(cid):
 
 def test_ng_pretreat_is_identity():
     g = triangle()
-    assert make_criterion("ng").pretreat(g) is g
+    assert as_criterion("ng").pretreat(g) is g
 
 
 def test_zero_edge_mass_rejected():
     g = Graph.from_edges(3, [])
     for cid in ("ng", "bm", "di", "du"):
         with pytest.raises(ZeroEdgeMass):
-            make_criterion(cid).init(g)
+            as_criterion(cid).init(g)
     # no division by edge mass in these:
-    make_criterion("zc").init(g)
-    make_criterion("g").init(g)
+    as_criterion("zc").init(g)
+    as_criterion("g").init(g)
 
 
 def test_pd_rejects_isolated_nodes():
     g = Graph.from_edges(3, [(0, 1, 1)])
     with pytest.raises(ZeroDegreeNode):
-        make_criterion("pd").pretreat(g)
+        as_criterion("pd").pretreat(g)
 
 
 @pytest.mark.parametrize("cid", ["wc", "pd"])
 def test_pd_requires_pretreat(cid):
-    crit = make_criterion(cid)
+    crit = as_criterion(cid)
     with pytest.raises(LouvainError, match=f"^{cid}: graph must be "
                        r"transformed with pretreat\(\) first$"):
         crit.init(triangle())
     with pytest.raises(LouvainError, match="pretreat"):
-        crit.init(make_criterion("pd" if cid == "wc" else "wc")
+        crit.init(as_criterion("pd" if cid == "wc" else "wc")
                   .pretreat(triangle()))
     gw = crit.pretreat(triangle())
     assert crit.pretreat(gw) is gw
@@ -115,27 +115,27 @@ def test_pd_requires_pretreat(cid):
 def test_wc_rejects_weighted_input():
     g = Graph.from_edges(2, [(0, 1, 2.0)])
     with pytest.raises(WeightedInputNotSupported):
-        make_criterion("wc").pretreat(g)
+        as_criterion("wc").pretreat(g)
 
 
 def test_not_pluggable_ids():
     for cid in ("mg", "sm", "md"):
         with pytest.raises(NotPluggable):
-            make_criterion(cid)
+            as_criterion(cid)
 
 
 def test_oz_alpha_validated():
     with pytest.raises(LouvainError):
-        make_criterion("oz")
+        as_criterion("oz")
     with pytest.raises(LouvainError):
-        make_criterion("oz", alpha=1.0)
-    make_criterion("oz", alpha=0.25)
+        as_criterion("oz", alpha=1.0)
+    as_criterion("oz", alpha=0.25)
 
 
 # -- remove / insert ----------------------------------------------------
 
 def test_remove_sole_member_empties_community():
-    st = make_criterion("zc").init(triangle())
+    st = as_criterion("zc").init(triangle())
     st.remove(0, 0, 0.0)
     assert st.in_w[0] == 0.0
     assert st.sz[0] == 0
@@ -143,14 +143,14 @@ def test_remove_sole_member_empties_community():
 
 def test_zc_remove_drops_ordered_pair_mass():
     g = Graph.from_edges(2, [(0, 1, 2.0)])
-    st = make_criterion("zc").state_from_labels(g, np.array([0, 0]))
+    st = as_criterion("zc").state_from_labels(g, np.array([0, 0]))
     assert st.in_w[0] == pytest.approx(4.0)
     st.remove(0, 0, 2.0)
     assert st.in_w[0] == pytest.approx(0.0)
 
 
 def test_pd_kappa_tracking():
-    crit = make_criterion("pd")
+    crit = as_criterion("pd")
     g = crit.pretreat(triangle())
     st = crit.init(g)
     assert st.kappa == 3
@@ -162,7 +162,7 @@ def test_pd_kappa_tracking():
 
 
 def test_remove_insert_errors():
-    st = make_criterion("ng").init(triangle())
+    st = as_criterion("ng").init(triangle())
     with pytest.raises(NodeNotInCommunity):
         st.remove(0, 1, 0.0)
     st.remove(0, 0, 0.0)
@@ -175,7 +175,7 @@ def test_remove_insert_errors():
 
 def test_insert_empty_community():
     g = Graph.from_edges(2, [(0, 0, 1.5), (0, 1, 1.0)])
-    st = make_criterion("zc").init(g)
+    st = as_criterion("zc").init(g)
     st.remove(0, 0, 0.0)
     st.insert(0, 2, 0.0)
     assert st.in_w[2] == pytest.approx(1.5)
@@ -186,7 +186,7 @@ def test_ng_insert_updates_tot():
     g = Graph.from_edges(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1),
                              (1, 2, 1), (1, 3, 1), (1, 4, 1),
                              (2, 3, 1), (2, 4, 1), (3, 4, 1)])
-    st = make_criterion("ng").state_from_labels(g, np.array([0, 1, 1, 1, 2]))
+    st = as_criterion("ng").state_from_labels(g, np.array([0, 1, 1, 1, 2]))
     assert g.degrees[0] == 4.0
     assert st.tot[1] == pytest.approx(12.0)
     st.remove(4, 2, 0.0)
@@ -198,7 +198,7 @@ def test_remove_insert_inverse(criterion):
     rng = np.random.default_rng(17)
     for _ in range(20):
         g = criterion.pretreat(compatible_graph(criterion, rng))
-        labels = synth.random_labels(g.n, rng=rng)
+        labels = synth.random_labels(g.n, seed=rng)
         st = criterion.state_from_labels(g, labels)
         before = (st.in_w.copy(), st.tot.copy(), st.sz.copy(),
                   st.aux.copy(), st.kappa)
@@ -216,7 +216,7 @@ def test_remove_insert_inverse(criterion):
 def test_accumulators_match_rebuild_after_moves(criterion):
     rng = np.random.default_rng(23)
     g = criterion.pretreat(compatible_graph(criterion, rng))
-    labels = synth.random_labels(g.n, rng=rng)
+    labels = synth.random_labels(g.n, seed=rng)
     st = criterion.state_from_labels(g, labels)
     for _ in range(30):  # random legal moves
         i = int(rng.integers(g.n))
@@ -238,7 +238,7 @@ def test_accumulators_match_rebuild_after_moves(criterion):
 # -- gain ---------------------------------------------------------------
 
 def test_ng_gain_empty_target_zero():
-    st = make_criterion("ng").init(triangle())
+    st = as_criterion("ng").init(triangle())
     st.remove(0, 0, 0.0)
     assert st.gain(0, 3, 0.0) == pytest.approx(0.0)
 
@@ -246,7 +246,7 @@ def test_ng_gain_empty_target_zero():
 def test_pd_gain_empty_community_penalty():
     # transformed loop 1, size 1: gain into an empty slot is 1 - 1/2
     g = Graph.from_edges(1, [(0, 0, 1.0)])
-    crit = make_criterion("pd")
+    crit = as_criterion("pd")
     gt = crit.pretreat(g)
     assert gt.loop[0] == pytest.approx(1.0)
     st = crit.init(gt)
@@ -256,7 +256,7 @@ def test_pd_gain_empty_community_penalty():
 
 def test_zc_gain_prefers_merge_on_unit_edge():
     g = Graph.from_edges(2, [(0, 1, 1.0)])
-    st = make_criterion("zc").init(g)
+    st = as_criterion("zc").init(g)
     st.remove(0, 0, 0.0)
     assert st.gain(0, 1, 1.0) == pytest.approx(1.0)
     assert st.gain(0, 0, 0.0) == pytest.approx(0.0)
@@ -265,7 +265,7 @@ def test_zc_gain_prefers_merge_on_unit_edge():
 
 
 def test_gain_unknown_community():
-    st = make_criterion("ng").init(triangle())
+    st = as_criterion("ng").init(triangle())
     st.remove(0, 0, 0.0)
     with pytest.raises(UnknownCommunity):
         st.gain(0, 99, 0.0)
@@ -277,7 +277,7 @@ def test_gain_matches_delta_oracle(criterion):
     lam = criterion.gain_scale
     for _ in range(60):
         g = criterion.pretreat(compatible_graph(criterion, rng, n_max=10))
-        labels = synth.random_labels(g.n, rng=rng)
+        labels = synth.random_labels(g.n, seed=rng)
         i = int(rng.integers(g.n))
         c_old = int(labels[i])
         c_new = int(rng.integers(labels.max() + 2))
@@ -298,12 +298,12 @@ def test_meta_level_gain_matches_flat_delta(criterion):
     lam = criterion.gain_scale
     for _ in range(25):
         g = criterion.pretreat(compatible_graph(criterion, rng, n_max=18))
-        labels = synth.random_labels(g.n, rng=rng)
+        labels = synth.random_labels(g.n, seed=rng)
         kappa = int(labels.max()) + 1
         if kappa < 2:
             continue
         meta = aggregate(g, labels, kappa)
-        mlabels = synth.random_labels(kappa, rng=rng)
+        mlabels = synth.random_labels(kappa, seed=rng)
         st = criterion.state_from_labels(meta, mlabels)
         i = int(rng.integers(kappa))
         c_old = int(mlabels[i])
@@ -324,20 +324,20 @@ def test_meta_level_gain_matches_flat_delta(criterion):
 
 def test_ng_total_one_community_zero():
     g = synth.random_graph(8, 0.6, weighted=True, seed=5)
-    st = make_criterion("ng").state_from_labels(g, np.zeros(8, dtype=int))
+    st = as_criterion("ng").state_from_labels(g, np.zeros(8, dtype=int))
     assert st.total() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_du_total_one_community_zero():
     g = synth.random_graph(8, 0.6, seed=6)
-    st = make_criterion("du").state_from_labels(g, np.zeros(8, dtype=int))
+    st = as_criterion("du").state_from_labels(g, np.zeros(8, dtype=int))
     assert st.total() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zc_total_all_singletons():
     g, _ = datasets.karate_club()
     n, m = 34, 78
-    st = make_criterion("zc").state_from_labels(g, singleton_labels(n))
+    st = as_criterion("zc").state_from_labels(g, singleton_labels(n))
     assert st.total() == pytest.approx(n * n - n - 2 * m)
     assert relational_total("zc", g, singleton_labels(n)) == pytest.approx(
         n * n - n - 2 * m)
@@ -347,7 +347,7 @@ def test_total_matches_relational(criterion):
     rng = np.random.default_rng(41)
     for _ in range(40):
         g = criterion.pretreat(compatible_graph(criterion, rng, n_max=50))
-        labels = synth.random_labels(g.n, rng=rng)
+        labels = synth.random_labels(g.n, seed=rng)
         t = criterion.state_from_labels(g, labels).total()
         r = criterion.relational(g, labels)
         assert t == pytest.approx(r, rel=1e-9, abs=1e-9)
@@ -365,7 +365,7 @@ def test_relational_requires_level0(criterion):
     rng = np.random.default_rng(47)
     g = criterion.pretreat(compatible_graph(criterion, rng))
     from anylouvain import aggregate
-    meta = aggregate(g, synth.random_labels(g.n, rng=rng))
+    meta = aggregate(g, synth.random_labels(g.n, seed=rng))
     if meta.n < g.n:  # folded nodes exist
         with pytest.raises(ValueError):
             criterion.relational(meta, singleton_labels(meta.n))
@@ -383,7 +383,7 @@ def test_relational_requires_level0(criterion):
 def test_relational_rejects_bad_label_arrays(shape, fill):
     g = two_triangles()
     with pytest.raises(ValueError):
-        make_criterion("ng").relational(g, np.full(shape, fill))
+        as_criterion("ng").relational(g, np.full(shape, fill))
 
 
 @pytest.mark.parametrize("labels", [[0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1],
@@ -391,7 +391,7 @@ def test_relational_rejects_bad_label_arrays(shape, fill):
                          ids=["short", "long", "negative"])
 @pytest.mark.parametrize("path", ["state_from_labels", "relational"])
 def test_labels_rule_shared_by_both_paths(path, labels):
-    crit = make_criterion("ng")
+    crit = as_criterion("ng")
     with pytest.raises(ValueError,
                        match="^labels must assign every node a community$"):
         getattr(crit, path)(two_triangles(), labels)
@@ -401,7 +401,7 @@ def test_relational_label_dtype_does_not_change_values(criterion):
     # Signed integers are compared in their own dtype, the rest as int64.
     rng = np.random.default_rng(71)
     g = criterion.pretreat(compatible_graph(criterion, rng, n_max=8))
-    labels = np.stack([synth.random_labels(g.n, rng=rng) for _ in range(5)])
+    labels = np.stack([synth.random_labels(g.n, seed=rng) for _ in range(5)])
     want = criterion.relational(g, labels.astype(np.int64))
     for dtype in (np.int8, np.int16, np.uint8, np.float64):
         got = criterion.relational(g, labels.astype(dtype))
@@ -415,32 +415,32 @@ def test_relational_label_dtype_does_not_change_values(criterion):
                                  np.array([0, 0, 0, 1, 1, -1.0])])
 def test_relational_rejects_negative_ids_in_any_dtype(bad):
     with pytest.raises(ValueError):
-        make_criterion("ng").relational(two_triangles(), bad)
+        as_criterion("ng").relational(two_triangles(), bad)
 
 
 def test_relational_batch_returns_one_value_per_row():
     g = two_triangles()
     batch = np.array([[0, 0, 0, 1, 1, 1], [0, 1, 2, 3, 4, 5]])
-    q = make_criterion("ng").relational(g, batch)
+    q = as_criterion("ng").relational(g, batch)
     assert q.shape == (2,)
-    assert q[0] == make_criterion("ng").relational(g, batch[0])
-    assert isinstance(make_criterion("ng").relational(g, batch[1]), float)
+    assert q[0] == as_criterion("ng").relational(g, batch[0])
+    assert isinstance(as_criterion("ng").relational(g, batch[1]), float)
 
 
 def test_oz_half_alpha_is_half_zc():
     rng = np.random.default_rng(53)
     for _ in range(10):
-        g = synth.random_graph(15, 0.4, weighted=True, rng=rng)
+        g = synth.random_graph(15, 0.4, weighted=True, seed=rng)
         if g.consts.two_m == 0:
             continue
-        labels = synth.random_labels(15, rng=rng)
+        labels = synth.random_labels(15, seed=rng)
         assert relational_total("oz", g, labels, alpha=0.5) == pytest.approx(
             0.5 * relational_total("zc", g, labels), rel=1e-12)
 
 
 def test_unknown_criterion_id():
     with pytest.raises(LouvainError):
-        make_criterion("nope")
+        as_criterion("nope")
 
 
 def test_relational_over_many_blocks_matches_one_dense_block(criterion,
@@ -451,7 +451,7 @@ def test_relational_over_many_blocks_matches_one_dense_block(criterion,
     g = synth.random_graph(700, 0.02, weighted=criterion.weighted_ok,
                            loops=criterion.id != "wc", seed=17)
     g = criterion.pretreat(g)
-    labels = np.stack([synth.random_labels(g.n, max_kappa=k, rng=rng)
+    labels = np.stack([synth.random_labels(g.n, max_kappa=k, seed=rng)
                        for k in (3, 30, 700)])
     assert len(list(criteria._blocks(g, labels))) == 4
     got = criterion.relational(g, labels)
@@ -469,7 +469,7 @@ def test_relational_memory_is_flat_in_n(cid):
     # Row blocks hold a fixed number of cells, so the working memory
     # stays the same as the node count doubles (256-row blocks doubled
     # it, 8 MB per temporary at 4000 nodes).
-    crit = make_criterion(cid)
+    crit = as_criterion(cid)
     peaks = []
     for n in (2000, 4000):
         ring = np.arange(n)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from anylouvain import (Graph, RunConfig, aggregate, compact_labels,
-                        datasets, detect, make_criterion, singleton_labels)
+from anylouvain import (Graph, RunConfig, aggregate, as_criterion,
+                        compact_labels, datasets, detect, singleton_labels)
 from anylouvain.errors import LouvainError, NegativeWeight
 from anylouvain import graph, synth
 
@@ -46,6 +46,9 @@ def test_duplicate_edges_merge():
     nbrs, ws = neighbors(g, 0)
     assert list(nbrs) == [1]
     assert list(ws) == [5.0]
+    # Whole float ids name the same nodes.
+    assert_same_graph(Graph.from_edges(2, [(0.0, 1.0, 2.0), (1.0, 0, 3.0)]),
+                      g)
 
 
 def test_duplicate_edges_add_in_input_order():
@@ -248,32 +251,43 @@ def test_aggregate_of_unweighted_graph_matches_reference(shape):
         assert (name, a.dtype, a.tobytes()) == (name, b.dtype, b.tobytes())
 
 
-# Each bad input with the error that names its first offending edge.
+# Each bad input, (n, src, dst, w), with the error that names its first
+# offending edge.
 BAD_ARRAYS = {
-    "negative-id": ((0, -1, 5), (1, 2, 1), (1.0, 1.0, 1.0),
+    "negative-id": (3, (0, -1, 5), (1, 2, 1), (1.0, 1.0, 1.0),
                     LouvainError, "edge (-1, 2) names a node outside 0..2"),
-    "id-equals-n": ((0, 1, 2), (1, 3, 4), (1.0, 1.0, 1.0),
+    "id-equals-n": (3, (0, 1, 2), (1, 3, 4), (1.0, 1.0, 1.0),
                     LouvainError, "edge (1, 3) names a node outside 0..2"),
-    "negative-before-nan": ((0, 1, 2), (1, 2, 0), (1.0, -2.0, np.nan),
+    "fractional-id": (3, (0.5,), (1.7,), (1.0,), LouvainError,
+                      "edge (0.5, 1.7) names a node outside 0..2"),
+    "nan-id": (3, (0.0, np.nan), (1.0, 2.0), (1.0, 1.0), LouvainError,
+               "edge (nan, 2.0) names a node outside 0..2"),
+    "negative-n": (-1, (), (), (), LouvainError,
+                   "node count must be non-negative, got -1"),
+    "unequal-lengths": (3, (0, 1), (1,), (1.0, 1.0), LouvainError,
+                        "src, dst and w must be 1-D arrays of one length"),
+    "2-D-weights": (3, (0, 1), (1, 2), ((1.0, 1.0),), LouvainError,
+                    "src, dst and w must be 1-D arrays of one length"),
+    "negative-before-nan": (3, (0, 1, 2), (1, 2, 0), (1.0, -2.0, np.nan),
                             NegativeWeight, "edge (1, 2) has weight -2.0"),
-    "nan-before-negative": ((0, 1, 2), (1, 2, 0), (np.nan, 1.0, -0.5),
+    "nan-before-negative": (3, (0, 1, 2), (1, 2, 0), (np.nan, 1.0, -0.5),
                             NegativeWeight, "edge (2, 0) has weight -0.5"),
-    "nan": ((0, 1), (1, 2), (1.0, np.nan),
+    "nan": (3, (0, 1), (1, 2), (1.0, np.nan),
             LouvainError, "edge weights must be finite"),
-    "inf": ((0, 1), (1, 2), (np.inf, 1.0),
+    "inf": (3, (0, 1), (1, 2), (np.inf, 1.0),
             LouvainError, "edge weights must be finite"),
-    "-inf": ((0, 1), (1, 2), (1.0, -np.inf),
+    "-inf": (3, (0, 1), (1, 2), (1.0, -np.inf),
              NegativeWeight, "edge (1, 2) has weight -inf"),
-    "id-before-weight": ((0, 3), (1, 1), (-1.0, 1.0),
+    "id-before-weight": (3, (0, 3), (1, 1), (-1.0, 1.0),
                          LouvainError, "edge (3, 1) names a node outside"),
 }
 
 
 @pytest.mark.parametrize("name", BAD_ARRAYS)
 def test_from_arrays_names_first_bad_edge(name):
-    src, dst, w, error, message = BAD_ARRAYS[name]
+    n, src, dst, w, error, message = BAD_ARRAYS[name]
     with pytest.raises(error) as err:
-        Graph.from_arrays(3, src, dst, w)
+        Graph.from_arrays(n, src, dst, w)
     assert type(err.value) is error
     assert str(err.value).startswith(message)
 
@@ -292,7 +306,7 @@ def test_from_arrays_leaves_read_only_weights_alone():
 
 
 def _pretreated(cid, edges):
-    return lambda: make_criterion(cid).pretreat(
+    return lambda: as_criterion(cid).pretreat(
         Graph.from_edges(1 + max(max(e[:2]) for e in edges), edges))
 
 
@@ -359,7 +373,10 @@ def test_loop_overflow_builds_and_fails_as_overflow():
 
 
 @pytest.mark.parametrize("edges", [[(0, 2, 1.0)], [(2, 1, 1.0)],
-                                   [(0, -1, 1.0)], [(-1, -1, 1.0)]])
+                                   [(0, -1, 1.0)], [(-1, -1, 1.0)],
+                                   [(0.5, 1, 1.0)], [(0, 1.5, 1.0)],
+                                   [(np.nan, 1, 1.0)], [(0, np.inf, 1.0)],
+                                   [(1e300, 0, 1.0)]])
 def test_node_id_out_of_range_rejected(edges):
     with pytest.raises(LouvainError, match="outside 0..1"):
         Graph.from_edges(2, edges)
@@ -367,7 +384,7 @@ def test_node_id_out_of_range_rejected(edges):
 
 def test_adjacency_symmetric():
     rng = np.random.default_rng(0)
-    g = synth.random_graph(25, 0.3, weighted=True, loops=True, rng=rng)
+    g = synth.random_graph(25, 0.3, weighted=True, loops=True, seed=rng)
     dense = g.dense()
     assert dense.tobytes() == dense.T.tobytes()
     # Duplicate lines of each pair, given either way round.
@@ -435,8 +452,8 @@ def test_aggregate_conserves_mass():
     rng = np.random.default_rng(4)
     for _ in range(25):
         n = int(rng.integers(2, 40))
-        g = synth.random_graph(n, 0.3, weighted=True, loops=True, rng=rng)
-        labels = synth.random_labels(n, rng=rng)
+        g = synth.random_graph(n, 0.3, weighted=True, loops=True, seed=rng)
+        labels = synth.random_labels(n, seed=rng)
         meta = aggregate(g, labels)
         assert meta.degrees.sum() == pytest.approx(g.consts.two_m)
         assert meta.size.sum() == g.consts.n0
@@ -553,7 +570,7 @@ def test_broadcast_weights_run_as_ones(cid, alpha):
     # Counting in place of summing ones changes no bit: detect (long and
     # short rows, every level's aggregate), state_from_labels, relational
     # and dense agree between a broadcast and an array of ones.
-    crit = make_criterion(cid, alpha)
+    crit = as_criterion(cid, alpha)
     for n, p in ((150, 0.6), (300, 0.03)):
         unit = synth.random_graph(n, p, loops=cid != "wc", seed=n)
         assert unit.unit_weights

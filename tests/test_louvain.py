@@ -7,9 +7,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from anylouvain import (Graph, LouvainError, RunConfig, compose_flat,
-                        datasets, detect, exact_optimum, make_criterion,
-                        one_pass, relational_total, run, synth)
+from anylouvain import (Graph, LouvainError, RunConfig, as_criterion,
+                        compose_flat, datasets, detect, exact_optimum,
+                        one_pass, relational_total, synth)
 from anylouvain import louvain
 from anylouvain.oracle import improving_move
 
@@ -23,13 +23,18 @@ def test_config_validation():
         RunConfig(precision=0.0)
     with pytest.raises(ValueError):
         RunConfig(precision=-1e-6)
+    cfg = RunConfig(seed=np.int64(3), max_levels=np.int32(2))
+    assert (cfg.seed, cfg.max_levels) == (3, 2)
+    assert json.loads(detect(datasets.karate_club()[0], cfg).to_json())[
+        "seed"] == 3
 
 
 @pytest.mark.parametrize("kwargs", [
     {"precision": 0.0}, {"precision": float("nan")},
     {"precision": float("inf")},
     {"max_levels": 0}, {"max_levels": -1},
-    {"seed": -1}, {"alpha": float("nan")}, {"alpha": float("inf")}])
+    {"seed": -1}, {"seed": 1.5}, {"max_levels": 1.5},
+    {"alpha": float("nan")}, {"alpha": float("inf")}])
 def test_config_errors_are_louvain_errors(kwargs):
     with pytest.raises(LouvainError):
         RunConfig(**kwargs)
@@ -37,7 +42,7 @@ def test_config_errors_are_louvain_errors(kwargs):
 
 def test_edgeless_graph_stays_singleton():
     g = Graph.from_edges(5, [])
-    crit = make_criterion("zc")
+    crit = as_criterion("zc")
     cfg = RunConfig(criterion="zc")
     res = one_pass(g, cfg, crit.init(g))
     assert res.moves == 0
@@ -47,7 +52,7 @@ def test_edgeless_graph_stays_singleton():
 def test_two_triangles_one_pass_finds_both():
     g = two_triangles()
     cfg = RunConfig(criterion="ng", seed=2)
-    crit = make_criterion("ng")
+    crit = as_criterion("ng")
     res = one_pass(g, cfg, crit.init(g))
     labels = res.labels
     assert len(np.unique(labels)) == 2
@@ -57,7 +62,7 @@ def test_two_triangles_one_pass_finds_both():
 
 def test_single_node_graph():
     g = Graph.from_edges(1, [(0, 0, 2.0)])
-    h = run(g, RunConfig(criterion="zc"))
+    h = detect(g, RunConfig(criterion="zc"))
     assert len(h.levels) == 1
     assert h.kappa_final == 1
     assert h.quality == pytest.approx(
@@ -120,7 +125,7 @@ def test_flat_matches_final_quality(criterion):
         cfg = RunConfig(criterion=criterion.id,
                         alpha=getattr(criterion, "alpha", None),
                         seed=int(rng.integers(100)))
-        h = run(g, cfg)
+        h = detect(g, cfg)
         r = criterion.relational(g, h.flat)
         assert r == pytest.approx(h.quality, rel=1e-9, abs=1e-9)
 
@@ -132,7 +137,7 @@ def test_never_beats_exact_optimum(criterion):
         cfg = RunConfig(criterion=criterion.id,
                         alpha=getattr(criterion, "alpha", None),
                         seed=int(rng.integers(100)))
-        h = run(g, cfg)
+        h = detect(g, cfg)
         _, q_opt = exact_optimum(criterion, g)
         assert h.quality <= q_opt + 1e-9 * max(1.0, abs(q_opt))
 
@@ -354,7 +359,7 @@ def test_check_of_a_suffix_matches_a_fresh_order(monkeypatch):
         labels = truth.copy()
         wrong = order[[40, 150, 151, 420, 530]]
         labels[wrong] = (labels[wrong] + 1) % 4
-        st = make_criterion("ng").state_from_labels(g, labels)
+        st = as_criterion("ng").state_from_labels(g, labels)
         spare = int(np.flatnonzero(st.sz == 0)[0])
         quiet = [_check(g, st, order[j:j + 1], spare) == 1
                  for j in range(g.n)] + [False]
@@ -378,7 +383,7 @@ def test_check_blocks_stay_within_the_cell_budget(monkeypatch):
     monkeypatch.setattr(louvain, "_CELLS", 2000)
     for w in (1.0, 0.5):
         g, truth = _planted600(w)
-        st = make_criterion("ng").state_from_labels(g, truth)
+        st = as_criterion("ng").state_from_labels(g, truth)
         cols, order = louvain._Columns(st), np.arange(g.n)
         prefix, peak, _ = traced_peak(
             lambda: louvain._quiet_prefix(g, st, order, g.n, cols))
@@ -398,7 +403,7 @@ def test_columns_follow_moves():
     a, b = order[[50, 200]]
     labels = truth.copy()
     labels[b] = 4
-    crit = make_criterion("ng")
+    crit = as_criterion("ng")
     cols = louvain._Columns(crit.state_from_labels(g, labels))
     assert cols.table.shape == (g.n, 5)
     node, table = cols.node.copy(), cols.table.copy()
@@ -445,13 +450,13 @@ def test_columns_are_rebuilt_after_a_move_opens_a_community(monkeypatch):
 
     monkeypatch.setattr(louvain, "_quiet_prefix", counted)
     monkeypatch.setattr(louvain, "_Columns", Built)
-    got, want, res = _against_reference(g, make_criterion("zc"), labels)
+    got, want, res = _against_reference(g, as_criterion("zc"), labels)
     assert got == want and res.sweeps == 3 and res.sweep_moves[1] > 0
     assert starts[0] and sum(starts) == 2
     assert builds == [12, 9]
     builds.clear()
     labels = np.random.default_rng(0).integers(0, 3, g.n)
-    got, want, res = _against_reference(g, make_criterion("g"), labels)
+    got, want, res = _against_reference(g, as_criterion("g"), labels)
     assert got == want and builds == [3, 4, 5, 6]
 
 
@@ -462,7 +467,7 @@ def test_table_build_holds_no_edge_sized_array(monkeypatch):
     # adjacency entries (~0.9 MB when unchunked).
     monkeypatch.setattr(louvain, "_CHUNK", 2048)
     g, truth = _planted600()
-    st = make_criterion("ng").state_from_labels(g, truth)
+    st = as_criterion("ng").state_from_labels(g, truth)
     cols, peak, held = traced_peak(lambda: louvain._Columns(st))
     _assert_columns_follow(g, cols, truth)
     assert held >= cols.table.nbytes
@@ -487,7 +492,7 @@ def test_check_refuses_an_inexact_round_trip(monkeypatch, weights):
     # the prefix ends there.  The cliques' rows are short, so a pass
     # checks only at LONG_ROW 0.
     g, labels = _two_cliques(weights)
-    crit = make_criterion("ng")
+    crit = as_criterion("ng")
     st = crit.state_from_labels(g, labels)
     tot, d = st.tot[labels], g.degrees
     exact = ((tot - d) + d == tot).tolist() + [False]
@@ -506,7 +511,7 @@ def test_check_refuses_non_finite_gains(monkeypatch):
     monkeypatch.setattr(louvain, "LONG_ROW", 0)
     w = 2.0 ** 1020
     g = Graph.from_edges(4, [(0, 1, w), (1, 2, w), (2, 3, w)])
-    crit = make_criterion("bm")
+    crit = as_criterion("bm")
     labels = np.zeros(4, dtype=np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -536,7 +541,7 @@ def test_recheck_visits_only_the_movers():
     # again and that sweep visits little more than its movers.
     g, _ = _planted600()
     assert np.diff(g.indptr).min() > louvain.LONG_ROW
-    got, want, res = _against_reference(g, make_criterion("ng"), None, 1)
+    got, want, res = _against_reference(g, as_criterion("ng"), None, 1)
     assert got == want and res.sweeps >= 3 and res.sweep_moves[1] > 0
     assert res.sweep_visits[1] < g.n // 4
 
@@ -559,7 +564,7 @@ def test_dense_movers_skip_the_recheck(monkeypatch):
         return check(g, st, order, spare, cols)
 
     monkeypatch.setattr(louvain, "_quiet_prefix", counted)
-    got, want, res = _against_reference(g, make_criterion("ng"), labels, 1)
+    got, want, res = _against_reference(g, as_criterion("ng"), labels, 1)
     assert got == want and len(starts) == res.sweeps
     assert max(starts) <= g.n // louvain._GAP < res.sweep_moves[0]
     assert sum(starts) > 0

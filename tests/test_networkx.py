@@ -9,7 +9,7 @@ it twice in the degree (and so in ``2m`` and in the internal mass).
 import numpy as np
 import pytest
 
-from anylouvain import Graph, datasets, make_criterion, synth
+from anylouvain import Graph, as_criterion, datasets, synth
 
 nx = pytest.importorskip("networkx")
 
@@ -33,7 +33,7 @@ def _edges(g):
 
 def _modularity(g, labels):
     """``ng`` quality normalized by ``2m``: the classical modularity."""
-    return make_criterion("ng").relational(g, labels) / g.consts.two_m
+    return as_criterion("ng").relational(g, labels) / g.consts.two_m
 
 
 def _nx_modularity(g, labels):
@@ -46,7 +46,7 @@ def test_karate_matches_networkx():
     g, _ = datasets.karate_club()
     rng = np.random.default_rng(67)
     for labels in [np.zeros(g.n, dtype=np.int64), np.arange(g.n),
-                   *(synth.random_labels(g.n, rng=rng) for _ in range(5))]:
+                   *(synth.random_labels(g.n, seed=rng) for _ in range(5))]:
         assert _modularity(g, labels) == pytest.approx(
             _nx_modularity(g, labels), rel=1e-12, abs=1e-12)
 
@@ -55,10 +55,10 @@ def test_loop_free_random_graphs_match_networkx():
     rng = np.random.default_rng(71)
     for _ in range(20):
         g = synth.random_graph(int(rng.integers(3, 30)), 0.3,
-                               weighted=bool(rng.integers(2)), rng=rng)
+                               weighted=bool(rng.integers(2)), seed=rng)
         if g.consts.two_m == 0:
             continue
-        labels = synth.random_labels(g.n, rng=rng)
+        labels = synth.random_labels(g.n, seed=rng)
         assert _modularity(g, labels) == pytest.approx(
             _nx_modularity(g, labels), rel=1e-12, abs=1e-12)
 
@@ -68,9 +68,9 @@ def test_self_loops_counted_once_unlike_networkx():
     loops, and agree once each loop weight is doubled on this side,
     which is networkx's count of a loop."""
     rng = np.random.default_rng(73)
-    g = synth.random_graph(30, 0.2, weighted=True, loops=True, rng=rng)
+    g = synth.random_graph(30, 0.2, weighted=True, loops=True, seed=rng)
     assert np.count_nonzero(g.loop) > 0
-    labels = synth.random_labels(g.n, rng=rng)
+    labels = synth.random_labels(g.n, seed=rng)
     ours, theirs = _modularity(g, labels), _nx_modularity(g, labels)
     assert abs(ours - theirs) > 1e-3
     doubled = Graph.from_edges(

@@ -141,7 +141,7 @@ def test_delta_oracle_null_move_is_zero(criterion):
     from conftest import compatible_graph
     for _ in range(10):
         g = criterion.pretreat(compatible_graph(criterion, rng, n_max=8))
-        labels = synth.random_labels(g.n, rng=rng)
+        labels = synth.random_labels(g.n, seed=rng)
         i = int(rng.integers(g.n))
         assert delta_oracle(criterion, g, labels, i,
                             int(labels[i])) == pytest.approx(0.0)
