@@ -698,7 +698,11 @@ CRITERIA = {
 }
 
 #: Criteria whose quality is affine in the pair indicator; these are the
-#: ones guaranteed to drop into the greedy engine.
+#: ones guaranteed to drop into the greedy engine, and the ones
+#: ``oracle.exact_optimum`` scores from pair coefficients.  The tests
+#: ``test_linear_criteria_are_affine_in_the_pair_indicator`` and
+#: ``test_other_criteria_are_not_affine`` (``tests/test_oracle.py``)
+#: check the label both ways.
 LINEAR_CRITERIA = ("ng", "zc", "oz", "wc", "bm", "di", "du")
 
 #: The seven criteria exercised by the benchmark table ("all" keyword).
@@ -730,6 +734,9 @@ def as_criterion(criterion, alpha=None):
     """
     if isinstance(criterion, Criterion):
         return criterion
+    if not isinstance(criterion, str):
+        raise LouvainError("criterion must be an id or a Criterion, got "
+                           f"{criterion!r}")
     crit_id = criterion.lower()
     if crit_id in NOT_PLUGGABLE:
         raise NotPluggable(NOT_PLUGGABLE[crit_id])

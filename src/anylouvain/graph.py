@@ -137,10 +137,10 @@ class Graph:
         dropped.  Ids may be integers or whole floats.  Raises
         :class:`NegativeWeight` on a negative weight (the first one) and
         :class:`LouvainError` on arrays that are not 1-D of one length,
-        a negative ``n``, a node id that is not an integer in
-        ``0..n-1`` or a NaN or infinite weight.  The arrays are only
-        read, so ``w`` may be a read-only view such as
-        ``np.broadcast_to(1.0, m)``.
+        an ``n`` that is not a non-negative integer, ids that are not
+        numbers, a node id that is not an integer in ``0..n-1`` or a NaN
+        or infinite weight.  The arrays are only read, so ``w`` may be a
+        read-only view such as ``np.broadcast_to(1.0, m)``.
         """
         src, dst = np.asarray(src), np.asarray(dst)
         w = np.asarray(w, dtype=np.float64).view()
@@ -149,9 +149,14 @@ class Graph:
             raise LouvainError(f"src, dst and w must be 1-D arrays of one "
                                f"length, got shapes {src.shape}, "
                                f"{dst.shape} and {w.shape}")
+        if not isinstance(n, (int, np.integer)):
+            raise LouvainError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise LouvainError(f"node count must be non-negative, got {n}")
         pairs = np.column_stack((src, dst))
+        if pairs.dtype.kind not in "biuf":
+            raise LouvainError(f"node ids must be numbers, got {src.dtype} "
+                               f"and {dst.dtype} arrays")
         # Reductions first; the scans that name the first bad edge run
         # only when an id is out of range or, for float ids, not whole.
         if pairs.size and not (pairs.min() >= 0 and pairs.max() < n and (

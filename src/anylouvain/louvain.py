@@ -91,7 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import _CELLS, CriterionState, as_criterion
+from .criteria import _CELLS, Criterion, CriterionState, as_criterion
 from .errors import ConfigError, SweepCapExceeded
 from .graph import _CHUNK, Graph, aggregate, compact_labels
 
@@ -117,6 +117,9 @@ class RunConfig:
     max_levels: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.criterion, (str, Criterion)):
+            raise ConfigError("criterion must be an id or a Criterion, got "
+                              f"{self.criterion!r}")
         try:
             self.seed = operator.index(self.seed)
             if self.max_levels is not None:
@@ -124,11 +127,21 @@ class RunConfig:
         except TypeError:
             raise ConfigError("seed and max_levels must be integers, got "
                               f"{self.seed!r}, {self.max_levels!r}") from None
-        if not (math.isfinite(self.precision) and self.precision > 0):
+        try:
+            precision_ok = (math.isfinite(self.precision)
+                            and self.precision > 0)
+            alpha_ok = self.alpha is None or math.isfinite(self.alpha)
+        except TypeError:
+            raise ConfigError("precision and alpha must be real numbers, got "
+                              f"{self.precision!r}, {self.alpha!r}") from None
+        if not precision_ok:
             raise ConfigError(
                 f"precision must be positive and finite, got {self.precision}")
-        if self.alpha is not None and not math.isfinite(self.alpha):
+        if not alpha_ok:
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
+        self.precision = float(self.precision)
+        if self.alpha is not None:
+            self.alpha = float(self.alpha)
         if self.max_levels is not None and self.max_levels < 1:
             raise ConfigError(
                 f"max_levels must be at least 1, got {self.max_levels}")

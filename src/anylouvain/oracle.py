@@ -3,10 +3,16 @@ the true optimum of a criterion, and re-evaluate single moves from
 scratch.  Everything here goes through the pairwise evaluation path, so
 it stays independent of the incremental bookkeeping it is used to check.
 All Bell(n) partitions are built at once (and once per n) as a table of
-growth strings and scored ``_BLOCK`` rows per batched ``relational``
-call, up to n = 10.  :func:`attainment_table` scores the greedy
+growth strings, up to n = 10.  :func:`attainment_table` scores the greedy
 optimizer against both: the optimum and the single-node moves of
 :func:`improving_move`.
+
+A criterion of :data:`LINEAR_CRITERIA` is affine in the pair indicator,
+so :func:`exact_optimum` scores every partition from its
+:func:`pair_coefficients` and re-scores only the near-best ones; any
+other criterion is scored ``_BLOCK`` rows per batched ``relational``
+call.  The coefficients and the returned quality both come from
+``relational`` alone, so neither path reads the incremental bookkeeping.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import CRITERIA, as_criterion
+from .criteria import CRITERIA, LINEAR_CRITERIA, as_criterion
 from .errors import LouvainError, TooLarge, WeightedInputNotSupported
 from .graph import SENTINEL
 from .louvain import RunConfig, detect
@@ -61,6 +67,31 @@ def enumerate_partitions(n):
     return (row.astype(np.int64) for row in _growth_table(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _growth_columns(n):
+    """A C-contiguous, read-only copy of ``_growth_table(n).T``: one row
+    per node, so comparing two nodes' labels reads two contiguous rows."""
+    cols = np.ascontiguousarray(_growth_table(n).T)
+    cols.flags.writeable = False
+    return cols
+
+
+def pair_coefficients(criterion, g0):
+    """``(q0, c)``: the ``relational`` quality of the all-singleton
+    partition of ``g0`` and, per pair ``i < j`` in ``np.triu_indices(n,
+    1)`` order, how much joining only that pair changes it, from one
+    batched call.  For a criterion affine in the pair indicator, a
+    partition's quality is ``q0 + sum(c[ij] * [t_i == t_j])``."""
+    crit = as_criterion(criterion)
+    n = g0.n
+    i, j = np.triu_indices(n, 1)
+    parts = np.tile(np.arange(n), (len(i) + 1, 1))
+    parts[np.arange(1, len(i) + 1), j] = i
+    q = crit.relational(g0, parts)
+    with np.errstate(over="ignore"):
+        return q[0], q[1:] - q[0]
+
+
 def exact_optimum(criterion, g0):
     """Best partition of ``g0`` by exhaustive enumeration.
 
@@ -69,17 +100,48 @@ def exact_optimum(criterion, g0):
     ``relational`` value of the winner.  ``g0`` must be level 0 and
     pretreated if the criterion needs it; above 10 nodes it raises
     :class:`TooLarge`.
+
+    The candidates are every partition, except for a built-in criterion
+    of :data:`LINEAR_CRITERIA` (exactly its class, not a subclass): its
+    partitions are scored from :func:`pair_coefficients`, and the
+    candidates are those within ``1e-9 * max(1, |q0| + sum|c|)`` of the
+    top score (every partition if a coefficient or score is not
+    finite).  The candidates are scored by ``relational`` and the first
+    best wins, so the result is the brute force's to the bit.  Raises
+    :class:`LouvainError` when the winner's quality is off its affine
+    score by more than that tolerance: the criterion is then not affine.
     """
     crit = as_criterion(criterion)
     table = _growth_table(g0.n)
+    cand, score = range(len(table)), None
+    if type(crit) in {CRITERIA[cid] for cid in LINEAR_CRITERIA}:
+        q0, c = pair_coefficients(crit, g0)
+        cols = _growth_columns(g0.n)
+        score = np.full(len(table), q0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cij, i, j in zip(c, *np.triu_indices(g0.n, 1)):
+                np.add(score, cij, out=score, where=cols[i] == cols[j])
+        # A pair's own row scores q0 + c[ij], so finite scores imply
+        # finite coefficients.  The tolerance scales with the terms, not
+        # the top score, which cancellation can leave far smaller.
+        if np.isfinite(score).all():
+            top = score.max()
+            tol = 1e-9 * max(1.0, abs(q0) + np.abs(c).sum())
+            cand = np.flatnonzero(score >= top - tol)
+        else:
+            score = None
     best, best_q = 0, -np.inf
-    for lo in range(0, len(table), _BLOCK):
-        q = crit.relational(g0, table[lo:lo + _BLOCK])
+    for lo in range(0, len(cand), _BLOCK):
+        q = crit.relational(g0, table[cand[lo:lo + _BLOCK]])
         k = int(np.argmax(q))
         if q[k] > best_q:
-            best, best_q = lo + k, q[k]
+            best, best_q = cand[lo + k], q[k]
     labels = table[best].astype(np.int64)
-    return labels, crit.relational(g0, labels)
+    quality = crit.relational(g0, labels)
+    if score is not None and abs(quality - score[best]) > tol:
+        raise LouvainError(f"{crit.id}: quality {quality!r} of the optimum "
+                           f"is not its affine score {float(score[best])!r}")
+    return labels, quality
 
 
 def delta_oracle(criterion, g0, labels, i, c_new):

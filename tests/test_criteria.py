@@ -439,8 +439,9 @@ def test_oz_half_alpha_is_half_zc():
 
 
 def test_unknown_criterion_id():
-    with pytest.raises(LouvainError):
-        as_criterion("nope")
+    for bad in ("nope", None, 5):
+        with pytest.raises(LouvainError, match="nope|criterion must be"):
+            as_criterion(bad)
 
 
 def test_relational_over_many_blocks_matches_one_dense_block(criterion,

@@ -280,6 +280,12 @@ BAD_ARRAYS = {
              NegativeWeight, "edge (1, 2) has weight -inf"),
     "id-before-weight": (3, (0, 3), (1, 1), (-1.0, 1.0),
                          LouvainError, "edge (3, 1) names a node outside"),
+    "float-n": (2.5, (0,), (1,), (1.0,), LouvainError,
+                "node count must be an integer, got 2.5"),
+    "string-ids": (3, ("0",), ("1",), (1.0,), LouvainError,
+                   "node ids must be numbers"),
+    "object-ids": (3, (0, None), (1, 2), (1.0, 1.0), LouvainError,
+                   "node ids must be numbers"),
 }
 
 

@@ -23,7 +23,8 @@ def test_config_validation():
         RunConfig(precision=0.0)
     with pytest.raises(ValueError):
         RunConfig(precision=-1e-6)
-    cfg = RunConfig(seed=np.int64(3), max_levels=np.int32(2))
+    cfg = RunConfig(seed=np.int64(3), max_levels=np.int32(2),
+                    precision=np.float32(1e-3), alpha=np.float64(0.3))
     assert (cfg.seed, cfg.max_levels) == (3, 2)
     assert json.loads(detect(datasets.karate_club()[0], cfg).to_json())[
         "seed"] == 3
@@ -34,7 +35,9 @@ def test_config_validation():
     {"precision": float("inf")},
     {"max_levels": 0}, {"max_levels": -1},
     {"seed": -1}, {"seed": 1.5}, {"max_levels": 1.5},
-    {"alpha": float("nan")}, {"alpha": float("inf")}])
+    {"alpha": float("nan")}, {"alpha": float("inf")},
+    {"criterion": 5}, {"criterion": None}, {"precision": "x"},
+    {"alpha": "x"}])
 def test_config_errors_are_louvain_errors(kwargs):
     with pytest.raises(LouvainError):
         RunConfig(**kwargs)

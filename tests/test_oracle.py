@@ -18,9 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anylouvain import (BELL_NUMBERS, Graph, datasets, delta_oracle,
-                        enumerate_partitions, exact_optimum, oracle, synth)
-from anylouvain.errors import TooLarge
+from anylouvain import (BELL_NUMBERS, Graph, LouvainError, as_criterion,
+                        datasets, delta_oracle, enumerate_partitions,
+                        exact_optimum, oracle, synth)
+from anylouvain.criteria import CRITERIA, LINEAR_CRITERIA
+from anylouvain.errors import TooLarge, WeightedInputNotSupported
 
 from conftest import compatible_graph, triangle, two_triangles
 
@@ -145,6 +147,100 @@ def test_delta_oracle_null_move_is_zero(criterion):
         i = int(rng.integers(g.n))
         assert delta_oracle(criterion, g, labels, i,
                             int(labels[i])) == pytest.approx(0.0)
+
+
+def pretreated_small_graphs(crit):
+    """The pinned 120 small graphs the criterion accepts, pretreated."""
+    for g in synth.small_graphs(120, seed=7):
+        try:
+            yield crit.pretreat(g)
+        except WeightedInputNotSupported:
+            pass
+
+
+def affine_gaps(crit, g, rng):
+    """Relative gaps between ``relational`` and the affine model
+    ``q0 + sum(c[ij] * x[ij])`` of :func:`oracle.pair_coefficients` on
+    20 random partitions of ``g``."""
+    parts = np.stack([synth.random_labels(g.n, max_kappa=k, seed=rng)
+                      for k in rng.integers(1, g.n + 1, size=20)])
+    q0, c = oracle.pair_coefficients(crit, g)
+    i, j = np.triu_indices(g.n, 1)
+    affine = q0 + (parts[:, i] == parts[:, j]) @ c
+    q = crit.relational(g, parts)
+    return np.abs(q - affine) / np.maximum(1.0, np.abs(q))
+
+
+@pytest.mark.parametrize("cid", LINEAR_CRITERIA)
+def test_linear_criteria_are_affine_in_the_pair_indicator(cid):
+    crit = as_criterion(cid, 0.3)
+    rng = np.random.default_rng(29)
+    for g in pretreated_small_graphs(crit):
+        assert affine_gaps(crit, g, rng).max() <= 1e-9
+
+
+@pytest.mark.parametrize("cid", sorted(set(CRITERIA) - set(LINEAR_CRITERIA)))
+def test_other_criteria_are_not_affine(cid):
+    crit = as_criterion(cid)
+    rng = np.random.default_rng(29)
+    assert any(affine_gaps(crit, g, rng).max() > 1e-6
+               for g in pretreated_small_graphs(crit))
+
+
+def brute_force(crit, g):
+    """The first partition of the growth table with the largest
+    ``relational`` quality, scored in one call, and its own quality."""
+    table = oracle._growth_table(g.n)
+    best = table[int(np.argmax(crit.relational(g, table)))]
+    return best.astype(np.int64), crit.relational(g, best)
+
+
+def tie_heavy_graphs():
+    """Edgeless graphs for zc and oz, and complete unweighted graphs,
+    whose optima tie over many partitions."""
+    for n in (1, 2, 5, 8):
+        for cid in ("zc", "oz"):
+            yield cid, Graph.from_edges(n, [])
+    for n in (2, 5, 8):
+        complete = Graph.from_edges(
+            n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+        for cid in CRITERIA:
+            yield cid, complete
+
+
+#: Weights near float64's top: di's optimum there is ~1e-16 of its
+#: terms, so only a tolerance on the terms' scale keeps it a candidate.
+CANCELLING = Graph.from_edges(4, [(0, 1, 1e307), (1, 2, 1e307),
+                                  (2, 3, 1e307), (3, 0, 1e307),
+                                  (0, 2, 1e307)])
+
+
+class SquaredNewmanGirvan(CRITERIA["ng"]):
+    """A plug-in subclass of a linear criterion that is not affine."""
+
+    def _relational(self, g0, labels):
+        return super()._relational(g0, labels) ** 2
+
+
+def test_exact_optimum_is_the_brute_force_to_the_bit():
+    cases = [(cid, g) for cid in CRITERIA
+             for g in pretreated_small_graphs(as_criterion(cid, 0.3))]
+    cases += [("di", CANCELLING), *tie_heavy_graphs()]
+    cases += [(SquaredNewmanGirvan(), g)
+              for g in synth.small_graphs(10, seed=7)]
+    for cid, g in cases:
+        crit = as_criterion(cid, 0.3)
+        g = crit.pretreat(g)
+        labels, q = exact_optimum(crit, g)
+        want_labels, want_q = brute_force(crit, g)
+        assert np.array_equal(labels, want_labels), (cid, g.n)
+        assert np.float64(q).tobytes() == np.float64(want_q).tobytes()
+
+
+def test_misclassified_criterion_fails_the_self_check(monkeypatch):
+    monkeypatch.setattr(oracle, "LINEAR_CRITERIA", LINEAR_CRITERIA + ("g",))
+    with pytest.raises(LouvainError, match="not its affine score"):
+        exact_optimum("g", two_triangles())
 
 
 def test_attainment_table_is_pinned():
