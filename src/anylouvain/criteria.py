@@ -298,16 +298,17 @@ class Criterion:
 
 
 def _labels(labels, n, ndims):
-    """``labels`` as a signed integer array of ``ndims`` dimensions whose
-    last is ``n``, with no negative id; else raises ValueError.  Signed
-    integers keep their dtype (the oracle's int8 table); anything else is
-    converted as int64."""
+    """``labels`` as a C-ordered signed integer array of ``ndims``
+    dimensions whose last is ``n``, with no negative id; else raises
+    ValueError.  Signed integers keep their dtype (the oracle's int8
+    table); anything else is converted as int64.  The order fixes the
+    bits: numpy sums a Fortran-ordered stack in another order."""
     if not (isinstance(labels, np.ndarray) and labels.dtype.kind == "i"):
         labels = np.asarray(labels, dtype=np.int64)
     if (labels.ndim not in ndims or labels.shape[-1] != n
             or (labels.size and labels.min() < 0)):
         raise ValueError("labels must assign every node a community")
-    return labels
+    return np.ascontiguousarray(labels)
 
 
 def _finite(q):

@@ -138,13 +138,12 @@ class Graph:
         :class:`NegativeWeight` on a negative weight (the first one) and
         :class:`LouvainError` on arrays that are not 1-D of one length,
         an ``n`` that is not a non-negative integer, ids that are not
-        numbers, a node id that is not an integer in ``0..n-1`` or a NaN
-        or infinite weight.  The arrays are only read, so ``w`` may be a
-        read-only view such as ``np.broadcast_to(1.0, m)``.
+        numbers, a node id that is not an integer in ``0..n-1``, weights
+        that are not numbers or a NaN or infinite weight.  The arrays are
+        only read, so ``w`` may be a read-only view such as
+        ``np.broadcast_to(1.0, m)``.
         """
-        src, dst = np.asarray(src), np.asarray(dst)
-        w = np.asarray(w, dtype=np.float64).view()
-        w.flags.writeable = False  # the caller's: the build copies it
+        src, dst, w = np.asarray(src), np.asarray(dst), np.asarray(w)
         if not src.shape == dst.shape == w.shape == (w.size,):
             raise LouvainError(f"src, dst and w must be 1-D arrays of one "
                                f"length, got shapes {src.shape}, "
@@ -168,6 +167,11 @@ class Graph:
                                f"outside 0..{n - 1}")
         pairs = pairs.astype(np.int64, copy=False)
         src, dst = pairs[:, 0], pairs[:, 1]
+        if w.dtype.kind not in "biuf":
+            raise LouvainError(f"edge weights must be numbers, got a "
+                               f"{w.dtype} array")
+        w = w.astype(np.float64, copy=False).view()
+        w.flags.writeable = False  # the caller's: the build copies it
         if w.size and not (w.min() >= 0 and w.max() < np.inf):
             neg = np.flatnonzero(w < 0)
             if neg.size:

@@ -105,15 +105,14 @@ class RunConfig:
 
     ``precision`` is the minimum quality improvement (in the criterion's
     own units) a coarsening level must bring for the loop to continue.
-    ``seed`` drives the node visit order, re-shuffled before every sweep;
-    two runs with equal config and graph produce identical results.
+    ``seed`` seeds the shuffle of the node visit order before every
+    sweep; two runs with equal config and graph produce identical results.
     """
 
     criterion: str = "ng"
     alpha: float | None = None
     precision: float = 1e-6
     seed: int = 0
-    shuffle_nodes: bool = True
     max_levels: int | None = None
 
     def __post_init__(self):
@@ -326,13 +325,14 @@ def one_pass(g, cfg, st, rng=None):
     """Greedy local optimization on one graph level.
 
     ``st`` may hold any partition (:meth:`Criterion.state_from_labels`).
-    Nodes are visited in (re-)shuffled order; each visit removes the node
-    and re-inserts it into the candidate community of highest gain.
-    Candidates are scored in a fixed order, and a later one wins only with
-    a strictly higher gain: the node's own community first (so ties keep
-    it in place), then neighbouring communities by ascending id, then,
-    unless the node just vacated its own, the spare: the empty slot of
-    ``st`` that a move emptied last, or else its lowest empty slot.
+    Each sweep visits the nodes in an order ``rng`` shuffles anew; each
+    visit removes the node and re-inserts it into the candidate of
+    highest gain.  Candidates are scored in a fixed order, and a later
+    one wins only with a strictly higher gain: the node's own community
+    first (so ties keep it in place), then neighbouring communities by
+    ascending id, then, unless the node just vacated its own, the spare:
+    the empty slot of ``st`` that a move emptied last, or else its
+    lowest empty slot.
     Sweeps repeat until one full sweep moves nothing; a pass still moving
     after ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
     :class:`PassResult`, whose ``visits`` counts the visits made.
@@ -382,8 +382,7 @@ def one_pass(g, cfg, st, rng=None):
                     f"no convergence after {len(sweep_moves)} sweeps; gain "
                     f"implementation for {st.crit.id!r} is suspect")
             improved = False
-            if cfg.shuffle_nodes:
-                rng.shuffle(order)
+            rng.shuffle(order)
             start = 0
             # The module docstring's rule: a long row, and a (node x live
             # community) block no larger than the adjacency.

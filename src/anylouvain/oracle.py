@@ -2,17 +2,18 @@
 the true optimum of a criterion, and re-evaluate single moves from
 scratch.  Everything here goes through the pairwise evaluation path, so
 it stays independent of the incremental bookkeeping it is used to check.
-All Bell(n) partitions are built at once (and once per n) as a table of
-growth strings, up to n = 10.  :func:`attainment_table` scores the greedy
-optimizer against both: the optimum and the single-node moves of
-:func:`improving_move`.
+All Bell(n) partitions are built at once (and once per n) as one table
+of growth strings, one column per partition and one row per node, up to
+n = 10.  :func:`attainment_table` scores the greedy optimizer against
+both: the optimum and the single-node moves of :func:`improving_move`.
 
 A criterion of :data:`LINEAR_CRITERIA` is affine in the pair indicator,
 so :func:`exact_optimum` scores every partition from its
-:func:`pair_coefficients` and re-scores only the near-best ones; any
-other criterion is scored ``_BLOCK`` rows per batched ``relational``
-call.  The coefficients and the returned quality both come from
-``relational`` alone, so neither path reads the incremental bookkeeping.
+:func:`pair_coefficients`, comparing the table's rows two at a time, and
+re-scores only the near-best ones; any other criterion is scored
+``_BLOCK`` partitions per batched ``relational`` call.  The coefficients
+and the returned quality both come from ``relational`` alone, so neither
+path reads the incremental bookkeeping.
 """
 
 from __future__ import annotations
@@ -35,21 +36,22 @@ _BLOCK = 1024  # partitions scored per batched pairwise call
 
 @functools.lru_cache(maxsize=None)
 def _growth_table(n):
-    """Every restricted-growth string of length ``n``, one per row, in
-    lexicographic order: each step repeats every prefix once per label it
-    admits next (0 up to one past its largest) and appends them.  Raises
-    :class:`TooLarge` unless ``n <= 10``.  Built once per ``n`` and
-    read-only, since every caller shares it."""
+    """Every restricted-growth string of length ``n``, one per column, in
+    lexicographic order, so row ``i`` holds node ``i``'s label in every
+    partition: each step repeats every prefix once per label it admits
+    next (0 up to one past its largest) and appends them.  Raises
+    :class:`TooLarge` unless ``n <= 10``.  Built once per ``n``, C-ordered
+    and read-only, since every caller shares it."""
     top = len(BELL_NUMBERS) - 1
     if n > top:
         raise TooLarge(f"partition enumeration capped at n={top}, got n={n}")
-    table = np.zeros((1, min(n, 1)), dtype=np.int8)
+    table = np.zeros((min(n, 1), 1), dtype=np.int8)
     peak = np.zeros(1, dtype=np.int64)  # largest label of each prefix
     for _ in range(1, n):
         reps = peak + 2
         col = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        table = np.column_stack([np.repeat(table, reps, axis=0),
-                                 col.astype(np.int8)])
+        table = np.vstack([np.repeat(table, reps, axis=1),
+                           col.astype(np.int8)])
         peak = np.maximum(np.repeat(peak, reps), col)
     table.flags.writeable = False
     return table
@@ -64,16 +66,7 @@ def enumerate_partitions(n):
     of them, so ``n`` is capped at 10; the cap is checked by this call,
     before any partition is built.
     """
-    return (row.astype(np.int64) for row in _growth_table(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _growth_columns(n):
-    """A C-contiguous, read-only copy of ``_growth_table(n).T``: one row
-    per node, so comparing two nodes' labels reads two contiguous rows."""
-    cols = np.ascontiguousarray(_growth_table(n).T)
-    cols.flags.writeable = False
-    return cols
+    return (col.astype(np.int64) for col in _growth_table(n).T)
 
 
 def pair_coefficients(criterion, g0):
@@ -113,15 +106,14 @@ def exact_optimum(criterion, g0):
     """
     crit = as_criterion(criterion)
     table = _growth_table(g0.n)
-    cand, score = range(len(table)), None
+    cand, score = range(table.shape[1]), None
     if type(crit) in {CRITERIA[cid] for cid in LINEAR_CRITERIA}:
         q0, c = pair_coefficients(crit, g0)
-        cols = _growth_columns(g0.n)
-        score = np.full(len(table), q0)
+        score = np.full(table.shape[1], q0)
         with np.errstate(over="ignore", invalid="ignore"):
             for cij, i, j in zip(c, *np.triu_indices(g0.n, 1)):
-                np.add(score, cij, out=score, where=cols[i] == cols[j])
-        # A pair's own row scores q0 + c[ij], so finite scores imply
+                np.add(score, cij, out=score, where=table[i] == table[j])
+        # A pair's own partition scores q0 + c[ij], so finite scores imply
         # finite coefficients.  The tolerance scales with the terms, not
         # the top score, which cancellation can leave far smaller.
         if np.isfinite(score).all():
@@ -132,11 +124,11 @@ def exact_optimum(criterion, g0):
             score = None
     best, best_q = 0, -np.inf
     for lo in range(0, len(cand), _BLOCK):
-        q = crit.relational(g0, table[cand[lo:lo + _BLOCK]])
+        q = crit.relational(g0, table[:, cand[lo:lo + _BLOCK]].T)
         k = int(np.argmax(q))
         if q[k] > best_q:
             best, best_q = cand[lo + k], q[k]
-    labels = table[best].astype(np.int64)
+    labels = table[:, best].astype(np.int64)
     quality = crit.relational(g0, labels)
     if score is not None and abs(quality - score[best]) > tol:
         raise LouvainError(f"{crit.id}: quality {quality!r} of the optimum "

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import anylouvain
-from anylouvain import compact_labels, datasets, read_partition
+from anylouvain import compact_labels, datasets, detect, read_partition
 from anylouvain.cli import main
 
 
@@ -101,6 +101,18 @@ def test_eval_one_community_ng_zero(tmp_path, capsys):
     assert main(["eval", str(graph), str(part), "--criterion", "ng"]) == 0
     out = capsys.readouterr().out
     assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(0.0)
+
+
+def test_eval_disagreeing_paths_fail(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.edges"
+    graph.write_text("a b\nb c\nc a\n")
+    part = tmp_path / "p.tsv"
+    part.write_text("a\t0\nb\t0\nc\t1\n")
+    total = anylouvain.criteria.CriterionState.total
+    monkeypatch.setattr(anylouvain.criteria.CriterionState, "total",
+                        lambda st: total(st) + 1e-6)
+    assert main(["eval", str(graph), str(part)]) == 1
+    assert "evaluation paths disagree" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["detect", "bench", "optimum", "eval"])
@@ -343,6 +355,18 @@ def test_bench_single_run_zero_stddev(karate_file, capsys):
     row = capsys.readouterr().out.splitlines()[1].split()
     assert float(row[2]) == 0.0  # time stddev
     assert float(row[4]) == 0.0  # kappa stddev
+
+
+def test_bench_times_are_the_runs_elapsed(karate_file, capsys, monkeypatch):
+    def timed(g, cfg):
+        h = detect(g, cfg)
+        h.elapsed = 0.25 * (1 + cfg.seed)
+        return h
+    monkeypatch.setattr(anylouvain.cli, "detect", timed)
+    assert main(["bench", karate_file, "--criteria", "ng",
+                 "--runs", "2"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[1:3] == ["0.375", "0.125"]  # mean and stddev of 0.25, 0.5
 
 
 def test_bench_all_expands_to_experiment_set(karate_file, capsys):

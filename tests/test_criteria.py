@@ -90,6 +90,12 @@ def test_zero_edge_mass_rejected():
     # no division by edge mass in these:
     as_criterion("zc").init(g)
     as_criterion("g").init(g)
+    # Every pair linked, loops included: bm has no absent-link mass.
+    full = Graph.from_edges(2, [(0, 1, 1.0), (0, 0, 1.0), (1, 1, 1.0)])
+    with pytest.raises(ZeroEdgeMass, match="no absent-link mass"):
+        as_criterion("bm").init(full)
+    with pytest.raises(ZeroEdgeMass, match="no absent-link mass"):
+        detect(full, RunConfig(criterion="bm"))
 
 
 def test_pd_rejects_isolated_nodes():
@@ -408,6 +414,18 @@ def test_relational_label_dtype_does_not_change_values(criterion):
         assert got.tobytes() == want.tobytes()
     assert criterion.relational(g, labels[0].astype(np.int8)) == want[0]
     assert criterion.relational(g, labels[0].tolist()) == want[0]
+
+
+def test_relational_stack_layout_does_not_change_bits(criterion):
+    # A Fortran-ordered stack or a transposed view is scored as its
+    # C-ordered copy: the single calls' bits, whatever the layout.
+    rng = np.random.default_rng(41)
+    g = criterion.pretreat(compatible_graph(criterion, rng, n_max=8))
+    stack = np.stack([synth.random_labels(g.n, seed=rng) for _ in range(300)])
+    want = np.array([criterion.relational(g, x) for x in stack])
+    for labels in (stack, np.asfortranarray(stack),
+                   np.ascontiguousarray(stack.T).T):
+        assert criterion.relational(g, labels).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.array([0, 0, 0, 1, 1, -1], np.int8),

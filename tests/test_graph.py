@@ -284,6 +284,14 @@ BAD_ARRAYS = {
                 "node count must be an integer, got 2.5"),
     "string-ids": (3, ("0",), ("1",), (1.0,), LouvainError,
                    "node ids must be numbers"),
+    "string-weights": (3, (0,), (1,), ("x",), LouvainError,
+                       "edge weights must be numbers"),
+    "complex-weights": (3, (0,), (1,), (1j,), LouvainError,
+                        "edge weights must be numbers"),
+    "numeric-string-weights": (3, (0,), (1,), ("1.5",), LouvainError,
+                               "edge weights must be numbers"),
+    "id-before-string-weight": (3, ("0",), (1,), ("x",), LouvainError,
+                                "node ids must be numbers"),
     "object-ids": (3, (0, None), (1, 2), (1.0, 1.0), LouvainError,
                    "node ids must be numbers"),
 }
@@ -622,6 +630,15 @@ def test_aggregate_peak_memory(groups, size):
     assert peak <= (3 * 8 * graph._CHUNK if groups == 20
                     else 1.25 * 8 * g.nbr.size)
     assert_same_graph(meta, aggregate(_with_ones(g), labels, groups))
+
+
+def test_planted_partition_graph_keeps_edges_in_groups():
+    with pytest.raises(ValueError, match="divisible"):
+        synth.planted_partition_graph(10, 3, 0.5, 0.1, seed=0)
+    # p_out = 0 draws no cross link: every edge joins two nodes of a group.
+    g, truth = synth.planted_partition_graph(20, 2, 0.5, 0.0, seed=0)
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    assert g.nbr.size and np.array_equal(truth[rows], truth[g.nbr])
 
 
 def test_from_arrays_leaves_writeable_weights_alone():

@@ -107,6 +107,9 @@ def test_read_partition_errors():
         read_partition(io.StringIO("a 0\na 1\nb 0\n"), labels)  # a twice
     with pytest.raises(ParseError):
         read_partition(io.StringIO("a 0 9\nb 1\n"), labels)
+    for comm in ("x", "1.5"):
+        with pytest.raises(ParseError, match=f"bad community id '{comm}'"):
+            read_partition(io.StringIO(f"a {comm}\nb 1\n"), labels)
 
 
 def test_read_partition_hash_line_is_a_comment_unless_a_label():

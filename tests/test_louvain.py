@@ -102,13 +102,6 @@ def test_determinism(criterion):
     assert [lv.kappa for lv in h1.levels] == [lv.kappa for lv in h2.levels]
 
 
-def test_no_shuffle_uses_natural_order():
-    g, _ = datasets.karate_club()
-    cfg = RunConfig(criterion="ng", shuffle_nodes=False, seed=0)
-    cfg2 = RunConfig(criterion="ng", shuffle_nodes=False, seed=99)
-    assert np.array_equal(detect(g, cfg).flat, detect(g, cfg2).flat)
-
-
 def test_level_quality_non_decreasing(criterion):
     rng = np.random.default_rng(13)
     for _ in range(8):

@@ -100,7 +100,8 @@ def test_growth_table_is_cached_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
-    assert np.array_equal(np.stack(list(enumerate_partitions(6))), table)
+    assert table.shape == (6, BELL_NUMBERS[6]) and table.flags.c_contiguous
+    assert np.array_equal(np.stack(list(enumerate_partitions(6))), table.T)
 
 
 def test_repeated_exact_optimum_calls_agree():
@@ -147,6 +148,8 @@ def test_delta_oracle_null_move_is_zero(criterion):
         i = int(rng.integers(g.n))
         assert delta_oracle(criterion, g, labels, i,
                             int(labels[i])) == pytest.approx(0.0)
+    with pytest.raises(ValueError, match="must belong to a community"):
+        delta_oracle(criterion, triangle(), [0, -1, 0], 1, 0)
 
 
 def pretreated_small_graphs(crit):
@@ -190,8 +193,8 @@ def test_other_criteria_are_not_affine(cid):
 def brute_force(crit, g):
     """The first partition of the growth table with the largest
     ``relational`` quality, scored in one call, and its own quality."""
-    table = oracle._growth_table(g.n)
-    best = table[int(np.argmax(crit.relational(g, table)))]
+    parts = oracle._growth_table(g.n).T
+    best = parts[int(np.argmax(crit.relational(g, parts)))]
     return best.astype(np.int64), crit.relational(g, best)
 
 
@@ -237,10 +240,36 @@ def test_exact_optimum_is_the_brute_force_to_the_bit():
         assert np.float64(q).tobytes() == np.float64(want_q).tobytes()
 
 
+#: oz's pair coefficients are finite here, but their sums overflow.
+OVERFLOWING = Graph.from_edges(3, [(0, 2, 8e307), (1, 2, 8e307)])
+
+
+def test_non_finite_scores_fall_back_to_every_partition(monkeypatch):
+    # oz then scores every partition, and raises as the brute force does
+    # instead of returning the first one.
+    crit = as_criterion("oz", 0.3)
+    for solve in (brute_force, exact_optimum):
+        with pytest.raises(LouvainError, match="quality is inf"):
+            solve(crit, OVERFLOWING)
+    # Where every partition's quality is finite, the result is the brute
+    # force's.
+    monkeypatch.setattr(oracle, "pair_coefficients",
+                        lambda crit, g: (0.0, np.full(15, np.inf)))
+    labels, q = exact_optimum("ng", two_triangles())
+    want_labels, want_q = brute_force(as_criterion("ng"), two_triangles())
+    assert np.array_equal(labels, want_labels) and q == want_q
+
+
 def test_misclassified_criterion_fails_the_self_check(monkeypatch):
     monkeypatch.setattr(oracle, "LINEAR_CRITERIA", LINEAR_CRITERIA + ("g",))
     with pytest.raises(LouvainError, match="not its affine score"):
         exact_optimum("g", two_triangles())
+
+
+def test_run_beating_the_optimum_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "exact_optimum", lambda crit, g: (None, -1.0))
+    with pytest.raises(LouvainError, match="beats the optimum"):
+        oracle.attainment_table([two_triangles()])
 
 
 def test_attainment_table_is_pinned():
@@ -264,6 +293,8 @@ def test_improving_move_is_the_first_single_node_gain():
     # community is a move too.
     assert oracle.improving_move("zc", Graph.from_edges(3, []),
                                  [0, 0, 0]) == (0, 1)
+    # No node, no move.
+    assert oracle.improving_move("zc", Graph.from_edges(0, []), []) is None
 
 
 if __name__ == "__main__":
