@@ -46,7 +46,8 @@ class ConfigError(LouvainError, ValueError):
 
 
 class TooLarge(LouvainError):
-    """Exhaustive enumeration was requested for more than 10 nodes."""
+    """A size limit was passed: exhaustive enumeration of more than 10
+    nodes, or a graph of ``2**31`` nodes or more (``graph.NODE_LIMIT``)."""
 
 
 class ParseError(LouvainError):

@@ -7,8 +7,11 @@ criteria.  A frozen :class:`Level0Constants` record travels unchanged
 through every coarsening level, so that criterion formulas always refer to
 the original graph's node count, edge mass and maximum weight.
 
-Partitions are plain ``int64`` numpy arrays mapping node id to community
-id; :data:`SENTINEL` marks a node temporarily removed during a sweep.
+Neighbour ids are ``int32`` at every level, so a graph has fewer than
+:data:`NODE_LIMIT` nodes and its adjacency holds one 4-byte id and, unless
+every weight is 1, one 8-byte weight per entry.  Partitions are plain
+``int64`` numpy arrays mapping node id to community id; :data:`SENTINEL`
+marks a node temporarily removed during a sweep.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LouvainError, NegativeWeight
+from .errors import LouvainError, NegativeWeight, TooLarge
 
 #: Community id of a node that is currently removed from the partition.
 SENTINEL = -1
+
+#: Node counts from this one on are refused: neighbour ids are int32.
+NODE_LIMIT = 1 << 31
 
 #: Adjacency entries per chunk of the key build in :func:`aggregate`.
 _CHUNK = 1 << 16
@@ -59,7 +65,8 @@ class Graph:
     n : int
         Number of nodes.
     indptr, nbr, wgt : ndarray
-        CSR adjacency over off-diagonal neighbors only; symmetric to the
+        CSR adjacency over off-diagonal neighbors only, ``nbr`` of
+        ``int32`` ids (one 4-byte word per entry); symmetric to the
         bit at every level, so every edge {i, j} appears in both rows with
         the same weight (one sum, added in the order that
         :meth:`from_arrays` and :func:`aggregate` state).  When every
@@ -81,6 +88,10 @@ class Graph:
         positive), taken from the two arrays' maxima without copying
         them, and 1 when both are empty.  Over unit weights no pass
         reads ``wgt``: its sum and maximum are its size and 1.
+
+    The degrees add each row's weights in row order, one block of rows
+    of about :data:`_CHUNK` entries at a time (:func:`_row_blocks`), so
+    the build holds no array as long as the adjacency.
     """
 
     __slots__ = ("n", "indptr", "nbr", "wgt", "loop", "size", "aux",
@@ -89,7 +100,7 @@ class Graph:
     def __init__(self, n, indptr, nbr, wgt, loop, size, aux, consts=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.nbr = np.asarray(nbr, dtype=np.int64)
+        self.nbr = np.asarray(nbr, dtype=np.int32)
         self.wgt = np.asarray(wgt, dtype=np.float64)
         self.loop = np.asarray(loop, dtype=np.float64)
         self.size = np.asarray(size, dtype=np.int64)
@@ -97,9 +108,14 @@ class Graph:
         unit = self.unit_weights  # row sums are then the row lengths
         if unit:
             row_sums = np.diff(self.indptr)
-        else:
-            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            row_sums = np.bincount(rows, weights=self.wgt, minlength=self.n)
+        else:  # each row's weights added in row order, a block at a time
+            row_sums = np.empty(self.n)
+            for r0, r1 in _row_blocks(self.indptr, _CHUNK):
+                lengths = np.diff(self.indptr[r0:r1 + 1])
+                row_sums[r0:r1] = np.bincount(
+                    np.repeat(np.arange(r1 - r0), lengths),
+                    self.wgt[self.indptr[r0]:self.indptr[r1]],
+                    minlength=r1 - r0)
         # Sums that overflow are left infinite: the criteria's quality
         # check reports them.
         with np.errstate(over="ignore"):
@@ -139,7 +155,9 @@ class Graph:
         :class:`LouvainError` on arrays that are not 1-D of one length,
         an ``n`` that is not a non-negative integer, ids that are not
         numbers, a node id that is not an integer in ``0..n-1``, weights
-        that are not numbers or a NaN or infinite weight.  The arrays are
+        that are not numbers or a NaN or infinite weight, and
+        :class:`TooLarge` on ``n >= NODE_LIMIT`` before it allocates
+        anything of size ``n``.  The arrays are
         only read, so ``w`` may be a read-only view such as
         ``np.broadcast_to(1.0, m)``.
         """
@@ -152,6 +170,9 @@ class Graph:
             raise LouvainError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise LouvainError(f"node count must be non-negative, got {n}")
+        if n >= NODE_LIMIT:
+            raise TooLarge(f"{n} nodes: a graph holds fewer than "
+                           f"{NODE_LIMIT}")
         pairs = np.column_stack((src, dst))
         if pairs.dtype.kind not in "biuf":
             raise LouvainError(f"node ids must be numbers, got {src.dtype} "
@@ -165,7 +186,7 @@ class Graph:
             k = np.flatnonzero(bad.any(axis=1))[0]
             raise LouvainError(f"edge ({src[k]}, {dst[k]}) names a node "
                                f"outside 0..{n - 1}")
-        pairs = pairs.astype(np.int64, copy=False)
+        pairs = pairs.astype(np.int32)
         src, dst = pairs[:, 0], pairs[:, 1]
         if w.dtype.kind not in "biuf":
             raise LouvainError(f"edge weights must be numbers, got a "
@@ -270,10 +291,9 @@ def aggregate(g, labels, kappa=None):
     :data:`_CHUNK` entries at a time.  Over unit weights and at most as
     many keys ``kappa ** 2`` as entries, each chunk is counted and
     dropped, so the fold holds no edge-sized array.  Otherwise the keys
-    are the one edge-sized array, ``labels[nbr]`` with each chunk's row
-    term added, and the build peaks at about one 8-byte word per
-    adjacency entry, plus what the fold keeps per distinct community
-    pair.
+    are the one edge-sized array, filled a chunk at a time, and the build
+    peaks at about one 8-byte word per adjacency entry, plus what the
+    fold keeps per distinct community pair.
 
     ``labels`` must be compact (ids ``0..kappa-1``, all non-empty).
     """
@@ -289,15 +309,18 @@ def aggregate(g, labels, kappa=None):
     if count:
         sums = np.zeros(n_keys, dtype=np.int64)
     else:
-        keys = labels[g.nbr]
+        keys = np.empty(g.nbr.size, dtype=np.int64)
     base = labels * kappa
     for a in range(0, g.nbr.size, _CHUNK):
         b = min(a + _CHUNK, g.nbr.size)
+        # take() widens only the chunk's int32 ids to index with, and
+        # with mode="clip" (the ids are valid) writes into keys directly.
+        chunk = labels.take(g.nbr[a:b], out=None if count else keys[a:b],
+                            mode="clip")
+        chunk += _row_terms(g, base, a, b)
         if count:
-            sums += np.bincount(_row_terms(g, base, a, b)
-                                + labels[g.nbr[a:b]], minlength=n_keys)
-        else:
-            keys[a:b] += _row_terms(g, base, a, b)
+            sums += np.bincount(chunk, minlength=n_keys)
+        del chunk  # before the next chunk's take()
     if count:
         keys = np.flatnonzero(sums)
         w = sums[keys].astype(np.float64)
@@ -306,12 +329,23 @@ def aggregate(g, labels, kappa=None):
     c, d = np.divmod(keys, kappa)
     half = c <= d
     indptr, nbr, wgt, loop = _csr(
-        kappa, np.column_stack((c[half], d[half])), w[half])
+        kappa, np.column_stack((c[half], d[half])).astype(np.int32), w[half])
     loop = loop + np.bincount(labels, weights=g.loop, minlength=kappa)
     size = np.bincount(labels, weights=g.size, minlength=kappa)
     aux = np.bincount(labels, weights=g.aux, minlength=kappa)
     return Graph(kappa, indptr, nbr, wgt, loop, size.astype(np.int64), aux,
                  g.consts)
+
+
+def _row_blocks(indptr, size):
+    """``(r0, r1)`` for consecutive blocks of rows of the CSR row
+    pointers ``indptr``, each of at most ``size`` entries or of one
+    longer row, which together cover every row in order."""
+    ends, r0 = indptr[1:], 0
+    while r0 < ends.size:
+        r1 = max(r0 + 1, int(ends.searchsorted(indptr[r0] + size, "right")))
+        yield r0, r1
+        r0 = r1
 
 
 def _row_terms(g, base, a, b):
@@ -326,7 +360,7 @@ def _row_terms(g, base, a, b):
 
 def _from_pairs(n, pairs, w):
     """The level-0 graph of the edges ``pairs[e] = (src, dst)``, a
-    C-contiguous ``(m, 2)`` int64 array that the CSR build overwrites
+    C-contiguous ``(m, 2)`` int32 array that the CSR build overwrites
     with its keys, weighted ``w``, which it overwrites too when it is
     writeable (:func:`_csr`).  Ids and weights are taken as valid:
     :meth:`Graph.from_arrays` checks a caller's, and the edge-list reader
@@ -340,23 +374,25 @@ def _csr(n, pairs, w):
     """``(indptr, nbr, wgt, loop)`` of the edges ``pairs[e] =
     (src, dst)`` weighted ``w`` over nodes ``0..n-1``, summed as
     :meth:`Graph.from_arrays` states.  ``pairs`` is a C-contiguous
-    ``(m, 2)`` int64 array.  The edges that are not loops are moved to
-    its front, and to the front of ``w`` when it is writeable (a
-    read-only ``w`` is copied, a broadcast cut short), a chunk at a
-    time.  Then each edge's two keys are written over its two ids, a
-    chunk at a time, and the sorted keys become ``nbr`` in place, so the
-    build holds no second edge-sized array.
+    ``(m, 2)`` int32 array, one 8-byte word per edge.  The edges that are
+    not loops are moved to its front, and to the front of ``w`` when it
+    is writeable (a read-only ``w`` is copied, a broadcast cut short), a
+    chunk at a time.
+
+    Each edge gives two keys, row and neighbour, the row in the high
+    bits, written a chunk at a time.  When their range ``n << bits`` is
+    below 2**31 they are int32 written over the edge's two ids, and the
+    sorted keys become ``nbr`` in place, so the build holds no second
+    edge-sized array and the graph keeps one word per edge.  Otherwise
+    they are a separate int64 array (two words per edge), cut to an
+    int32 ``nbr`` at the end: over the ids when no key was folded.
 
     The edges are unit-weight when, loops dropped, every weight is 1
     (or there is none).  Then the sums are counts, exact in float64 in
     any order: :func:`_key_sums` counts the bare keys, and with no
-    duplicate pair ``wgt`` is a broadcast of 1.0.  When it sorts them
-    (their range ``n << bits`` is longer than the keys) and that range is
-    below 2**31, the keys are int32 in the front half of the ids' buffer,
-    which halves the sort, and ``nbr`` widens them over the buffer from
-    its end, a chunk at a time.  Otherwise each edge's two keys share its
-    one weight in ``w``, which :func:`_key_sums` gathers per key through
-    the stable sort order."""
+    duplicate pair ``wgt`` is a broadcast of 1.0.  Otherwise each edge's
+    two keys share its one weight in ``w``, which :func:`_key_sums`
+    gathers per key through the stable sort order."""
     off = pairs[:, 0] != pairs[:, 1]
     loop = np.bincount(pairs[~off, 0], weights=w[~off], minlength=n)
     if not off.all():
@@ -367,34 +403,28 @@ def _csr(n, pairs, w):
     # A stride-0 w, such as the reader's broadcast, holds one value.
     unit = not w.size or (w[0] == 1.0 if w.strides == (0,)
                           else w.min() == 1.0 == w.max())
-    # Each edge's two keys side by side, the row in the high bits: both
-    # rows see the edges of a pair in array order.
+    # Each edge's two keys side by side: both rows see the edges of a
+    # pair in array order.
     bits = int(max(n - 1, 0)).bit_length()
     size = n << bits
-    keys = pairs.reshape(-1)
-    if unit and keys.size < size < 1 << 31:
-        keys = keys.view(np.int32)[:keys.size]
+    keys = (pairs.reshape(-1) if size < 1 << 31
+            else np.empty(pairs.size, dtype=np.int64))
     for a in range(0, len(pairs), _CHUNK):
         chunk = pairs[a:a + _CHUNK]
-        src = chunk[:, 0].copy()
-        chunk[:, 0] <<= bits
-        chunk[:, 0] |= chunk[:, 1]
-        chunk[:, 1] <<= bits
-        chunk[:, 1] |= src
-        if keys.dtype == np.int32:
-            keys[2 * a:2 * a + chunk.size] = chunk.ravel().astype(np.int32)
+        src, dst = (chunk[:, k].astype(keys.dtype) for k in (0, 1))
+        out = keys[2 * a:2 * a + chunk.size].reshape(-1, 2)
+        np.left_shift(src, bits, out=out[:, 0])
+        out[:, 0] |= dst
+        np.left_shift(dst, bits, out=out[:, 1])
+        out[:, 1] |= src
     keys, wgt = _key_sums(keys, None if unit else w, size)
     indptr = keys.searchsorted((np.arange(n + 1) << bits).astype(keys.dtype))
-    mask = (1 << bits) - 1
-    if keys.dtype == np.int64:
-        nbr = np.bitwise_and(keys, mask, out=keys)
-    elif not np.may_share_memory(keys, pairs):  # a fold's distinct keys
-        nbr = np.bitwise_and(keys, mask, dtype=np.int64)
-    else:  # each chunk's int64 lands on keys already read
+    nbr = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
+    if nbr.dtype == np.int64 and nbr.size == pairs.size:
+        # No key was folded: the ids' buffer takes the int32 nbr.
+        pairs.reshape(-1)[:] = nbr
         nbr = pairs.reshape(-1)
-        for b in range(keys.size, 0, -_CHUNK):
-            nbr[max(b - _CHUNK, 0):b] = keys[max(b - _CHUNK, 0):b] & mask
-    return indptr, nbr, wgt, loop
+    return indptr, nbr.astype(np.int32, copy=False), wgt, loop
 
 
 def _compact(a, keep):
@@ -469,12 +499,14 @@ def _stable_sort(keys, size):
     bits = int(keys.size).bit_length()
     if (size - 1) >> (63 - bits) == 0:
         # Each key with its position in the low bits: the values are
-        # distinct, so any sort of them is stable in the keys.
-        keys <<= bits
-        keys |= np.arange(keys.size)
-        keys.sort()
-        order = keys & ((1 << bits) - 1)
-        keys >>= bits
+        # distinct, so any sort of them is stable in the keys.  Int32
+        # keys are packed in an int64 copy and sorted back in place.
+        packed = keys.astype(np.int64, copy=False)
+        packed <<= bits
+        packed |= np.arange(keys.size)
+        packed.sort()
+        order = packed & ((1 << bits) - 1)
+        keys[:] = np.right_shift(packed, bits, out=packed)
         return keys, order
     order = np.argsort(keys, kind="stable")
     return keys[order], order

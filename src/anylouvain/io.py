@@ -37,8 +37,8 @@ import math
 
 import numpy as np
 
-from .errors import NegativeWeight, ParseError, UnknownLabel
-from .graph import _from_pairs, compact_labels
+from .errors import NegativeWeight, ParseError, TooLarge, UnknownLabel
+from .graph import NODE_LIMIT, _from_pairs, compact_labels
 
 #: Bytes per read of a path or a binary file object; a text file object
 #: hands over ``_BLOCK // 16 + 1`` lines at a time.
@@ -145,10 +145,15 @@ def _lines(source):
 
 class _Ids(dict):
     """Label -> dense node id; a label gets the next id when first
-    looked up, so ids follow first appearance."""
+    looked up, so ids follow first appearance.  A label that would make
+    :data:`graph.NODE_LIMIT` of them raises :class:`TooLarge`."""
 
     def __missing__(self, label):
-        self[label] = i = len(self)
+        i = len(self)
+        if i + 1 >= NODE_LIMIT:
+            raise TooLarge(f"{NODE_LIMIT} node labels or more: a graph "
+                           f"holds fewer than {NODE_LIMIT} nodes")
+        self[label] = i
         return i
 
 
@@ -157,7 +162,8 @@ def _numeric_ids(enc, count, n_digits, ids):
     bytes are ASCII digits, `` ``, ``\t`` and ``\n``, ``n_digits`` of
     them digits; parsed in C when they are canonical decimals as the
     module docstring states, None otherwise.  Only the distinct values,
-    as ``str(v)`` in order of first appearance, meet ``ids``."""
+    as ``str(v)`` in order of first appearance, meet ``ids``.  The ids
+    are int32."""
     vals = np.fromstring(enc, dtype=np.int64, sep=" ")
     n = vals.size
     if n != count:
@@ -182,14 +188,14 @@ def _numeric_ids(enc, count, n_digits, ids):
     names = map(str, uniq[seen].tolist())
     lut[seen] = np.fromiter(map(ids.__getitem__, names), dtype=np.int64,
                             count=seen.size)
-    return lut[idx]
+    return lut.astype(np.int32)[idx]
 
 
 def _parse_block(text, line_no, ids):
     r"""The edges of one block as ``(pairs, w, lines)``: ``pairs`` holds
-    the ids of ``src, dst`` of each edge in turn, ``w`` the weights, or
-    the edge count when no line of the block has a weight, and ``lines``
-    the block's ``\n`` count.
+    the int32 ids of ``src, dst`` of each edge in turn, ``w`` the
+    weights, or the edge count when no line of the block has a weight,
+    and ``lines`` the block's ``\n`` count.
 
     The block's first faulty line raises, as :func:`read_edge_list`
     describes.  ``line_no`` is the number of the block's first line.
@@ -221,7 +227,7 @@ def _parse_block(text, line_no, ids):
         if pairs is None:
             tokens = text.split()
             pairs = np.fromiter(map(ids.__getitem__, tokens),
-                                dtype=np.int64, count=len(tokens))
+                                dtype=np.int32, count=len(tokens))
         return pairs, n_ends, n_ends
     del space
     counts = np.bincount(np.searchsorted(ends, starts),
@@ -243,7 +249,7 @@ def _parse_block(text, line_no, ids):
     # tokens stay alive while they are parsed.
     tokens = np.array(text.split(), dtype=object)
     seq = tokens[(lead[:, None] + (0, 1)).ravel()]
-    pairs = np.fromiter(map(ids.__getitem__, seq), dtype=np.int64,
+    pairs = np.fromiter(map(ids.__getitem__, seq), dtype=np.int32,
                         count=seq.size)
     del seq
     w_tok = tokens[lead[weighted] + 2]
@@ -292,33 +298,40 @@ def read_edge_list(source):
     :class:`NegativeWeight` on a negative weight; the first faulty line
     in the file is the one reported.
 
-    The blocks' id arrays are joined into one and dropped before the
-    graph is built.  A block of ``src dst`` lines makes no weight array:
-    when no line of the file has a weight, the weights stay implicit (a
-    read-only ``1.0`` broadcast over the edges) and the CSR build counts
-    its keys, sorted in place, instead of summing weights.  Such a read
-    peaks at about four 8-byte words per edge line, the blocks' id arrays
-    and their join (two each).  The CSR build writes each edge's two keys
-    over its two ids (as int32 in their front half when the keys are
-    sorted and their range ``n << bits`` is below ``2**31``) and sorts
-    them in place into the neighbor ids, so the graph holds two; its
+    Each block's int32 ids are copied into one buffer, grown by realloc,
+    and dropped; a file of ``graph.NODE_LIMIT`` labels or more raises
+    :class:`TooLarge`.  A block of ``src dst`` lines makes no weight
+    array: when no line of the file has a weight, the weights stay
+    implicit (a read-only ``1.0`` broadcast over the edges) and the CSR
+    build counts its keys, sorted in place, instead of summing weights.
+    Such a read peaks at the ids' buffer (one 8-byte word per edge line,
+    and up to a quarter of slack) beside the parse of one block: 1.69
+    words per line on a dense-ng input of 1.76M lines.  The CSR build writes each edge's two keys over its two ids (int32 when
+    their range ``n << bits`` is below ``2**31``, else an int64 array of
+    their own) and sorts them into the int32 neighbor ids, so the graph
+    holds one word per line (1.03 there with its per-node arrays); its
     weights stay the broadcast unless a pair is given twice.  A file
     with weights also holds its weights (one) and the stable sort's
-    order and gathered weights (four), about ten words per line at the
-    build.  Its blocks are split into token strings,
-    about 20 bytes per byte of a block's text while that block is parsed.
+    packed keys and order (two each) or order and gathered weights,
+    about six words per line at the build.  Its blocks are split into
+    token strings, about 20 bytes per byte of a block's text while that
+    block is parsed.
     """
     ids, line_no = _Ids(), 1
-
-    def blocks():
-        nonlocal line_no
-        for text in _blocks(source, lambda: line_no):
-            pairs, w, lines = _parse_block(text, line_no, ids)
-            line_no += lines
-            yield pairs, w
-
-    pairs, weights = zip((np.zeros(0, dtype=np.int64), 0), *blocks())
-    pairs = np.concatenate(pairs)
+    pairs, end, weights = np.zeros(0, dtype=np.int32), 0, [0]
+    for text in _blocks(source, lambda: line_no):
+        block, w, lines = _parse_block(text, line_no, ids)
+        line_no += lines
+        if end + block.size > pairs.size:
+            # A realloc, grown by a quarter at least so that the copies
+            # it may make add up to O(lines); no view of pairs is alive.
+            pairs.resize(max(end + block.size, pairs.size * 5 // 4),
+                         refcheck=False)
+        pairs[end:end + block.size] = block
+        end += block.size
+        weights.append(w)
+        del block
+    pairs.resize(end, refcheck=False)
     if all(isinstance(w, int) for w in weights):
         weights = np.broadcast_to(1.0, pairs.size // 2)
     else:  # the lines of an unweighted block weigh 1

@@ -93,7 +93,8 @@ import numpy as np
 
 from .criteria import _CELLS, Criterion, CriterionState, as_criterion
 from .errors import ConfigError, SweepCapExceeded
-from .graph import _CHUNK, Graph, aggregate, compact_labels
+from .graph import (_CHUNK, Graph, _row_blocks, aggregate,
+                    compact_labels)
 
 __all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "detect",
            "compose_flat"]
@@ -397,7 +398,7 @@ def one_pass(g, cfg, st, rng=None):
                 row = rows[i]
                 if row is None:
                     lo, hi = indptr[i], indptr[i + 1]
-                    comms = part_np[nbr[lo:hi]]
+                    comms = part_np.take(nbr[lo:hi])  # int32 ids
                     # bincount adds each community's weights in row
                     # order, as the dict below does.
                     sums = np.bincount(comms, wgt[lo:hi])
@@ -498,19 +499,16 @@ class _Columns:
         self.of = np.full(st.sz.size, -1, dtype=np.int64)
         self.of[live] = np.arange(live.size)
         self.node = self.of[st.part]
-        kappa, ends = live.size, g.indptr[1:]
-        self.table = (np.zeros((g.n, kappa), dtype=np.int32)
-                      if g.unit_weights else None)
-        r0 = 0 if g.unit_weights else g.n  # the first row left to count
-        while r0 < g.n:
-            r1 = max(r0 + 1, int(ends.searchsorted(g.indptr[r0] + _CHUNK,
-                                                   "right")))
-            keys = np.repeat(np.arange(0, (r1 - r0) * kappa, kappa),
-                             np.diff(g.indptr[r0:r1 + 1]))
-            keys += self.node[g.nbr[g.indptr[r0]:g.indptr[r1]]]
-            self.table[r0:r1] = np.bincount(
-                keys, minlength=(r1 - r0) * kappa).reshape(r1 - r0, kappa)
-            r0 = r1
+        kappa, self.table = live.size, None
+        if g.unit_weights:
+            self.table = np.zeros((g.n, kappa), dtype=np.int32)
+            for r0, r1 in _row_blocks(g.indptr, _CHUNK):
+                keys = self.node.take(g.nbr[g.indptr[r0]:g.indptr[r1]])
+                keys += np.repeat(np.arange(0, (r1 - r0) * kappa, kappa),
+                                  np.diff(g.indptr[r0:r1 + 1]))
+                self.table[r0:r1] = np.bincount(
+                    keys, minlength=(r1 - r0) * kappa).reshape(r1 - r0, kappa)
+                del keys  # before the next block's take()
 
     def move(self, i, c):
         """Move node ``i`` into community ``c``: -1 and +1 over its row

@@ -118,7 +118,7 @@ def reference_csr(n, edges):
                              w_max=float(max(tops)) if tops else 1.0)
     return SimpleNamespace(
         indptr=np.cumsum(indptr),
-        nbr=np.array([j for _, j in entries], dtype=np.int64), wgt=wgt,
+        nbr=np.array([j for _, j in entries], dtype=np.int32), wgt=wgt,
         loop=loop, size=np.ones(n, dtype=np.int64),
         aux=np.zeros(n, dtype=np.float64),
         degrees=np.array(degrees, dtype=np.float64) + loop, consts=consts)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from anylouvain import (Graph, RunConfig, aggregate, as_criterion,
                         compact_labels, datasets, detect, singleton_labels)
-from anylouvain.errors import LouvainError, NegativeWeight
+from anylouvain.errors import LouvainError, NegativeWeight, TooLarge
 from anylouvain import graph, synth
 
 from conftest import (assert_same_graph, neighbor_community_weights,
@@ -131,8 +131,10 @@ def _unit_edges(n, m, seed):
 
 
 # (n, edges): few nodes and many edges take the bincount branch of
-# _key_sums (a key range no longer than the keys), many nodes the sort.
-CSR_SHAPES = {"bincount": (12, 300), "sort": (400, 300)}
+# _key_sums (a key range no longer than the keys), many nodes the sort;
+# past 2**15 nodes the keys are int64 (n << bits past 2**31).
+CSR_SHAPES = {"bincount": (12, 300), "sort": (400, 300),
+              "sort-int64": (2 ** 15 + 1, 300)}
 
 
 def _key_sums_branch(build):
@@ -155,9 +157,9 @@ def test_from_arrays_matches_reference_csr(shape, weights):
          "broadcast": np.broadcast_to(1.0, src.size),
          "weighted": rng.choice([0.0, 0.1, 0.2, 0.3, 1.0], src.size),
          "unit-edges-weighted-loops": np.where(src == dst, 0.3, 1.0)}[weights]
-    g, (branch, _) = _key_sums_branch(
-        lambda: Graph.from_arrays(n, src, dst, w))
-    assert branch == shape
+    g, branch = _key_sums_branch(lambda: Graph.from_arrays(n, src, dst, w))
+    assert branch == (shape.removesuffix("-int64"),
+                      np.int64 if shape.endswith("int64") else np.int32)
     assert_same_graph(g, reference_csr(n, zip(src, dst, w)))
     assert g.degrees[-2:].tolist() == [0.0, 0.0]  # isolated nodes
 
@@ -175,9 +177,9 @@ def test_from_arrays_empty_input(n):
 @pytest.mark.parametrize("pairs", ["duplicates", "distinct"])
 def test_unit_keys_are_int32_below_2_31(n, width, pairs):
     # n << bits is 2**30 at n = 2**15 and 2**31 + 2**16 one node later.
-    # Sorted unit keys below 2**31 are int32 over the ids' buffer: folded
-    # when a pair is given twice, else widened in place into nbr from the
-    # buffer's end.
+    # Keys below 2**31 are int32 over the ids' buffer: folded when a pair
+    # is given twice, else cut in place into nbr.  Past it they are an
+    # int64 array of their own.  Either way nbr is int32.
     src, dst = _unit_edges(n, 3000, seed=8)
     if pairs == "distinct":  # each pair once, either way round
         _, first = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
@@ -190,6 +192,22 @@ def test_unit_keys_are_int32_below_2_31(n, width, pairs):
     assert g.unit_weights == (pairs == "distinct")
     assert np.count_nonzero(g.loop) and g.degrees[-1] == 0.0
     assert_same_graph(g, reference_csr(n, zip(src, dst, np.ones(src.size))))
+
+
+def test_int64_keys_none_folded_give_nbr_over_the_ids():
+    # Distinct weighted pairs past 2**15 nodes: the keys are int64 in an
+    # array of their own, and with no key folded the int32 nbr is
+    # written over the ids' buffer, which the build no longer needs.
+    n = 2 ** 15 + 1
+    src, dst = _unit_edges(n, 3000, seed=8)
+    _, first = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                         return_index=True)
+    src, dst = src[first], dst[first]
+    w = np.random.default_rng(2).uniform(0.5, 2.0, src.size)
+    pairs = np.column_stack((src, dst)).astype(np.int32)
+    g = graph._from_pairs(n, pairs, w.copy())
+    assert np.count_nonzero(g.loop) and np.shares_memory(g.nbr, pairs)
+    assert_same_graph(g, reference_csr(n, zip(src, dst, w)))
 
 
 @pytest.mark.parametrize("loops", [(), (0.5, 3.0), (0.0,)],
@@ -294,6 +312,9 @@ BAD_ARRAYS = {
                                 "node ids must be numbers"),
     "object-ids": (3, (0, None), (1, 2), (1.0, 1.0), LouvainError,
                    "node ids must be numbers"),
+    # Refused before anything of size n is allocated (16 GB of loops).
+    "2**31-nodes": (2 ** 31, (0,), (1,), (1.0,), TooLarge,
+                    "2147483648 nodes: a graph holds fewer than 2147483648"),
 }
 
 
@@ -304,6 +325,13 @@ def test_from_arrays_names_first_bad_edge(name):
         Graph.from_arrays(n, src, dst, w)
     assert type(err.value) is error
     assert str(err.value).startswith(message)
+
+
+def test_node_limit_is_the_first_node_count_refused(monkeypatch):
+    monkeypatch.setattr(graph, "NODE_LIMIT", 4)
+    assert Graph.from_arrays(3, [0], [2], [1.0]).nbr.tolist() == [2, 0]
+    with pytest.raises(TooLarge, match="4 nodes"):
+        Graph.from_arrays(4, [0], [2], [1.0])
 
 
 def test_from_arrays_leaves_read_only_weights_alone():
@@ -652,6 +680,24 @@ def test_from_arrays_leaves_writeable_weights_alone():
     assert_same_graph(g, reference_csr(50, zip(src, dst, before)))
 
 
+@pytest.mark.parametrize("chunk", [1 << 16, 500])  # blocks; one row each
+def test_weighted_degrees_hold_no_row_id_array(chunk):
+    # Each block of rows is summed by its own bincount, which adds a
+    # row's weights in row order as one bincount over all rows does; a
+    # row-id array as long as the adjacency (503,390 entries, 4 MB) is
+    # never made.
+    src, dst = np.triu_indices(710, k=1)
+    w = np.random.default_rng(3).uniform(0.1, 5.0, src.size)
+    g = Graph.from_arrays(710, src, dst, w)
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    want = np.bincount(rows, g.wgt, minlength=g.n) + g.loop
+    with mock.patch.object(graph, "_CHUNK", chunk):
+        h, peak, _ = traced_peak(lambda: Graph(
+            g.n, g.indptr, g.nbr, g.wgt, g.loop, g.size, g.aux))
+    assert h.degrees.tobytes() == want.tobytes()
+    assert peak <= 3 * 8 * chunk + 8 * 4 * g.n < 8 * g.nbr.size
+
+
 def test_loops_compacted_in_place_peak_memory():
     # A weighted build with a few loops moves the other edges to the
     # front of its own pairs and weights, a chunk at a time.  Copying
@@ -659,7 +705,8 @@ def test_loops_compacted_in_place_peak_memory():
     # 4.2 with no loop.
     src, dst = np.triu_indices(710, k=1)  # 251,695 edges
     rng = np.random.default_rng(0)
-    pairs = np.column_stack((src, dst))[rng.permutation(src.size)]
+    pairs = np.column_stack((src, dst)).astype(np.int32)
+    pairs = pairs[rng.permutation(src.size)]
     loops = rng.choice(src.size, 20, replace=False)
     pairs[loops, 1] = pairs[loops, 0]
     w = rng.uniform(0.1, 5.0, src.size)

@@ -10,7 +10,9 @@ import pytest
 import anylouvain.io as reader
 from anylouvain import (RunConfig, datasets, detect, read_edge_list,
                         read_partition, relational_total, write_partition)
-from anylouvain.errors import NegativeWeight, ParseError, UnknownLabel
+from anylouvain import graph
+from anylouvain.errors import (NegativeWeight, ParseError, TooLarge,
+                               UnknownLabel)
 
 from conftest import assert_same_graph, reference_csr, traced_peak
 
@@ -198,11 +200,11 @@ def test_summary_fields_and_json():
 
 
 def test_read_peak_memory(tmp_path):
-    # An unweighted read holds at most the blocks' ids and their join
-    # (two 8-byte words per edge each), and no weight array or sort
-    # order: the keys are written over the joined ids and sorted in
-    # place into the neighbor ids, which the graph keeps (two), its
-    # weights a broadcast.
+    # An unweighted read holds the int32 ids of the blocks read so far
+    # in one buffer (one 8-byte word per edge) beside the parse of one
+    # block, and no weight array or sort order: the keys are written
+    # over the ids and sorted in place into the int32 neighbor ids,
+    # which the graph keeps (one), its weights a broadcast.
     src, dst = np.triu_indices(710, k=1)  # 251,695 distinct pairs
     order = np.random.default_rng(0).permutation(src.size)
     path = tmp_path / "pairs.edges"
@@ -211,7 +213,41 @@ def test_read_peak_memory(tmp_path):
     g, peak, held = traced_peak(lambda: read_edge_list(path)[0])
     assert g.nbr.size == 2 * src.size
     assert peak <= 5.5 * 8 * src.size
-    assert held <= 2.1 * 8 * src.size
+    assert held <= 1.1 * 8 * src.size
+
+
+def test_int64_keys_give_int32_neighbours(tmp_path):
+    # 50,000 << 16 is past 2**31, so the keys are an int64 array of
+    # their own, sorted and cut to int32 neighbour ids: the graph holds
+    # one word per line besides its per-node arrays, as below 2**31.
+    n = 50_000
+    lines = [(str(i), str((i + k) % n), 1.0) for i in range(n) for k in (1, 2)]
+    path = tmp_path / "ring.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b, _ in lines))
+    with mock.patch.object(graph, "_key_sums", wraps=graph._key_sums) as ks:
+        read_edge_list(path)
+    (keys, _, size), = [c.args for c in ks.call_args_list]
+    assert (keys.dtype, size) == (np.int64, n << 16)
+    del ks, keys
+    g, _, held = traced_peak(lambda: read_edge_list(path)[0])
+    assert g.nbr.dtype == np.int32
+    # Labels are numbered by first appearance: "0", "1", "2", ...
+    assert_same_graph(g, reference_read(lines, [str(i) for i in range(n)]))
+    per_node = sum(getattr(g, name).nbytes for name in
+                   ("indptr", "loop", "size", "aux", "degrees"))
+    assert held - per_node <= 1.1 * 8 * len(lines)
+
+
+@pytest.mark.parametrize("three,four", [
+    ("1 2\n3 2\n", "1 2\n3 4\n"), ("a b\nc b\n", "a b\nc d\n"),
+    ("a b 1\nc b 2\n", "a b 1\nc d 2\n")],
+    ids=["numeric", "tokens", "weighted"])
+def test_node_limit_is_the_first_label_count_refused(monkeypatch, three,
+                                                       four):
+    monkeypatch.setattr(reader, "NODE_LIMIT", 4)
+    assert parse(three)[0].n == 3
+    with pytest.raises(TooLarge, match="4 node labels or more"):
+        parse(four)
 
 
 def test_duplicate_pairs_keep_a_weight_array(tmp_path):
@@ -237,6 +273,7 @@ def test_parse_block_peak_memory():
         lambda: reader._parse_block(text, 1, reader._Ids()))
     assert peak <= 6.5 * len(text)
     assert (pairs.size, edges, lines) == (270_000, 135_000, 135_000)
+    assert pairs.dtype == np.int32
 
 
 def test_weighted_block_peak_memory():
@@ -251,6 +288,7 @@ def test_weighted_block_peak_memory():
         lambda: reader._parse_block(text, 1, reader._Ids()))
     assert peak <= 21.5 * len(text)
     assert pairs.size == 2 * w.size == 2 * lines == 2 * 89_703
+    assert pairs.dtype == np.int32
     assert np.all(w == 0.5)
 
 
