@@ -166,7 +166,7 @@ class Graph:
             raise LouvainError(f"src, dst and w must be 1-D arrays of one "
                                f"length, got shapes {src.shape}, "
                                f"{dst.shape} and {w.shape}")
-        if not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise LouvainError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise LouvainError(f"node count must be non-negative, got {n}")

@@ -306,16 +306,18 @@ def read_edge_list(source):
     build counts its keys, sorted in place, instead of summing weights.
     Such a read peaks at the ids' buffer (one 8-byte word per edge line,
     and up to a quarter of slack) beside the parse of one block: 1.69
-    words per line on a dense-ng input of 1.76M lines.  The CSR build writes each edge's two keys over its two ids (int32 when
-    their range ``n << bits`` is below ``2**31``, else an int64 array of
-    their own) and sorts them into the int32 neighbor ids, so the graph
-    holds one word per line (1.03 there with its per-node arrays); its
-    weights stay the broadcast unless a pair is given twice.  A file
-    with weights also holds its weights (one) and the stable sort's
-    packed keys and order (two each) or order and gathered weights,
-    about six words per line at the build.  Its blocks are split into
-    token strings, about 20 bytes per byte of a block's text while that
-    block is parsed.
+    words per line on a dense-ng input of 1.76M lines.
+
+    The CSR build writes each edge's two keys over its two ids (int32
+    when their range ``n << bits`` is below ``2**31``, else an int64
+    array of their own) and sorts them into the int32 neighbor ids, so
+    the graph holds one word per line (1.03 there with its per-node
+    arrays); its weights stay the broadcast unless a pair is given
+    twice.  A file with weights also holds its weights (one) and the
+    stable sort's packed keys and order (two each) or order and gathered
+    weights, about six words per line at the build.  Its blocks are
+    split into token strings, about 20 bytes per byte of a block's text
+    while that block is parsed.
     """
     ids, line_no = _Ids(), 1
     pairs, end, weights = np.zeros(0, dtype=np.int32), 0, [0]

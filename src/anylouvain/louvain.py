@@ -87,14 +87,12 @@ import operator
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
 from .criteria import _CELLS, Criterion, CriterionState, as_criterion
 from .errors import ConfigError, SweepCapExceeded
-from .graph import (_CHUNK, Graph, _row_blocks, aggregate,
-                    compact_labels)
+from .graph import _CHUNK, Graph, _row_blocks, aggregate, compact_labels
 
 __all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "detect",
            "compose_flat"]
@@ -151,8 +149,10 @@ class RunConfig:
 
 @dataclass
 class Level:
-    """One coarsening level: the graph it ran on, the partition the pass
-    produced (compact ids) and the quality after the pass."""
+    """One coarsening level, as :func:`one_pass` returns it: the graph
+    the pass ran on, the partition it ended in (compact ids
+    ``0..kappa-1``), that partition's quality, and the pass's sweeps and
+    moves."""
 
     graph: Graph
     labels: np.ndarray
@@ -264,15 +264,6 @@ def _criterion_id(cfg):
     return as_criterion(cfg.criterion, cfg.alpha).id
 
 
-class PassResult(NamedTuple):
-    labels: np.ndarray
-    sweeps: int
-    moves: int
-    visits: int | None = None
-    sweep_moves: tuple[int, ...] | None = None
-    sweep_visits: tuple[int, ...] | None = None
-
-
 #: Rows longer than this are scored in numpy, a fixed handful of calls
 #: per visit, instead of a Python loop over the row and its candidates.
 #: The loop costs a fixed amount per neighbour and per candidate, the
@@ -335,16 +326,19 @@ def one_pass(g, cfg, st, rng=None):
     the empty slot of ``st`` that a move emptied last, or else its
     lowest empty slot.
     Sweeps repeat until one full sweep moves nothing; a pass still moving
-    after ``10 * n`` sweeps raises :class:`SweepCapExceeded`.  Returns a
-    :class:`PassResult`, whose ``visits`` counts the visits made.
+    after ``10 * n`` sweeps raises :class:`SweepCapExceeded`.
 
-    A sweep skips the nodes that the quiet check certifies, by the rules
-    the module docstring states.  ``sweep_moves`` and ``sweep_visits``
-    hold each sweep's moves and visits.
+    Returns the :class:`Level` of ``g``: the partition the pass ended
+    in, in compact ids, its quality (:meth:`CriterionState.total`, which
+    raises :class:`LouvainError` when it is NaN or infinite), and the
+    sweeps, moves and visits made, also per sweep.  A sweep skips the
+    nodes that the quiet check certifies, by the rules the module
+    docstring states, so ``visits`` counts only the visits made.
 
     The pass runs on Python-list copies of the state and the node
     constants (:meth:`CriterionState.as_lists`), written back into ``st``
-    when the pass ends (also when it raises).  A visit takes one of the
+    when the pass ends (also when it raises), so ``st`` keeps the
+    pass's state in its own slot ids.  A visit takes one of the
     two branches, short row or long row, that the module docstring
     states.
     """
@@ -475,9 +469,10 @@ def one_pass(g, cfg, st, rng=None):
             improved = moves > 0
     finally:
         st.assign(ls)
-    return PassResult(st.part.copy(), len(sweep_moves), sum(sweep_moves),
-                      sum(sweep_visits), tuple(sweep_moves),
-                      tuple(sweep_visits))
+    labels, kappa = compact_labels(st.part)
+    return Level(g, labels, st.total(), kappa, len(sweep_moves),
+                 sum(sweep_moves), sum(sweep_visits), tuple(sweep_moves),
+                 tuple(sweep_visits))
 
 
 class _Columns:
@@ -594,41 +589,36 @@ def detect(g0, cfg):
     """Full hierarchical optimization of ``g0`` under ``cfg``.
 
     ``g0`` is pretreated first when the criterion needs it; a graph
-    already pretreated for it is kept as it is.  Levels are recorded
-    until a pass moves nothing, the level's quality improvement drops
-    to ``cfg.precision`` or below, or ``cfg.max_levels`` are recorded;
-    ``Hierarchy.stop_reason`` names which.  A level whose quality is NaN
-    or infinite raises :class:`LouvainError`
-    (:meth:`CriterionState.total`).  Returns the :class:`Hierarchy`; its
-    first level holds the working level-0 graph, i.e. the pretreated one
-    for ``wc``/``pd``, and its ``elapsed`` covers the pretreatment too.
+    already pretreated for it is kept as it is.  The levels that
+    :func:`one_pass` returns are recorded until a pass moves nothing,
+    the level's quality improvement drops to ``cfg.precision`` or below,
+    or ``cfg.max_levels`` are recorded; ``Hierarchy.stop_reason`` names
+    which.  A NaN or infinite quality raises :class:`LouvainError`.
+    Returns the :class:`Hierarchy`; its first level holds the working
+    level-0 graph, i.e. the pretreated one for ``wc``/``pd``, and its
+    ``elapsed`` covers the pretreatment too.
     """
     t0 = time.perf_counter()
     crit = as_criterion(cfg.criterion, cfg.alpha)
     rng = np.random.default_rng(cfg.seed)
     h = Hierarchy(config=cfg)
     g = crit.pretreat(g0)
-    prev_q = None
     while True:
-        st = crit.init(g)
-        res = one_pass(g, cfg, st, rng)
-        quality = st.total()
-        labels, kappa = compact_labels(res.labels)
-        # PassResult's fields after labels are Level's after kappa.
-        h.levels.append(Level(g, labels, quality, kappa, *res[1:]))
+        lv = one_pass(g, cfg, crit.init(g), rng)
+        h.levels.append(lv)
         h.stop_reason = (
-            "no_moves" if res.moves == 0
-            else "precision" if (prev_q is not None
-                                 and quality - prev_q <= cfg.precision)
+            "no_moves" if lv.moves == 0
+            else "precision" if (
+                len(h.levels) > 1
+                and lv.quality - h.levels[-2].quality <= cfg.precision)
             else "max_levels" if (cfg.max_levels is not None
                                   and len(h.levels) >= cfg.max_levels)
             else None)
         if h.stop_reason:
             break
-        prev_q = quality
-        g = aggregate(g, labels, kappa)
+        g = aggregate(g, lv.labels, lv.kappa)
     h.flat = compose_flat(h)
-    h.kappa_final = int(h.flat.max()) + 1 if h.flat.size else 0
+    h.kappa_final = h.levels[-1].kappa
     h.elapsed = time.perf_counter() - t0
     return h
 

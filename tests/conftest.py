@@ -93,8 +93,8 @@ def reference_csr(n, edges):
     Entries ``(i, j)`` and ``(j, i)`` both add the pair's weights in
     input order into a dict, and loops add into their own list; zero
     sums are dropped.  The degrees add each row's sums in ascending
-    neighbor order, then the loop.  Returns a namespace with the seven
-    ``Graph`` arrays and ``consts``.
+    neighbor order, then the loop.  Returns a namespace with ``n``, the
+    seven ``Graph`` arrays and ``consts``.
     """
     sums, loop = {}, [0.0] * n
     for i, j, w in edges:
@@ -117,7 +117,7 @@ def reference_csr(n, edges):
     consts = Level0Constants(n0=n, two_m=float(wgt.sum() + loop.sum()),
                              w_max=float(max(tops)) if tops else 1.0)
     return SimpleNamespace(
-        indptr=np.cumsum(indptr),
+        n=n, indptr=np.cumsum(indptr),
         nbr=np.array([j for _, j in entries], dtype=np.int32), wgt=wgt,
         loop=loop, size=np.ones(n, dtype=np.int64),
         aux=np.zeros(n, dtype=np.float64),

@@ -1,5 +1,6 @@
-"""Reference edge-list reader: the line-by-line parse and graph build
-that ``io.read_edge_list`` and ``Graph.from_arrays`` replaced.
+"""Reference edge-list reader: the line-by-line parse that
+``io.read_edge_list`` replaced, with the graph built one Python step
+per edge by ``conftest.reference_csr``.
 
 Kept as the oracle of ``test_reader.py``: the block reader must return
 the same labels and bit-identical ``Graph`` arrays, and fail with the
@@ -13,11 +14,9 @@ import math
 import re
 from contextlib import nullcontext
 
-import numpy as np
-import scipy.sparse as sp
+from anylouvain.errors import NegativeWeight, ParseError
 
-from anylouvain import Graph
-from anylouvain.errors import LouvainError, NegativeWeight, ParseError
+from conftest import reference_csr
 
 
 def lines(source):
@@ -60,43 +59,9 @@ def lines(source):
         raise ParseError(line_no, f"not UTF-8 text ({failed.reason})")
 
 
-def graph_from_edges(n, edges):
-    """One Python pass over ``(i, j, w)`` triples, then scipy COO -> CSR.
-
-    Each edge enters the COO input as ``(i, j)`` directly followed by
-    ``(j, i)``, so both rows of a pair add its duplicates in line order
-    (scipy keeps the input order of a row's duplicates on rows of up to
-    16 entries)."""
-    srcs, dsts, ws = [], [], []
-    loop = np.zeros(n, dtype=np.float64)
-    for i, j, w in edges:
-        w = float(w)
-        if w < 0:
-            raise NegativeWeight(f"edge ({i}, {j}) has weight {w}")
-        if i == j:
-            loop[i] += w
-        else:
-            srcs.append(i)
-            dsts.append(j)
-            ws.append(w)
-    ws = np.asarray(ws, dtype=np.float64)
-    if not (np.isfinite(ws).all() and np.isfinite(loop).all()):
-        raise LouvainError("edge weights must be finite")
-    rows = [v for pair in zip(srcs, dsts) for v in pair]
-    cols = [v for pair in zip(dsts, srcs) for v in pair]
-    a = sp.coo_matrix(
-        (np.repeat(ws, 2), (np.asarray(rows, dtype=np.int64),
-                            np.asarray(cols, dtype=np.int64))),
-        shape=(n, n),
-    ).tocsr()
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    return Graph(n, a.indptr, a.indices, a.data, loop,
-                 np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.float64))
-
-
 def read_edge_list(source):
-    """``(Graph, labels)``, one line at a time."""
+    """``(graph, labels)``, one line at a time; the graph is
+    :func:`conftest.reference_csr`'s, one Python step per edge."""
     ids: dict[str, int] = {}
     edges = []
     for line_no, line in lines(source):
@@ -125,4 +90,4 @@ def read_edge_list(source):
         v = ids.setdefault(parts[1], len(ids))
         edges.append((u, v, w))
     labels = list(ids)
-    return graph_from_edges(len(labels), edges), labels
+    return reference_csr(len(labels), edges), labels

@@ -300,6 +300,12 @@ BAD_ARRAYS = {
                          LouvainError, "edge (3, 1) names a node outside"),
     "float-n": (2.5, (0,), (1,), (1.0,), LouvainError,
                 "node count must be an integer, got 2.5"),
+    "True-n": (True, (0,), (0,), (1.0,), LouvainError,
+               "node count must be an integer, got True"),
+    "False-n": (False, (), (), (), LouvainError,
+                "node count must be an integer, got False"),
+    "numpy-bool-n": (np.True_, (0,), (0,), (1.0,), LouvainError,
+                     "node count must be an integer, got "),
     "string-ids": (3, ("0",), ("1",), (1.0,), LouvainError,
                    "node ids must be numbers"),
     "string-weights": (3, (0,), (1,), ("x",), LouvainError,

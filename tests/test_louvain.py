@@ -1,12 +1,15 @@
 """Optimizer behavior: sweeps, hierarchy, determinism, quality bounds."""
 
+import importlib.util
 import json
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anylouvain
 from anylouvain import (Graph, LouvainError, RunConfig, as_criterion,
                         compose_flat, datasets, detect, exact_optimum,
                         one_pass, relational_total, synth)
@@ -47,18 +50,18 @@ def test_edgeless_graph_stays_singleton():
     g = Graph.from_edges(5, [])
     crit = as_criterion("zc")
     cfg = RunConfig(criterion="zc")
-    res = one_pass(g, cfg, crit.init(g))
-    assert res.moves == 0
-    assert len(np.unique(res.labels)) == 5
+    lv = one_pass(g, cfg, crit.init(g))
+    assert lv.moves == 0
+    assert lv.kappa == 5 and lv.labels.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_two_triangles_one_pass_finds_both():
     g = two_triangles()
     cfg = RunConfig(criterion="ng", seed=2)
     crit = as_criterion("ng")
-    res = one_pass(g, cfg, crit.init(g))
-    labels = res.labels
-    assert len(np.unique(labels)) == 2
+    lv = one_pass(g, cfg, crit.init(g))
+    labels = lv.labels
+    assert lv.kappa == 2 and sorted(set(labels.tolist())) == [0, 1]
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] == labels[4] == labels[5]
 
@@ -148,14 +151,17 @@ def test_pass_from_any_partition(criterion):
         g = criterion.pretreat(compatible_graph(criterion, rng, n_max=8))
         st = criterion.state_from_labels(g, rng.integers(0, g.n + 3, g.n))
         start = st.total()
-        res = one_pass(g, cfg, st, rng)
-        fresh = criterion.state_from_labels(g, res.labels)
+        lv = one_pass(g, cfg, st, rng)
+        fresh = criterion.state_from_labels(g, st.part)
         for name in ("in_w", "tot", "sz", "aux"):
             a, b = getattr(st, name), getattr(fresh, name)
             b = np.pad(b, (0, a.size - b.size))  # fewer spare slots
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
-        assert st.total() >= start - 1e-9 * max(1.0, abs(start))
-        assert improving_move(criterion, g, res.labels) is None
+        assert lv.quality == st.total()
+        assert lv.quality >= start - 1e-9 * max(1.0, abs(start))
+        _, compact = np.unique(st.part, return_inverse=True)
+        assert np.array_equal(lv.labels, compact)
+        assert improving_move(criterion, g, lv.labels) is None
 
 
 def test_compose_flat_two_levels():
@@ -253,19 +259,25 @@ def test_vector_branch_overflow_fails_without_warnings(monkeypatch, cid):
             detect(g, RunConfig(criterion=cid))
 
 
+def _state_bytes(st):
+    """The bytes of ``st``'s slot ids and of its four accumulators."""
+    return tuple(getattr(st, a).tobytes()
+                 for a in ("part", "in_w", "tot", "sz", "aux"))
+
+
 def _against_reference(g, crit, labels, seed=0):
     """``one_pass`` and :func:`conftest.reference_pass` from ``labels``
-    (None: ``init``'s singletons), each as its labels, sweeps and moves
-    and the bytes of the four accumulators; then ``one_pass``'s result."""
+    (None: ``init``'s singletons), each as its sweeps and moves and the
+    bytes of the state it leaves (:func:`_state_bytes`); then the
+    :class:`Level` that ``one_pass`` returns."""
     def record(run_pass):
         st = (crit.init(g) if labels is None
               else crit.state_from_labels(g, labels))
-        res = run_pass(st, np.random.default_rng(seed))
-        return res, (res[0].tobytes(), res[1], res[2]) + tuple(
-            getattr(st, a).tobytes() for a in ("in_w", "tot", "sz", "aux"))
+        return run_pass(st, np.random.default_rng(seed)), _state_bytes(st)
 
-    res, got = record(partial(one_pass, g, RunConfig()))
-    return got, record(partial(reference_pass, g))[1], res
+    lv, got = record(partial(one_pass, g, RunConfig()))
+    (_, *counts), want = record(partial(reference_pass, g))
+    return (lv.sweeps, lv.moves, *got), (*counts, *want), lv
 
 
 def _check(g, st, order, spare):
@@ -503,8 +515,15 @@ def test_check_refuses_an_inexact_round_trip(monkeypatch, weights):
 
 def test_check_refuses_non_finite_gains(monkeypatch):
     # Weights of 2**1020 add up exactly, but bm's gain overflows.  At
-    # LONG_ROW 0 the pass checks, and certifies nothing.
+    # LONG_ROW 0 the pass checks, and certifies nothing; its quality is
+    # not finite, so it raises, with the reference's state written back.
     monkeypatch.setattr(louvain, "LONG_ROW", 0)
+    check, prefixes = louvain._quiet_prefix, []
+
+    def counted(*args):
+        prefixes.append(check(*args))
+        return prefixes[-1]
+
     w = 2.0 ** 1020
     g = Graph.from_edges(4, [(0, 1, w), (1, 2, w), (2, 3, w)])
     crit = as_criterion("bm")
@@ -513,8 +532,13 @@ def test_check_refuses_non_finite_gains(monkeypatch):
         warnings.simplefilter("error")
         st = crit.state_from_labels(g, labels)
         assert _check(g, st, np.arange(4), 4) == 0
-        got, want, res = _against_reference(g, crit, labels)
-    assert got == want and res.visits == 4 * res.sweeps
+        monkeypatch.setattr(louvain, "_quiet_prefix", counted)
+        with pytest.raises(LouvainError, match="overflow"):
+            one_pass(g, RunConfig(), st, np.random.default_rng(0))
+        ref = crit.state_from_labels(g, labels)
+        reference_pass(g, ref, np.random.default_rng(0))
+    assert _state_bytes(st) == _state_bytes(ref)
+    assert prefixes and not any(prefixes)
 
 
 def test_sweeps_record_their_moves_and_visits(criterion):
@@ -593,3 +617,36 @@ def test_visits_count_the_visits_made():
     for seed in range(3):
         h = detect(datasets.karate_club()[0], RunConfig(seed=seed))
         assert all(lv.visits == lv.graph.n * lv.sweeps for lv in h.levels)
+
+
+@pytest.fixture(scope="module")
+def bench_worker():
+    """``bench/worker.py``, loaded from its path as it stands."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+@pytest.mark.parametrize("graph,cid", [("karate", "ng"), ("karate", "pd"),
+                                       ("planted", "ng")])
+def test_bench_trace_matches_detect(bench_worker, graph, cid):
+    # The benchmark's traced run rebuilds detect's level loop from
+    # public calls (one_pass, Level, Hierarchy, compose_flat), and its
+    # run fails when the result differs from detect's.  The planted
+    # graph's rows are longer than LONG_ROW, so its passes check.
+    g = datasets.karate_club()[0] if graph == "karate" else _planted600()[0]
+    assert (np.diff(g.indptr).max() > louvain.LONG_ROW) == (graph != "karate")
+    cfg = RunConfig(criterion=cid, seed=1)
+    h, levels = bench_worker.traced_detect(anylouvain, g, cfg,
+                                           bench_worker.Spans())
+    want = detect(g, cfg)
+    assert np.array_equal(h.flat, want.flat)
+    assert (h.quality, h.kappa_final) == (want.quality, want.kappa_final)
+    # Level by level too: a last level that moves nothing hides the
+    # qualities of the levels before it.
+    assert [(n, s, m, lv.kappa, lv.quality)
+            for (n, s, m, _), lv in zip(levels, h.levels)] == [
+        (lv.graph.n, lv.sweeps, lv.moves, lv.kappa, lv.quality)
+        for lv in want.levels]

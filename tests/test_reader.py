@@ -17,6 +17,7 @@ from anylouvain import Graph, read_edge_list
 from anylouvain.errors import LouvainError, NegativeWeight, ParseError
 
 import line_reader
+from conftest import assert_same_graph, reference_csr
 
 LABELS = ["a", "b", "c", "0", "17", "\u00e9", "\u7bc0\u70b9", "a#",
           "\ufeffx", "#"]
@@ -341,10 +342,7 @@ def test_from_arrays_matches_reference_build():
     edges = [(0, 1, 2.0), (1, 0, 3.0), (2, 2, 1.5), (1, 2, 0.0), (2, 2, 1.0)]
     src, dst, w = map(np.array, zip(*edges))
     a = Graph.from_arrays(3, src, dst, w)
-    b = line_reader.graph_from_edges(3, edges)
-    for name in ("indptr", "nbr", "wgt", "loop", "size", "aux", "degrees"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert_same_graph(a, reference_csr(3, edges))
     assert a.loop.tolist() == [0.0, 0.0, 2.5]
     assert a.edge_count == 2
 
