@@ -118,6 +118,10 @@ class RunConfig:
         if not isinstance(self.criterion, (str, Criterion)):
             raise ConfigError("criterion must be an id or a Criterion, got "
                               f"{self.criterion!r}")
+        for name in ("seed", "max_levels", "precision", "alpha"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(
+                    f"{name} must be a number, got {getattr(self, name)!r}")
         try:
             self.seed = operator.index(self.seed)
             if self.max_levels is not None:
@@ -197,9 +201,10 @@ class Hierarchy:
     def to_json(self):
         """The summary as JSON, keys in the README's documented order."""
         cfg = self.config
+        crit_id, alpha = _criterion_and_alpha(cfg)
         return json.dumps({
-            "criterion": _criterion_id(cfg),
-            "alpha": cfg.alpha,
+            "criterion": crit_id,
+            "alpha": alpha,
             "seed": cfg.seed,
             "precision": cfg.precision,
             "levels": [_level_json(lv) for lv in self.levels],
@@ -212,9 +217,10 @@ class Hierarchy:
     def to_text(self):
         """The summary as a small human-readable block."""
         cfg = self.config
+        crit_id, alpha = _criterion_and_alpha(cfg)
         lines = [
-            f"criterion: {_criterion_id(cfg)}"
-            + (f" (alpha={cfg.alpha})" if cfg.alpha is not None else ""),
+            f"criterion: {crit_id}"
+            + (f" (alpha={alpha})" if alpha is not None else ""),
             f"seed: {cfg.seed}   precision: {cfg.precision:g}",
             "level      n        m     kappa  sweeps    visits  quality",
         ]
@@ -258,10 +264,12 @@ def _level_json(lv):
             "sweep_moves": lv.sweep_moves, "sweep_visits": lv.sweep_visits}
 
 
-def _criterion_id(cfg):
+def _criterion_and_alpha(cfg):
     """The id of ``cfg``'s criterion, given as an object or as an id in
-    any case."""
-    return as_criterion(cfg.criterion, cfg.alpha).id
+    any case, and the alpha it runs at: the criterion's own where it has
+    one, else ``cfg.alpha``."""
+    crit = as_criterion(cfg.criterion, cfg.alpha)
+    return crit.id, getattr(crit, "alpha", cfg.alpha)
 
 
 #: Rows longer than this are scored in numpy, a fixed handful of calls

@@ -12,8 +12,23 @@ import numpy as np
 import pytest
 
 import anylouvain
-from anylouvain import compact_labels, datasets, detect, read_partition
+from anylouvain import (RunConfig, as_criterion, compact_labels, datasets,
+                        detect, read_partition)
 from anylouvain.cli import main
+
+# The directory the tests import anylouvain from: a subprocess imports
+# the same package from it.
+PACKAGE_ROOT = str(Path(anylouvain.__file__).resolve().parents[1])
+
+
+def run_module(*args, stdin=b"", hash_seed="0"):
+    """``python -m anylouvain ARGS`` in a fresh interpreter, fed the bytes
+    ``stdin``, under the hash seed ``hash_seed``."""
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT,
+           "PYTHONHASHSEED": hash_seed}
+    return subprocess.run([sys.executable, "-m", "anylouvain", *args],
+                          input=stdin, env=env, capture_output=True,
+                          timeout=120)
 
 
 @pytest.fixture()
@@ -65,6 +80,7 @@ def test_levels_out_and_summary_out_match_partition(karate_file, tmp_path):
                           "levels", "stop_reason", "kappa_final", "quality",
                           "elapsed"]
     assert blob["stop_reason"] == "no_moves"
+    assert blob["kappa_final"] == blob["levels"][-1]["kappa"]
     assert [list(lv) for lv in blob["levels"]] == (
         [["n", "m", "quality", "kappa", "sweeps", "visits", "sweep_moves",
           "sweep_visits"]] * len(levels))
@@ -80,17 +96,21 @@ def test_levels_out_and_summary_out_match_partition(karate_file, tmp_path):
 
 
 def test_detect_eval_fixed_point(karate_file, tmp_path, capsys):
+    # eval scores the partition detect wrote by the pairwise sum, in row
+    # blocks, and by the aggregated state; both give detect's quality.
     out = tmp_path / "part.tsv"
     summ = tmp_path / "summary.json"
-    assert main(["detect", karate_file, "--criterion", "du", "--seed", "3",
-                 "--output", str(out), "--summary-out", str(summ)]) == 0
-    capsys.readouterr()
-    assert main(["eval", karate_file, str(out), "--criterion", "du"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    vals = [float(line.split("=")[1]) for line in lines]
-    assert vals[0] == pytest.approx(vals[1], rel=1e-9)
-    assert vals[0] == pytest.approx(json.loads(summ.read_text())["quality"],
-                                    rel=1e-9)
+    for cid in ("ng", "pd", "du"):
+        assert main(["detect", karate_file, "--criterion", cid, "--seed",
+                     "3", "--output", str(out),
+                     "--summary-out", str(summ)]) == 0
+        capsys.readouterr()
+        assert main(["eval", karate_file, str(out), "--criterion", cid]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        vals = [float(line.split("=")[1]) for line in lines]
+        assert vals[0] == pytest.approx(vals[1], rel=1e-9), cid
+        assert vals[0] == pytest.approx(
+            json.loads(summ.read_text())["quality"], rel=1e-9), cid
 
 
 def test_eval_one_community_ng_zero(tmp_path, capsys):
@@ -148,6 +168,15 @@ def test_criterion_is_named_by_its_id(karate_file, tmp_path, capsys):
     assert main(["bench", karate_file, "--criteria", "NG,Du"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["ng", "du"]
+    # The alpha is the one the criterion runs at: a criterion object's
+    # own, else the config's, also where an id ignores it.
+    g, _ = datasets.karate_club()
+    for crit, alpha in ((as_criterion("oz", 0.5), 0.5), ("oz", 0.3),
+                        ("ng", 0.3)):
+        h = detect(g, RunConfig(criterion=crit, alpha=0.3))
+        cid = as_criterion(crit, 0.3).id
+        assert json.loads(h.to_json())["alpha"] == alpha
+        assert h.to_text().startswith(f"criterion: {cid} (alpha={alpha})\n")
 
 
 def test_oz_alpha_rejected_before_io(tmp_path, capsys):
@@ -391,21 +420,49 @@ def test_bench_reports_per_row_errors(tmp_path, capsys):
                for line in lines)
 
 
-def test_stdin_input(karate_file, capsys, monkeypatch):
-    data = open(karate_file).read()
-    monkeypatch.setattr("sys.stdin", io.StringIO(data))
-    rc = main(["detect", "-", "--criterion", "ng", "--seed", "0"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert len(out.splitlines()) == 34  # partition on stdout
+def test_stdin_input(karate_file):
+    # "-" reads stdin's bytes: under either hash seed they give the
+    # partition of the path run, and a bad byte after a lone \r that ends
+    # a text wrapper's first 8 KB chunk fails on its own line.
+    path_run = run_module("detect", karate_file)
+    assert path_run.returncode == 0 and path_run.stdout.count(b"\n") == 34
+    data = Path(karate_file).read_bytes()
+    for hash_seed in ("0", "1"):
+        stdin_run = run_module("detect", "-", stdin=data, hash_seed=hash_seed)
+        assert (stdin_run.returncode, stdin_run.stdout) == (0, path_run.stdout)
+    bad = run_module("detect", "-",
+                     stdin=b"a b\n" * 2047 + b"a b\r" + b"\xff c\n")
+    assert (bad.returncode, bad.stdout) == (1, b"")
+    assert bad.stderr == (
+        b"error: line 2049: not UTF-8 text (invalid start byte)\n")
 
 
 def test_import_does_not_load_scipy():
     # scipy is a test-only reference; the package needs numpy alone.
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(anylouvain.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, anylouvain; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+        env={**os.environ, "PYTHONPATH": PACKAGE_ROOT}, capture_output=True,
+        text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_optimum_is_its_partitions_pairwise_quality(tmp_path, capsys):
+    # A 10-node weighted graph: ng's optimum is scored from pair
+    # coefficients, g's over every partition.  Either way the printed
+    # quality is eval's pairwise value of the printed partition.
+    rng = np.random.default_rng(10)
+    graph = tmp_path / "ten.edges"
+    graph.write_text("".join(
+        f"{i} {j} {rng.uniform(0.5, 4.0):.3f}\n" for i in range(10)
+        for j in range(i + 1, 10) if j == i + 1 or rng.random() < 0.3))
+    part = tmp_path / "opt.tsv"
+    for cid in ("ng", "g"):
+        assert main(["optimum", str(graph), "--criterion", cid,
+                     "--output", str(part)]) == 0
+        line, = capsys.readouterr().out.splitlines()
+        want = line.split()[3]
+        assert part.read_text().count("\n") == 10
+        assert main(["eval", str(graph), str(part), "--criterion", cid]) == 0
+        got = capsys.readouterr().out.splitlines()[0].split()[-1]
+        assert line.startswith("optimum quality = ") and got == want

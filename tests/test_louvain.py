@@ -40,7 +40,9 @@ def test_config_validation():
     {"seed": -1}, {"seed": 1.5}, {"max_levels": 1.5},
     {"alpha": float("nan")}, {"alpha": float("inf")},
     {"criterion": 5}, {"criterion": None}, {"precision": "x"},
-    {"alpha": "x"}])
+    {"alpha": "x"}, {"max_levels": True}, {"seed": False},
+    {"precision": True}, {"alpha": True}, {"seed": np.True_},
+    {"precision": np.True_}])
 def test_config_errors_are_louvain_errors(kwargs):
     with pytest.raises(LouvainError):
         RunConfig(**kwargs)
@@ -588,6 +590,82 @@ def test_dense_movers_skip_the_recheck(monkeypatch):
     assert got == want and len(starts) == res.sweeps
     assert max(starts) <= g.n // louvain._GAP < res.sweep_moves[0]
     assert sum(starts) > 0
+
+
+def test_tied_node_is_certified():
+    # Two 70-cliques, and node x joined to 40 nodes of each, in the
+    # first clique's community: taken out, x has equal sums towards both
+    # communities, whose accumulators are then equal too, so its gain
+    # ties and it stays.  The check certifies such a node, as every
+    # other, so the pass's one sweep makes no visit.  x's row, 80
+    # entries, is long, as are the cliques'.
+    edges = [(b + i, b + j, 1.0) for b in (0, 70)
+             for i in range(70) for j in range(i + 1, 70)]
+    edges += [(140, b + i, 1.0) for b in (0, 70) for i in range(40)]
+    g = Graph.from_edges(141, edges)
+    assert np.diff(g.indptr).min() > louvain.LONG_ROW
+    labels = np.repeat([0, 1, 0], [70, 70, 1])
+    crit = as_criterion("ng")
+    st = crit.state_from_labels(g, labels)
+    order = np.random.default_rng(0).permutation(g.n)
+    assert _check(g, st, order, 2) == g.n
+    got, want, lv = _against_reference(g, crit, labels)
+    assert got == want and lv.labels.tolist() == labels.tolist()
+    assert (lv.sweeps, lv.moves, lv.visits) == (1, 0, 0)
+
+
+def test_recheck_needs_more_than_gap_nodes_per_move(monkeypatch):
+    # Five nodes of the planted graph start in the wrong group.  At
+    # _GAP 0 each move of the first sweep is followed by a re-check of
+    # the rest of its order, so the re-checks give the count of nodes
+    # the sweep has gone at each move.  At _GAP p, the count at the first
+    # move, the k-th move is followed by one only where more than p * k
+    # nodes have gone, so the first is not, and the pass is the same.
+    g, truth = _planted600()
+    labels = truth.copy()
+    wrong = np.random.default_rng(5).choice(g.n, 5, replace=False)
+    labels[wrong] = (labels[wrong] + 1) % 4
+    check, sweeps = louvain._quiet_prefix, []
+
+    def counted(g, st, order, spare, cols):
+        if order.size == g.n:
+            sweeps.append([])
+        else:
+            sweeps[-1].append(g.n - order.size)
+        return check(g, st, order, spare, cols)
+
+    def first_sweep(gap):
+        """The pass's level and its first sweep's re-check counts."""
+        monkeypatch.setattr(louvain, "_GAP", gap)
+        sweeps.clear()
+        got, want, lv = _against_reference(g, as_criterion("ng"), labels, 1)
+        assert got == want
+        return lv, sweeps[0]
+
+    monkeypatch.setattr(louvain, "_quiet_prefix", counted)
+    lv0, ends0 = first_sweep(0)
+    assert len(ends0) == lv0.sweep_moves[0] > 1
+    gap = ends0[0]
+    lv1, ends1 = first_sweep(gap)
+    assert lv1.sweep_moves == lv0.sweep_moves
+    assert ends1 == [end for k, end in enumerate(ends0, 1) if end > gap * k]
+    assert gap not in ends1
+
+
+@pytest.mark.parametrize("precision,reason,levels", [
+    (4.0, "precision", 2), (3.5, "no_moves", 3)])
+def test_gain_of_exactly_precision_stops(precision, reason, levels):
+    # zc on a unit graph has integer qualities: 30 after level 0 and 34
+    # after level 1, which moves.  A gain of at most precision stops the
+    # run, so precision 4 stops it there; below 4 level 2 runs and moves
+    # nothing.  (Node 5 has no edge.)
+    g = Graph.from_edges(7, [(0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 2, 1),
+                             (1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 6, 1),
+                             (3, 4, 1), (3, 6, 1)])
+    h = detect(g, RunConfig(criterion="zc", seed=1, precision=precision))
+    assert [lv.quality for lv in h.levels[:2]] == [30.0, 34.0]
+    assert h.levels[1].moves > 0
+    assert (h.stop_reason, len(h.levels)) == (reason, levels)
 
 
 @pytest.mark.parametrize("kwargs,reason", [
