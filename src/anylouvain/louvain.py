@@ -142,6 +142,8 @@ class RunConfig:
         if not alpha_ok:
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
         self.precision = float(self.precision)
+        # A criterion object runs at its own alpha, whatever alpha is given.
+        self.alpha = getattr(self.criterion, "alpha", self.alpha)
         if self.alpha is not None:
             self.alpha = float(self.alpha)
         if self.max_levels is not None and self.max_levels < 1:
@@ -201,10 +203,9 @@ class Hierarchy:
     def to_json(self):
         """The summary as JSON, keys in the README's documented order."""
         cfg = self.config
-        crit_id, alpha = _criterion_and_alpha(cfg)
         return json.dumps({
-            "criterion": crit_id,
-            "alpha": alpha,
+            "criterion": _criterion_id(cfg),
+            "alpha": cfg.alpha,
             "seed": cfg.seed,
             "precision": cfg.precision,
             "levels": [_level_json(lv) for lv in self.levels],
@@ -217,10 +218,9 @@ class Hierarchy:
     def to_text(self):
         """The summary as a small human-readable block."""
         cfg = self.config
-        crit_id, alpha = _criterion_and_alpha(cfg)
         lines = [
-            f"criterion: {crit_id}"
-            + (f" (alpha={alpha})" if alpha is not None else ""),
+            f"criterion: {_criterion_id(cfg)}"
+            + (f" (alpha={cfg.alpha})" if cfg.alpha is not None else ""),
             f"seed: {cfg.seed}   precision: {cfg.precision:g}",
             "level      n        m     kappa  sweeps    visits  quality",
         ]
@@ -264,12 +264,10 @@ def _level_json(lv):
             "sweep_moves": lv.sweep_moves, "sweep_visits": lv.sweep_visits}
 
 
-def _criterion_and_alpha(cfg):
+def _criterion_id(cfg):
     """The id of ``cfg``'s criterion, given as an object or as an id in
-    any case, and the alpha it runs at: the criterion's own where it has
-    one, else ``cfg.alpha``."""
-    crit = as_criterion(cfg.criterion, cfg.alpha)
-    return crit.id, getattr(crit, "alpha", cfg.alpha)
+    any case."""
+    return as_criterion(cfg.criterion, cfg.alpha).id
 
 
 #: Rows longer than this are scored in numpy, a fixed handful of calls

@@ -168,13 +168,14 @@ def test_criterion_is_named_by_its_id(karate_file, tmp_path, capsys):
     assert main(["bench", karate_file, "--criteria", "NG,Du"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["ng", "du"]
-    # The alpha is the one the criterion runs at: a criterion object's
-    # own, else the config's, also where an id ignores it.
+    # The config's alpha is the one the criterion runs at: a criterion
+    # object's own, else the one given, also where an id ignores it.
     g, _ = datasets.karate_club()
     for crit, alpha in ((as_criterion("oz", 0.5), 0.5), ("oz", 0.3),
                         ("ng", 0.3)):
         h = detect(g, RunConfig(criterion=crit, alpha=0.3))
         cid = as_criterion(crit, 0.3).id
+        assert h.config.alpha == alpha
         assert json.loads(h.to_json())["alpha"] == alpha
         assert h.to_text().startswith(f"criterion: {cid} (alpha={alpha})\n")
 
@@ -420,12 +421,17 @@ def test_bench_reports_per_row_errors(tmp_path, capsys):
                for line in lines)
 
 
-def test_stdin_input(karate_file):
+def test_stdin_input(karate_file, capsys, monkeypatch):
     # "-" reads stdin's bytes: under either hash seed they give the
     # partition of the path run, and a bad byte after a lone \r that ends
-    # a text wrapper's first 8 KB chunk fails on its own line.
+    # a text wrapper's first 8 KB chunk fails on its own line.  A stdin
+    # with no byte buffer under it is read as text.
     path_run = run_module("detect", karate_file)
     assert path_run.returncode == 0 and path_run.stdout.count(b"\n") == 34
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(Path(karate_file).read_text()))
+    assert main(["detect", "-"]) == 0
+    assert capsys.readouterr().out.encode() == path_run.stdout
     data = Path(karate_file).read_bytes()
     for hash_seed in ("0", "1"):
         stdin_run = run_module("detect", "-", stdin=data, hash_seed=hash_seed)
