@@ -11,14 +11,12 @@ import statistics
 import sys
 from dataclasses import replace
 
-from .criteria import EXPERIMENT_CRITERIA, as_criterion
+from .criteria import EXPERIMENT_CRITERIA, as_criterion, tolerance
 from .errors import LouvainError
 from .graph import compact_labels
 from .io import read_edge_list, read_partition, write_partition
 from .louvain import RunConfig, detect
 from .oracle import exact_optimum
-
-_AGREE_TOL = 1e-9
 
 
 def _read_graph(path):
@@ -66,7 +64,7 @@ def _cmd_eval(args):
     aggregated = crit.state_from_labels(g, flat).total()
     print(f"quality[pairwise]   = {pairwise:.12g}")
     print(f"quality[aggregated] = {aggregated:.12g}")
-    if abs(pairwise - aggregated) > _AGREE_TOL * max(1.0, abs(pairwise)):
+    if abs(pairwise - aggregated) > tolerance(g):
         raise LouvainError("evaluation paths disagree; partition or "
                            "graph state is inconsistent")
     return 0
@@ -187,7 +185,3 @@ def main(argv=None):
     except (LouvainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -759,3 +759,18 @@ def relational_total(criterion, g0, labels, *, alpha=None):
     graph must already be pretreated.
     """
     return as_criterion(criterion, alpha).relational(g0, labels)
+
+
+#: A float sum is off by at most eps times the summed magnitudes of its
+#: terms (Higham 2002, sec. 4.2); 2**10 covers the length of the sums.
+_ROUNDING = 2.0 ** 10 * np.finfo(float).eps
+
+
+def tolerance(g0):
+    """How far two evaluations of one quality, or of one quality change,
+    on ``g0``'s level-0 graph may differ by rounding alone.  ``two_m +
+    w_max * n0**2 + n0`` bounds, within a small factor, the summed
+    magnitudes of any built-in criterion's terms; each product is taken
+    before the sum, so the bound is finite wherever the qualities are."""
+    c = g0.consts
+    return _ROUNDING * c.w_max * c.n0 ** 2 + _ROUNDING * (c.two_m + c.n0)

@@ -157,17 +157,16 @@ class _Ids(dict):
         return i
 
 
-def _numeric_ids(enc, count, n_digits, ids):
-    r"""The ids of the ``count`` tokens of the ASCII block ``enc``, whose
+def _numeric_ids(enc, n_digits, ids):
+    r"""The ids of the tokens of the ASCII block ``enc``, whose
     bytes are ASCII digits, `` ``, ``\t`` and ``\n``, ``n_digits`` of
     them digits; parsed in C when they are canonical decimals as the
     module docstring states, None otherwise.  Only the distinct values,
     as ``str(v)`` in order of first appearance, meet ``ids``.  The ids
     are int32."""
+    # A long token saturates; an unparsed one would fail n_digits below.
     vals = np.fromstring(enc, dtype=np.int64, sep=" ")
     n = vals.size
-    if n != count:
-        return None
     top = int(vals.max())
     # A token has at least as many digits as its value's decimal form,
     # and as many only when it has no leading zero.  A token of more
@@ -222,7 +221,7 @@ def _parse_block(text, line_no, ids):
         # Every line is "src dst": line k holds tokens 2k and 2k + 1.
         n_digits = len(text) - np.count_nonzero(space)
         del cp, space, starts, ends
-        pairs = (_numeric_ids(enc, 2 * n_ends, n_digits, ids)
+        pairs = (_numeric_ids(enc, n_digits, ids)
                  if numeric and n_ends else None)
         if pairs is None:
             tokens = text.split()

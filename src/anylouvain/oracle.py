@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import CRITERIA, LINEAR_CRITERIA, as_criterion
+from .criteria import CRITERIA, LINEAR_CRITERIA, as_criterion, tolerance
 from .errors import LouvainError, TooLarge, WeightedInputNotSupported
 from .graph import SENTINEL
 from .louvain import RunConfig, detect
@@ -97,8 +97,8 @@ def exact_optimum(criterion, g0):
     The candidates are every partition, except for a built-in criterion
     of :data:`LINEAR_CRITERIA` (exactly its class, not a subclass): its
     partitions are scored from :func:`pair_coefficients`, and the
-    candidates are those within ``1e-9 * max(1, |q0| + sum|c|)`` of the
-    top score (every partition if a coefficient or score is not
+    candidates are those within :func:`~anylouvain.criteria.tolerance` of
+    the top score (every partition if a coefficient or score is not
     finite).  The candidates are scored by ``relational`` and the first
     best wins, so the result is the brute force's to the bit.  Raises
     :class:`LouvainError` when the winner's quality is off its affine
@@ -114,12 +114,9 @@ def exact_optimum(criterion, g0):
             for cij, i, j in zip(c, *np.triu_indices(g0.n, 1)):
                 np.add(score, cij, out=score, where=table[i] == table[j])
         # A pair's own partition scores q0 + c[ij], so finite scores imply
-        # finite coefficients.  The tolerance scales with the terms, not
-        # the top score, which cancellation can leave far smaller.
+        # finite coefficients.
         if np.isfinite(score).all():
-            top = score.max()
-            tol = 1e-9 * max(1.0, abs(q0) + np.abs(c).sum())
-            cand = np.flatnonzero(score >= top - tol)
+            cand = np.flatnonzero(score >= score.max() - tolerance(g0))
         else:
             score = None
     best, best_q = 0, -np.inf
@@ -130,7 +127,7 @@ def exact_optimum(criterion, g0):
             best, best_q = cand[lo + k], q[k]
     labels = table[:, best].astype(np.int64)
     quality = crit.relational(g0, labels)
-    if score is not None and abs(quality - score[best]) > tol:
+    if score is not None and abs(quality - score[best]) > tolerance(g0):
         raise LouvainError(f"{crit.id}: quality {quality!r} of the optimum "
                            f"is not its affine score {float(score[best])!r}")
     return labels, quality
@@ -151,9 +148,9 @@ def delta_oracle(criterion, g0, labels, i, c_new):
 
 def improving_move(criterion, g0, labels):
     """The first single-node move that raises the quality of ``labels``
-    on the small level-0 graph ``g0`` by more than 1e-9 relative, as
-    ``(node, community)``, or None when ``labels`` is a level-0 local
-    optimum.
+    on the small level-0 graph ``g0`` by more than its
+    :func:`~anylouvain.criteria.tolerance`, as ``(node, community)``, or
+    None when ``labels`` is a level-0 local optimum.
 
     The moves are the ones a local-move pass offers: node ``i`` into the
     community of a neighbour or into an empty one (id one past the
@@ -172,8 +169,7 @@ def improving_move(criterion, g0, labels):
     after = np.repeat(labels[None], len(moves), axis=0)
     after[np.arange(len(moves)), node] = comm
     q0 = crit.relational(g0, labels)
-    up = np.flatnonzero(crit.relational(g0, after) - q0
-                        > 1e-9 * max(1.0, abs(q0)))
+    up = np.flatnonzero(crit.relational(g0, after) - q0 > tolerance(g0))
     return moves[up[0]] if up.size else None
 
 
@@ -192,12 +188,13 @@ def attainment_table(graphs):
     ``graphs``, pretreated here; a graph the criterion refuses as
     weighted is skipped, and ``oz`` runs at alpha 0.3.
 
-    A run hits when its quality is within 1e-9 relative of the
-    enumerated optimum; its gap is ``(optimum - quality) / |optimum|``
-    (the bare difference for an optimum of 0); it is a local optimum
-    when :func:`improving_move` finds no move from its partition.  A run
-    that beats the optimum by more than 1e-9 relative raises
-    :class:`LouvainError`: the evaluation paths then disagree.
+    A run hits when its quality is within the graph's
+    :func:`~anylouvain.criteria.tolerance` of the enumerated optimum; its
+    gap is ``(optimum - quality) / |optimum|`` (the bare difference for
+    an optimum of 0); it is a local optimum when :func:`improving_move`
+    finds no move from its partition.  A run that beats the optimum by
+    more than that tolerance raises :class:`LouvainError`: the
+    evaluation paths then disagree.
     """
     table = {}
     for cid in CRITERIA:
@@ -212,7 +209,7 @@ def attainment_table(graphs):
                 continue
             _, best = exact_optimum(crit, g)
             h = detect(g, cfg)
-            miss, tol = best - h.quality, 1e-9 * max(1.0, abs(best))
+            miss, tol = best - h.quality, tolerance(g)
             if miss < -tol:
                 raise LouvainError(f"{cid}: run quality {h.quality!r} "
                                    f"beats the optimum {best!r}")

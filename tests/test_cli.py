@@ -13,8 +13,11 @@ import pytest
 
 import anylouvain
 from anylouvain import (RunConfig, as_criterion, compact_labels, datasets,
-                        detect, read_partition)
+                        detect, read_edge_list, read_partition)
 from anylouvain.cli import main
+from anylouvain.criteria import tolerance
+
+from conftest import ALL_CRITERIA
 
 # The directory the tests import anylouvain from: a subprocess imports
 # the same package from it.
@@ -108,6 +111,8 @@ def test_detect_eval_fixed_point(karate_file, tmp_path, capsys):
         assert main(["eval", karate_file, str(out), "--criterion", cid]) == 0
         lines = capsys.readouterr().out.splitlines()
         vals = [float(line.split("=")[1]) for line in lines]
+        # eval prints 12 significant digits, so the printed values agree
+        # to that rounding, not to the graph's tolerance.
         assert vals[0] == pytest.approx(vals[1], rel=1e-9), cid
         assert vals[0] == pytest.approx(
             json.loads(summ.read_text())["quality"], rel=1e-9), cid
@@ -133,6 +138,51 @@ def test_eval_disagreeing_paths_fail(tmp_path, capsys, monkeypatch):
                         lambda st: total(st) + 1e-6)
     assert main(["eval", str(graph), str(part)]) == 1
     assert "evaluation paths disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cid,alpha", ALL_CRITERIA)
+def test_eval_rejects_a_state_off_by_2_20_ulp(karate_file, tmp_path, capsys,
+                                              monkeypatch, cid, alpha):
+    # A bound relative to the quality accepted this under every criterion.
+    part = tmp_path / "part.tsv"
+    opts = ["--criterion", cid] + ([] if alpha is None
+                                   else ["--alpha", str(alpha)])
+    assert main(["detect", karate_file, "--output", str(part), *opts]) == 0
+    total = anylouvain.criteria.CriterionState.total
+
+    def corrupted(st):
+        k = np.argmax(st.in_w)
+        st.in_w[k] += 2 ** 20 * np.spacing(st.in_w[k])
+        return total(st)
+    monkeypatch.setattr(anylouvain.criteria.CriterionState, "total",
+                        corrupted)
+    assert main(["eval", karate_file, str(part), *opts]) == 1
+    assert "evaluation paths disagree" in capsys.readouterr().err
+
+
+LARGE_WEIGHTS = {
+    # The pairwise path reads 1.8e134 here and the aggregated one 0:
+    # rounding at the weights' scale, which a bound relative to the
+    # quality rejected.
+    "1e150": "0 1 1e150\n1 2 1e150\n",
+    # w_max * n0**2 overflows float64, but the qualities and, taken
+    # product by product, the tolerance stay finite.
+    "path-1e302": "".join(f"{i} {i + 1} 1e302\n" for i in range(2999)),
+}
+
+
+@pytest.mark.parametrize("weights,cid", [
+    ("1e150", "di"), ("1e150", "du"),
+    ("path-1e302", "du"), ("path-1e302", "di"), ("path-1e302", "g")])
+def test_eval_accepts_detects_partition_at_large_weights(tmp_path, weights,
+                                                         cid):
+    graph = tmp_path / "g.edges"
+    graph.write_text(LARGE_WEIGHTS[weights])
+    assert np.isfinite(tolerance(read_edge_list(str(graph))[0]))
+    part = tmp_path / "p.tsv"
+    assert main(["detect", str(graph), "--criterion", cid,
+                 "--output", str(part)]) == 0
+    assert main(["eval", str(graph), str(part), "--criterion", cid]) == 0
 
 
 @pytest.mark.parametrize("command", ["detect", "bench", "optimum", "eval"])

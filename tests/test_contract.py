@@ -5,8 +5,10 @@ partitions for all nine criteria (``wc`` on unweighted graphs only,
 ``oz`` with a drawn ``alpha``) and checks the contract's identities:
 ``remove`` and ``insert`` are inverses, ``kappa`` counts the communities,
 ``gain_scale`` times a gain difference is the pairwise quality change,
-and a coarse graph's accumulator total is the level-0 pairwise sum.  A
-failure shrinks to a minimal graph and partition.
+and a coarse graph's accumulator total is the level-0 pairwise sum, each
+within the graph's ``criteria.tolerance``; with weights over 300 orders
+of magnitude, ``detect``'s quality meets both evaluation paths within
+it.  A failure shrinks to a minimal graph and partition.
 
 The contract is also the plug-in surface: a criterion declared here, with
 ``du``'s formulas and nothing else, reproduces ``du`` bit for bit.
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from anylouvain import (aggregate, as_criterion, compact_labels, Criterion,
                         datasets, delta_oracle, detect, Graph, RunConfig)
+from anylouvain.criteria import tolerance
 from anylouvain.errors import LouvainError, ZeroEdgeMass
 
 from conftest import ALL_CRITERIA, neighbor_community_weights
@@ -33,12 +36,14 @@ SETTINGS = settings(max_examples=60, deadline=None,
 
 
 @st.composite
-def graphs(draw, unweighted):
+def graphs(draw, unweighted, wide=False):
     """A graph on 2-7 nodes: a path through all of them, so no node is
     isolated, plus random edges and loops.  Weights are multiples of 1/4
-    (every sum of them is exact), or all 1 when ``unweighted``."""
+    (every sum of them is exact), log-uniform over 1e-150..1e150 when
+    ``wide``, or all 1 when ``unweighted``."""
     n = draw(st.integers(2, 7))
     weight = (st.just(1.0) if unweighted
+              else st.floats(-150, 150).map(lambda e: 10.0 ** e) if wide
               else st.integers(1, 16).map(lambda k: k / 4))
     edges = [(i, j, draw(weight))
              for i in range(n) for j in range(i, n)
@@ -46,14 +51,16 @@ def graphs(draw, unweighted):
     return Graph.from_edges(n, edges)
 
 
-def setup(data, cid):
-    """The criterion and its pretreated level-0 graph, drawn."""
+def setup(data, cid, wide=False):
+    """The criterion and its pretreated level-0 graph, drawn; ``wide``
+    as for :func:`graphs`."""
     alpha = None
     if cid == "oz":
         alpha = data.draw(st.floats(0, 1, exclude_min=True, exclude_max=True),
                           label="alpha")
     crit = as_criterion(cid, alpha)
-    g = crit.pretreat(data.draw(graphs(not crit.weighted_ok), label="graph"))
+    g = crit.pretreat(data.draw(graphs(not crit.weighted_ok, wide),
+                                label="graph"))
     try:
         crit.check(g)
     except LouvainError:
@@ -127,7 +134,7 @@ def test_scaled_gain_difference_is_quality_change(cid, data):
     delta = crit.gain_scale * (st_.gain(i, c_new, dws.get(c_new, 0.0))
                                - st_.gain(i, c_old, dws[c_old]))
     expected = delta_oracle(crit, g, labels, i, c_new)
-    assert delta == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    assert abs(delta - expected) <= tolerance(g)
 
 
 @pytest.mark.parametrize("cid", IDS)
@@ -140,7 +147,22 @@ def test_coarse_total_is_level0_pairwise_sum(cid, data):
     labels = partition(data, kappa, "labels")
     total = crit.state_from_labels(coarse, labels).total()
     expected = crit.relational(g, labels[fine])
-    assert total == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    assert abs(total - expected) <= tolerance(g)
+
+
+@pytest.mark.parametrize("cid", IDS)
+@SETTINGS
+@given(data=st.data())
+def test_detect_meets_both_paths_at_any_weight_scale(cid, data):
+    crit, g = setup(data, cid, wide=True)
+    try:
+        h = detect(g, RunConfig(criterion=crit))
+    except LouvainError:
+        return  # e.g. a sum that overflows float64
+    total = crit.state_from_labels(g, h.flat).total()
+    pairwise = crit.relational(g, h.flat)
+    assert abs(h.quality - total) <= tolerance(g)
+    assert abs(total - pairwise) <= tolerance(g)
 
 
 class PluggedUniformity(Criterion):

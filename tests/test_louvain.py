@@ -14,6 +14,7 @@ from anylouvain import (Graph, LouvainError, RunConfig, as_criterion,
                         compose_flat, datasets, detect, exact_optimum,
                         one_pass, relational_total, synth)
 from anylouvain import louvain
+from anylouvain.criteria import tolerance
 from anylouvain.oracle import improving_move
 
 from conftest import (compatible_graph, reference_pass, traced_peak,
@@ -110,13 +111,13 @@ def test_determinism(criterion):
 def test_level_quality_non_decreasing(criterion):
     rng = np.random.default_rng(13)
     for _ in range(8):
-        g = compatible_graph(criterion, rng, n_max=40)
+        g = criterion.pretreat(compatible_graph(criterion, rng, n_max=40))
         cfg = RunConfig(criterion=criterion.id,
                         alpha=getattr(criterion, "alpha", None),
                         seed=int(rng.integers(100)))
         h = detect(g, cfg)
         qs = [lv.quality for lv in h.levels]
-        assert all(b >= a - 1e-9 for a, b in zip(qs, qs[1:]))
+        assert all(b >= a - tolerance(g) for a, b in zip(qs, qs[1:]))
 
 
 def test_flat_matches_final_quality(criterion):
@@ -128,7 +129,7 @@ def test_flat_matches_final_quality(criterion):
                         seed=int(rng.integers(100)))
         h = detect(g, cfg)
         r = criterion.relational(g, h.flat)
-        assert r == pytest.approx(h.quality, rel=1e-9, abs=1e-9)
+        assert abs(r - h.quality) <= tolerance(g)
 
 
 def test_never_beats_exact_optimum(criterion):
@@ -140,7 +141,7 @@ def test_never_beats_exact_optimum(criterion):
                         seed=int(rng.integers(100)))
         h = detect(g, cfg)
         _, q_opt = exact_optimum(criterion, g)
-        assert h.quality <= q_opt + 1e-9 * max(1.0, abs(q_opt))
+        assert h.quality <= q_opt + tolerance(g)
 
 
 def test_pass_from_any_partition(criterion):
@@ -160,7 +161,7 @@ def test_pass_from_any_partition(criterion):
             b = np.pad(b, (0, a.size - b.size))  # fewer spare slots
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
         assert lv.quality == st.total()
-        assert lv.quality >= start - 1e-9 * max(1.0, abs(start))
+        assert lv.quality >= start - tolerance(g)
         _, compact = np.unique(st.part, return_inverse=True)
         assert np.array_equal(lv.labels, compact)
         assert improving_move(criterion, g, lv.labels) is None

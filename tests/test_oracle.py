@@ -21,7 +21,7 @@ import pytest
 from anylouvain import (BELL_NUMBERS, Graph, LouvainError, as_criterion,
                         datasets, delta_oracle, enumerate_partitions,
                         exact_optimum, oracle, synth)
-from anylouvain.criteria import CRITERIA, LINEAR_CRITERIA
+from anylouvain.criteria import CRITERIA, LINEAR_CRITERIA, tolerance
 from anylouvain.errors import TooLarge, WeightedInputNotSupported
 
 from conftest import compatible_graph, triangle, two_triangles
@@ -162,16 +162,16 @@ def pretreated_small_graphs(crit):
 
 
 def affine_gaps(crit, g, rng):
-    """Relative gaps between ``relational`` and the affine model
-    ``q0 + sum(c[ij] * x[ij])`` of :func:`oracle.pair_coefficients` on
-    20 random partitions of ``g``."""
+    """Gaps between ``relational`` and the affine model ``q0 + sum(c[ij]
+    * x[ij])`` of :func:`oracle.pair_coefficients` on 20 random
+    partitions of ``g``, in units of ``g``'s tolerance."""
     parts = np.stack([synth.random_labels(g.n, max_kappa=k, seed=rng)
                       for k in rng.integers(1, g.n + 1, size=20)])
     q0, c = oracle.pair_coefficients(crit, g)
     i, j = np.triu_indices(g.n, 1)
     affine = q0 + (parts[:, i] == parts[:, j]) @ c
     q = crit.relational(g, parts)
-    return np.abs(q - affine) / np.maximum(1.0, np.abs(q))
+    return np.abs(q - affine) / tolerance(g)
 
 
 @pytest.mark.parametrize("cid", LINEAR_CRITERIA)
@@ -179,14 +179,14 @@ def test_linear_criteria_are_affine_in_the_pair_indicator(cid):
     crit = as_criterion(cid, 0.3)
     rng = np.random.default_rng(29)
     for g in pretreated_small_graphs(crit):
-        assert affine_gaps(crit, g, rng).max() <= 1e-9
+        assert affine_gaps(crit, g, rng).max() <= 1.0
 
 
 @pytest.mark.parametrize("cid", sorted(set(CRITERIA) - set(LINEAR_CRITERIA)))
 def test_other_criteria_are_not_affine(cid):
     crit = as_criterion(cid)
     rng = np.random.default_rng(29)
-    assert any(affine_gaps(crit, g, rng).max() > 1e-6
+    assert any(affine_gaps(crit, g, rng).max() > 1e3
                for g in pretreated_small_graphs(crit))
 
 
