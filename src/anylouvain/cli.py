@@ -1,7 +1,8 @@
 """Command-line interface: detect / eval / optimum / bench.
 
-Graph inputs are edge-list files ("-" reads stdin's bytes).  The
-criterion id and alpha are validated before any file is touched.
+Graph inputs are edge-list files ("-" reads stdin's bytes).  Every
+command takes its settings from :class:`RunConfig`, built before any file
+is touched: a flag that is not given leaves the config's default.
 """
 
 from __future__ import annotations
@@ -9,9 +10,9 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .criteria import EXPERIMENT_CRITERIA, as_criterion, tolerance
+from .criteria import EXPERIMENT_CRITERIA, tolerance
 from .errors import LouvainError
 from .graph import compact_labels
 from .io import read_edge_list, read_partition, write_partition
@@ -29,18 +30,15 @@ def _read_graph(path):
     return g, labels
 
 
-def _config(args):
-    return RunConfig(
-        criterion=args.criterion,
-        alpha=args.alpha,
-        precision=args.precision,
-        seed=args.seed,
-        max_levels=args.max_levels,
-    )
+def _config(args, **settings):
+    """The :class:`RunConfig` of the settings flags given in ``args``,
+    with ``settings`` added."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    return RunConfig(**given, **settings)
 
 
 def _cmd_detect(args):
-    as_criterion(args.criterion, args.alpha)  # validate before I/O
     cfg = _config(args)
     g, labels = _read_graph(args.graph)
     h = detect(g, cfg)
@@ -56,7 +54,7 @@ def _cmd_detect(args):
 
 
 def _cmd_eval(args):
-    crit = as_criterion(args.criterion, args.alpha)
+    crit = _config(args).criterion
     g, labels = _read_graph(args.graph)
     flat = read_partition(args.partition, labels)
     g = crit.pretreat(g)
@@ -71,7 +69,7 @@ def _cmd_eval(args):
 
 
 def _cmd_optimum(args):
-    crit = as_criterion(args.criterion, args.alpha)
+    crit = _config(args).criterion
     g, labels = _read_graph(args.graph)
     best, quality = exact_optimum(crit, crit.pretreat(g))
     best, kappa = compact_labels(best)
@@ -90,22 +88,19 @@ def _cmd_bench(args):
             wanted.extend(EXPERIMENT_CRITERIA)
         elif tok:
             wanted.append(tok)
-    # Validate before I/O; a row is labelled with the criterion's id.
-    wanted = [as_criterion(crit_id, args.alpha).id for crit_id in wanted]
-    base = RunConfig(alpha=args.alpha, precision=args.precision,
-                     seed=args.seed)
+    configs = [_config(args, criterion=crit_id) for crit_id in wanted]
     g, _ = _read_graph(args.graph)
 
     header = (f"{'criterion':<10} {'time(s)':>10} {'±':>8} "
               f"{'kappa':>8} {'±':>7} {'quality':>14} {'±':>10}")
     print(header)
-    for crit_id in wanted:
+    for cfg in configs:
+        crit_id = cfg.criterion.id
         times, kappas, quals = [], [], []
         error = None
         for r in range(args.runs):
-            cfg = replace(base, criterion=crit_id, seed=args.seed + r)
             try:
-                h = detect(g, cfg)
+                h = detect(g, replace(cfg, seed=cfg.seed + r))
                 times.append(h.elapsed)
                 kappas.append(h.kappa_final)
                 quals.append(h.quality)
@@ -124,15 +119,20 @@ def _cmd_bench(args):
     return 0
 
 
-def _add_common(p, *, precision):
-    p.add_argument("--criterion", default="ng",
-                   help="criterion id (ng zc oz wc bm di du g pd)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="trade-off parameter for the oz criterion")
-    p.add_argument("--precision", type=float, default=precision,
-                   help="minimum per-level quality improvement")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-levels", type=int, default=None)
+def _add_settings(p, *flags):
+    """Add these flags of :class:`RunConfig`'s fields to ``p``.  None has
+    a default here, so a flag that is not given leaves the field's."""
+    spec = {
+        "--criterion": dict(help="criterion id (ng zc oz wc bm di du g pd)"),
+        "--alpha": dict(type=float,
+                        help="trade-off parameter for the oz criterion"),
+        "--precision": dict(type=float,
+                            help="minimum per-level quality improvement"),
+        "--seed": dict(type=int),
+        "--max-levels": dict(type=int),
+    }
+    for flag in flags:
+        p.add_argument(flag, default=argparse.SUPPRESS, **spec[flag])
 
 
 def build_parser():
@@ -144,7 +144,8 @@ def build_parser():
 
     p = sub.add_parser("detect", help="detect communities in a graph")
     p.add_argument("graph", help="edge list file ('-' reads stdin's bytes)")
-    _add_common(p, precision=1e-6)
+    _add_settings(p, "--criterion", "--alpha", "--precision", "--seed",
+                  "--max-levels")
     p.add_argument("--output", help="partition file (default: stdout)")
     p.add_argument("--levels-out", help="per-level JSON dump")
     p.add_argument("--summary-out", help="run summary as JSON")
@@ -153,15 +154,13 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a partition file")
     p.add_argument("graph")
     p.add_argument("partition")
-    p.add_argument("--criterion", default="ng")
-    p.add_argument("--alpha", type=float, default=None)
+    _add_settings(p, "--criterion", "--alpha")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("optimum",
                        help="exact optimum by enumeration (at most 10 nodes)")
     p.add_argument("graph")
-    p.add_argument("--criterion", default="ng")
-    p.add_argument("--alpha", type=float, default=None)
+    _add_settings(p, "--criterion", "--alpha")
     p.add_argument("--output", help="partition file (default: stdout)")
     p.set_defaults(func=_cmd_optimum)
 
@@ -169,11 +168,9 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--criteria", default="all",
                    help="comma-separated ids, or 'all'")
-    p.add_argument("--alpha", type=float, default=None)
+    _add_settings(p, "--alpha", "--seed", "--precision")
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", type=float, default=5e-3)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, precision=5e-3)
 
     return ap
 

@@ -287,13 +287,13 @@ def aggregate(g, labels, kappa=None):
     unit weights (:attr:`Graph.unit_weights`) the sums are key counts,
     the same bit for bit.
 
-    The keys ``labels[i] * kappa + labels[j]`` are made a chunk of
-    :data:`_CHUNK` entries at a time.  Over unit weights and at most as
-    many keys ``kappa ** 2`` as entries, each chunk is counted and
-    dropped, so the fold holds no edge-sized array.  Otherwise the keys
-    are the one edge-sized array, filled a chunk at a time, and the build
-    peaks at about one 8-byte word per adjacency entry, plus what the
-    fold keeps per distinct community pair.
+    The keys ``labels[i] * kappa + labels[j]`` are made a block of rows
+    of about :data:`_CHUNK` entries at a time.  Over unit weights and at
+    most as many keys ``kappa ** 2`` as entries, each chunk is counted
+    and dropped, so the fold holds no edge-sized array.  Otherwise the
+    keys are the one edge-sized array, filled a chunk at a time, and the
+    build peaks at about one 8-byte word per adjacency entry, plus what
+    the fold keeps per distinct community pair.
 
     ``labels`` must be compact (ids ``0..kappa-1``, all non-empty).
     """
@@ -311,13 +311,13 @@ def aggregate(g, labels, kappa=None):
     else:
         keys = np.empty(g.nbr.size, dtype=np.int64)
     base = labels * kappa
-    for a in range(0, g.nbr.size, _CHUNK):
-        b = min(a + _CHUNK, g.nbr.size)
+    for r0, r1 in _row_blocks(g.indptr, _CHUNK):
+        a, b = g.indptr[r0], g.indptr[r1]
         # take() widens only the chunk's int32 ids to index with, and
         # with mode="clip" (the ids are valid) writes into keys directly.
         chunk = labels.take(g.nbr[a:b], out=None if count else keys[a:b],
                             mode="clip")
-        chunk += _row_terms(g, base, a, b)
+        chunk += np.repeat(base[r0:r1], np.diff(g.indptr[r0:r1 + 1]))
         if count:
             sums += np.bincount(chunk, minlength=n_keys)
         del chunk  # before the next chunk's take()
@@ -346,16 +346,6 @@ def _row_blocks(indptr, size):
         r1 = max(r0 + 1, int(ends.searchsorted(indptr[r0] + size, "right")))
         yield r0, r1
         r0 = r1
-
-
-def _row_terms(g, base, a, b):
-    """``base[i]`` for each adjacency entry ``(i, j)`` numbered
-    ``a..b-1``."""
-    # Rows r0..r1-1 hold the entries.
-    r0 = int(g.indptr.searchsorted(a, "right")) - 1
-    r1 = int(g.indptr.searchsorted(b))
-    return np.repeat(base[r0:r1],
-                     np.diff(np.clip(g.indptr[r0:r1 + 1], a, b)))
 
 
 def _from_pairs(n, pairs, w):

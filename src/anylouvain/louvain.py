@@ -100,24 +100,26 @@ __all__ = ["RunConfig", "Level", "Hierarchy", "one_pass", "detect",
 
 @dataclass
 class RunConfig:
-    """Knobs of one detection run.
+    """Knobs of one detection run, and their one set of defaults.
 
-    ``precision`` is the minimum quality improvement (in the criterion's
-    own units) a coarsening level must bring for the loop to continue.
-    ``seed`` seeds the shuffle of the node visit order before every
-    sweep; two runs with equal config and graph produce identical results.
+    ``criterion`` is given as an id in any case or as a
+    :class:`Criterion`, and holds the resolved criterion object
+    (:func:`~anylouvain.criteria.as_criterion`), so a config that cannot
+    run is refused here.  ``alpha`` is the criterion object's own alpha
+    when it has one, else the one given.  ``precision`` is the minimum
+    quality improvement (in the criterion's own units) a coarsening level
+    must bring for the loop to continue.  ``seed`` seeds the shuffle of
+    the node visit order before every sweep; two runs with equal config
+    and graph produce identical results.
     """
 
-    criterion: str = "ng"
+    criterion: str | Criterion = "ng"
     alpha: float | None = None
     precision: float = 1e-6
     seed: int = 0
     max_levels: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.criterion, (str, Criterion)):
-            raise ConfigError("criterion must be an id or a Criterion, got "
-                              f"{self.criterion!r}")
         for name in ("seed", "max_levels", "precision", "alpha"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ConfigError(
@@ -142,15 +144,16 @@ class RunConfig:
         if not alpha_ok:
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
         self.precision = float(self.precision)
-        # A criterion object runs at its own alpha, whatever alpha is given.
-        self.alpha = getattr(self.criterion, "alpha", self.alpha)
-        if self.alpha is not None:
-            self.alpha = float(self.alpha)
         if self.max_levels is not None and self.max_levels < 1:
             raise ConfigError(
                 f"max_levels must be at least 1, got {self.max_levels}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        self.criterion = as_criterion(self.criterion, self.alpha)
+        # A criterion object runs at its own alpha, whatever alpha is given.
+        self.alpha = getattr(self.criterion, "alpha", self.alpha)
+        if self.alpha is not None:
+            self.alpha = float(self.alpha)
 
 
 @dataclass
@@ -204,7 +207,7 @@ class Hierarchy:
         """The summary as JSON, keys in the README's documented order."""
         cfg = self.config
         return json.dumps({
-            "criterion": _criterion_id(cfg),
+            "criterion": cfg.criterion.id,
             "alpha": cfg.alpha,
             "seed": cfg.seed,
             "precision": cfg.precision,
@@ -219,7 +222,7 @@ class Hierarchy:
         """The summary as a small human-readable block."""
         cfg = self.config
         lines = [
-            f"criterion: {_criterion_id(cfg)}"
+            f"criterion: {cfg.criterion.id}"
             + (f" (alpha={cfg.alpha})" if cfg.alpha is not None else ""),
             f"seed: {cfg.seed}   precision: {cfg.precision:g}",
             "level      n        m     kappa  sweeps    visits  quality",
@@ -262,12 +265,6 @@ def _level_json(lv):
     return {"n": lv.graph.n, "m": lv.graph.edge_count, "quality": lv.quality,
             "kappa": lv.kappa, "sweeps": lv.sweeps, "visits": lv.visits,
             "sweep_moves": lv.sweep_moves, "sweep_visits": lv.sweep_visits}
-
-
-def _criterion_id(cfg):
-    """The id of ``cfg``'s criterion, given as an object or as an id in
-    any case."""
-    return as_criterion(cfg.criterion, cfg.alpha).id
 
 
 #: Rows longer than this are scored in numpy, a fixed handful of calls
@@ -605,7 +602,7 @@ def detect(g0, cfg):
     ``elapsed`` covers the pretreatment too.
     """
     t0 = time.perf_counter()
-    crit = as_criterion(cfg.criterion, cfg.alpha)
+    crit = cfg.criterion
     rng = np.random.default_rng(cfg.seed)
     h = Hierarchy(config=cfg)
     g = crit.pretreat(g0)

@@ -199,7 +199,7 @@ def attainment_table(graphs):
     table = {}
     for cid in CRITERIA:
         cfg = RunConfig(criterion=cid, alpha=0.3)  # only oz reads alpha
-        crit = as_criterion(cid, cfg.alpha)
+        crit = cfg.criterion
         runs = hits = local = 0
         max_gap = 0.0
         for g in graphs:

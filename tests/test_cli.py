@@ -262,11 +262,24 @@ def test_bench_bad_config_rejected_before_io(karate_file, tmp_path, capsys,
 def test_detect_non_finite_alpha_fails(karate_file, tmp_path, capsys):
     summary = tmp_path / "s.json"
     for value in ("nan", "inf"):
-        assert main(["detect", karate_file, "--alpha", value,
-                     "--summary-out", str(summary)]) == 1
-        captured = capsys.readouterr()
-        assert "alpha must be finite" in captured.err
-        assert captured.out == "" and not summary.exists()
+        for args in (["detect", karate_file, "--summary-out", str(summary)],
+                     ["eval", karate_file, str(tmp_path / "p.tsv")],
+                     ["optimum", karate_file]):
+            assert main(args + ["--alpha", value]) == 1
+            captured = capsys.readouterr()
+            assert "alpha must be finite" in captured.err
+            assert captured.out == "" and not summary.exists()
+
+
+def test_defaults_are_run_configs(karate_file, tmp_path):
+    # The parser sets none of RunConfig's defaults: a run with no flags
+    # runs at RunConfig()'s.
+    summary = tmp_path / "s.json"
+    assert main(["detect", karate_file, "--output", str(tmp_path / "p.tsv"),
+                 "--summary-out", str(summary)]) == 0
+    got, cfg = json.loads(summary.read_text()), RunConfig()
+    assert ([got[k] for k in ("criterion", "alpha", "seed", "precision")]
+            == [cfg.criterion.id, cfg.alpha, cfg.seed, cfg.precision])
 
 
 def test_not_pluggable_criteria_rejected(karate_file, capsys):

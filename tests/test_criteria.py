@@ -350,11 +350,21 @@ def test_zc_total_all_singletons():
         n * n - n - 2 * m)
 
 
-def test_total_matches_relational(criterion):
+def _total_relational_cases(criterion):
     rng = np.random.default_rng(41)
     for _ in range(40):
         g = criterion.pretreat(compatible_graph(criterion, rng, n_max=50))
-        labels = synth.random_labels(g.n, seed=rng)
+        yield g, synth.random_labels(g.n, seed=rng)
+    if criterion.id == "zc":
+        # Large, sparse and weighted: zc's absent-link terms dominate, and
+        # only the w_max * n0**2 term of tolerance(g) covers their rounding.
+        for seed in (1, 2, 3):
+            yield (synth.random_graph(2000, 0.002, weighted=True, seed=seed),
+                   synth.random_labels(2000, max_kappa=400, seed=seed))
+
+
+def test_total_matches_relational(criterion):
+    for g, labels in _total_relational_cases(criterion):
         t = criterion.state_from_labels(g, labels).total()
         r = criterion.relational(g, labels)
         assert abs(t - r) <= tolerance(g)

@@ -1,12 +1,21 @@
 """The documentation's code runs as written."""
 
 import doctest
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import anylouvain
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from test_cli import PACKAGE_ROOT
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_readme_blocks_and_doctests_run():
@@ -19,3 +28,15 @@ def test_readme_blocks_and_doctests_run():
         exec(compile(block, str(README), "exec"), namespace)
     result = doctest.testmod(anylouvain)
     assert result.attempted and not result.failed
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    # In a fresh interpreter, as a user runs it, with numpy's overflow
+    # and deprecation warnings as errors.
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-W", "error::DeprecationWarning", str(demo)],
+        env={**os.environ, "PYTHONPATH": PACKAGE_ROOT}, capture_output=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr.decode()

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import warnings
 from functools import partial
 from pathlib import Path
@@ -17,9 +18,11 @@ from anylouvain import louvain
 from anylouvain.criteria import tolerance
 from anylouvain.oracle import improving_move
 
+from classical import one_level
 from conftest import (compatible_graph, reference_pass, traced_peak,
                       two_triangles)
-from test_golden import CASES as GOLDEN_CASES, golden_graphs
+from test_golden import (CASES as GOLDEN_CASES, golden_graphs,
+                         mixed_degree_graph)
 
 
 def test_config_validation():
@@ -30,6 +33,11 @@ def test_config_validation():
     cfg = RunConfig(seed=np.int64(3), max_levels=np.int32(2),
                     precision=np.float32(1e-3), alpha=np.float64(0.3))
     assert (cfg.seed, cfg.max_levels) == (3, 2)
+    # The criterion reads back resolved: an id in any case builds the
+    # object, and an object is kept as it is.
+    assert RunConfig(criterion="NG").criterion.id == "ng"
+    plugged = as_criterion("oz", 0.5)
+    assert RunConfig(criterion=plugged).criterion is plugged
     assert json.loads(detect(datasets.karate_club()[0], cfg).to_json())[
         "seed"] == 3
 
@@ -43,10 +51,16 @@ def test_config_validation():
     {"criterion": 5}, {"criterion": None}, {"precision": "x"},
     {"alpha": "x"}, {"max_levels": True}, {"seed": False},
     {"precision": True}, {"alpha": True}, {"seed": np.True_},
-    {"precision": np.True_}])
+    {"precision": np.True_}, {"criterion": "xyz"}, {"criterion": "mg"},
+    {"criterion": "oz"}, {"criterion": "oz", "alpha": 1.5}])
 def test_config_errors_are_louvain_errors(kwargs):
-    with pytest.raises(LouvainError):
+    with pytest.raises(LouvainError) as refused:
         RunConfig(**kwargs)
+    if isinstance(kwargs.get("criterion"), str):
+        # RunConfig refuses a criterion as as_criterion does.
+        message = f"^{re.escape(str(refused.value))}$"
+        with pytest.raises(refused.type, match=message):
+            as_criterion(kwargs["criterion"], kwargs.get("alpha"))
 
 
 def test_edgeless_graph_stays_singleton():
@@ -314,6 +328,35 @@ def _planted600(w=1.0):
         g = Graph.from_arrays(g.n, rows[upper], g.nbr[upper],
                               np.full(np.count_nonzero(upper), w))
     return g, truth
+
+
+def test_ng_pass_is_classical_louvain():
+    # one_pass for ng against Louvain written without the contract
+    # (tests/classical.py): labels, sweeps and moves bit for bit, on both
+    # row branches, with the quiet check skipping visits (planted 600)
+    # and with a move to the spare (the looped 6-node graph).  Visits are
+    # not compared: the classical pass makes them all.
+    def same(lv, rng):
+        labels, sweeps, moves = one_level(lv.graph, rng)
+        assert (lv.labels.tolist(), lv.sweeps, lv.moves) == (
+            labels.tolist(), sweeps, moves)
+
+    planted = _planted600()[0]
+    for g in (datasets.karate_club()[0], planted,
+              synth.random_graph(300, 0.05, weighted=True, seed=1),
+              synth.random_graph(6, 0.4, weighted=True, loops=True,
+                                 seed=29)):
+        lv = one_pass(g, RunConfig(), as_criterion("ng").init(g),
+                      np.random.default_rng(0))
+        same(lv, np.random.default_rng(0))
+        if g is planted:
+            assert lv.visits < g.n * lv.sweeps  # the check skipped some
+    for weighted in (False, True):
+        h = detect(mixed_degree_graph(weighted), RunConfig())
+        rng = np.random.default_rng(h.config.seed)
+        assert len(h.levels) > 1
+        for lv in h.levels:
+            same(lv, rng)
 
 
 @pytest.mark.parametrize("long_row", [0, 8, louvain.LONG_ROW])
