@@ -295,11 +295,17 @@ def aggregate(g, labels, kappa=None):
     build peaks at about one 8-byte word per adjacency entry, plus what
     the fold keeps per distinct community pair.
 
-    ``labels`` must be compact (ids ``0..kappa-1``, all non-empty).
+    ``labels`` must be compact: ``g.n`` ids in ``0..kappa-1``, each one
+    used; :class:`LouvainError` otherwise.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if kappa is None:
         kappa = int(labels.max()) + 1 if labels.size else 0
+    counts = (np.bincount(labels, minlength=kappa)
+              if labels.shape == (g.n,) and not (labels < 0).any() else None)
+    if counts is None or counts.size != kappa or not counts.all():
+        raise LouvainError(f"aggregate needs {g.n} labels in 0..{kappa - 1}, "
+                           f"each one used")
     n_keys = kappa * kappa
     # Each entry's key is row community * kappa + neighbour community.
     # Counts add exactly in any grouping, so unit weights over a key

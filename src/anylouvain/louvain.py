@@ -294,19 +294,27 @@ _GAP = 8
 
 def _short_rows(g):
     """Per node, ``(neighbours, weights)`` as Python lists for rows of at
-    most ``LONG_ROW`` entries, ``None`` for longer rows."""
+    most ``LONG_ROW`` entries, ``None`` for longer rows.  On a unit-weight
+    level every row shares one list of ones as long as the longest short
+    row: a visit zips it with the row, and ``zip`` stops at the row's
+    end."""
     row_len = np.diff(g.indptr)
     short = row_len <= LONG_ROW
     if not short.any():
         return [None] * g.n
     keep = slice(None) if short.all() else np.repeat(short, row_len)
-    nbr, wgt = g.nbr[keep].tolist(), g.wgt[keep].tolist()
+    nbr = g.nbr[keep].tolist()
+    unit = g.unit_weights
+    if unit:
+        ones = [1.0] * int(row_len[short].max())
+    else:
+        wgt = g.wgt[keep].tolist()
     rows = []
     lo = 0
     for length, is_short in zip(row_len.tolist(), short.tolist()):
         if is_short:
             hi = lo + length
-            rows.append((nbr[lo:hi], wgt[lo:hi]))
+            rows.append((nbr[lo:hi], ones if unit else wgt[lo:hi]))
             lo = hi
         else:
             rows.append(None)
@@ -355,13 +363,14 @@ def one_pass(g, cfg, st, rng=None):
     gain = st.crit.gain_fn(ls)
     rows = _short_rows(g)
     part_np = st.part  # kept current for the long rows' numpy lookups
-    indptr, nbr, wgt = g.indptr.tolist(), g.nbr, g.wgt
+    nbr, wgt = g.nbr, g.wgt
     free = np.flatnonzero(st.sz == 0)[::-1].tolist()  # stack, lowest on top
     # A short row's neighbour-community sums, kept until a neighbour
     # moves; None where there are none to reuse.
     kept = [None] * n
     any_short = rows.count(None) < n
     if None in rows:
+        indptr = g.indptr.tolist()  # read by long rows alone
         # st's arrays stay current slot by slot, for the vector gain and
         # the check.
         pairs = tuple(zip((st.in_w, st.tot, st.sz, st.aux),
@@ -455,7 +464,7 @@ def one_pass(g, cfg, st, rng=None):
                         free.pop()
                     if sz[c_old] == 0:
                         free.append(c_old)
-                    if cols is not None and not cols.move(i, best):
+                    if cols is not None and not cols.move(i, c_old, best):
                         cols = check = None
                     # While this sweep's movers are sparse, certify the
                     # rest again from the state as it is now, and skip
@@ -481,9 +490,10 @@ def one_pass(g, cfg, st, rng=None):
 class _Columns:
     """The columns of :func:`_quiet_prefix`'s (node x community) blocks,
     a snapshot of ``st``'s live communities in ascending order (see the
-    module docstring): ``live[k]`` is the community of column ``k``,
-    ``of[c]`` the column of community ``c`` (-1 for none) and
-    ``node[i]`` the column of node ``i``'s community.
+    module docstring): ``live[k]`` is the community of column ``k`` and
+    ``of[c]`` the column of community ``c`` (-1 for none).  A node's
+    column is ``of[st.part[i]]``: the pass writes each move into
+    ``st.part`` before it checks.
 
     On a unit-weight level (:attr:`Graph.unit_weights`) ``table[i, k]``
     is also node ``i``'s count of neighbours in column ``k`` (int32),
@@ -496,30 +506,29 @@ class _Columns:
         live = self.live = np.flatnonzero(st.sz > 0)
         self.of = np.full(st.sz.size, -1, dtype=np.int64)
         self.of[live] = np.arange(live.size)
-        self.node = self.of[st.part]
         kappa, self.table = live.size, None
         if g.unit_weights:
+            node = self.of[st.part]
             self.table = np.zeros((g.n, kappa), dtype=np.int32)
             for r0, r1 in _row_blocks(g.indptr, _CHUNK):
-                keys = self.node.take(g.nbr[g.indptr[r0]:g.indptr[r1]])
+                keys = node.take(g.nbr[g.indptr[r0]:g.indptr[r1]])
                 keys += np.repeat(np.arange(0, (r1 - r0) * kappa, kappa),
                                   np.diff(g.indptr[r0:r1 + 1]))
                 self.table[r0:r1] = np.bincount(
                     keys, minlength=(r1 - r0) * kappa).reshape(r1 - r0, kappa)
                 del keys  # before the next block's take()
 
-    def move(self, i, c):
-        """Move node ``i`` into community ``c``: -1 and +1 over its row
-        in the table, which names each neighbour once.  False, and
-        nothing changed, when ``c`` has no column."""
+    def move(self, i, c_old, c):
+        """Move node ``i`` from community ``c_old`` into ``c``: -1 and +1
+        over its row in the table, which names each neighbour once.
+        False, and nothing changed, when ``c`` has no column."""
         k = int(self.of[c])
         if k < 0:
             return False
         if self.table is not None:
             row = self.g.nbr[self.g.indptr[i]:self.g.indptr[i + 1]]
-            self.table[row, self.node[i]] -= 1
+            self.table[row, self.of[c_old]] -= 1
             self.table[row, k] += 1
-        self.node[i] = k
         return True
 
 
@@ -539,7 +548,7 @@ def _quiet_prefix(g, st, order, spare, cols):
     within :data:`criteria._CELLS` cells, one per row entry or per
     (node, column) pair.
     """
-    live, cid, table = cols.live, cols.node, cols.table
+    live, of, table = cols.live, cols.of, cols.table
     crit, n, kappa = st.crit, order.size, live.size
     vgain = crit.gain_fn(st)
     lo, step = 0, _PROBE
@@ -558,13 +567,14 @@ def _quiet_prefix(g, st, order, spare, cols):
             at = np.repeat(first - (ends - rl), rl)
             at += np.arange(at.size)
             keys = np.repeat(np.arange(0, nodes.size * kappa, kappa), rl)
-            keys += cid[g.nbr[at]]
+            keys += of[st.part[g.nbr[at]]]
             count = np.bincount(keys, minlength=nodes.size * kappa)
             sums = np.bincount(keys, g.wgt[at], minlength=count.size)
             del at, keys
             sums, count = sums.reshape(-1, kappa), count.reshape(-1, kappa)
         c_old, rows = st.part[nodes], np.arange(nodes.size)
-        dw = sums[rows, cid[nodes]]
+        own_col = of[c_old]
+        dw = sums[rows, own_col]
         removed, ok = [], True
         for acc, d in ((st.in_w, 2.0 * dw + g.loop[nodes]),
                        (st.tot, g.degrees[nodes]), (st.sz, g.size[nodes]),
@@ -575,7 +585,7 @@ def _quiet_prefix(g, st, order, spare, cols):
         own = crit.gain_fn(CriterionState(crit, g, None, *removed))(
             nodes, rows, dw)
         others = count > 0
-        others[rows, cid[nodes]] = False
+        others[rows, own_col] = False
         x = vgain(nodes[:, None], live, sums)
         top = np.where(others, x, -np.inf).max(axis=1)
         fresh = vgain(nodes, spare, 0.0)

@@ -496,6 +496,19 @@ def test_aggregate_two_disjoint_edges():
     assert meta.edge_count == 2  # the two loops only, no cross edge
 
 
+@pytest.mark.parametrize("labels,kappa", [
+    ([0, 0, 2, 2], None),  # id 1 unused: a meta-node of size 0
+    ([0, 0, 5, 1], 2),     # an id past kappa: numpy's broadcast error
+    ([0, 0, 1, 1], 3),     # kappa past the ids
+    ([0, 0, -1, 1], 2),
+    ([0, 0, 1], 2),        # one label short
+], ids=["gap", "past-kappa", "kappa-past-ids", "negative", "short"])
+def test_aggregate_refuses_labels_that_are_not_compact(labels, kappa):
+    g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    with pytest.raises(LouvainError, match="each one used"):
+        aggregate(g, np.array(labels), kappa)
+
+
 def test_aggregate_conserves_mass():
     rng = np.random.default_rng(4)
     for _ in range(25):
